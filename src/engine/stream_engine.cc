@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <mutex>
 #include <utility>
 
 #include "api/registry.h"
@@ -39,7 +41,7 @@ constexpr std::uint8_t kCheckpointMagic[8] = {'O', 'P', 'R', 'B',
 constexpr std::uint8_t kCheckpointVersionPlain = 1;
 constexpr std::uint8_t kCheckpointVersionTimed = 2;
 
-/// Producer-side wait inside a tail snapshot: spin first (the worker
+/// Caller-side wait inside a tail snapshot: spin first (the worker
 /// usually answers within microseconds), then sleep-poll.
 constexpr int kSnapshotSpinsBeforeSleep = 256;
 constexpr std::chrono::microseconds kSnapshotPoll{20};
@@ -63,6 +65,8 @@ struct EngineMetrics {
   obs::MaxGauge* ring_occupancy_hwm;
   obs::LatencyHistogram* checkpoint_write_ns;
   obs::LatencyHistogram* checkpoint_restore_ns;
+  obs::Counter* tails_cloned;   ///< folded once per served snapshot
+  obs::Counter* tails_skipped;
 };
 
 EngineMetrics& GetEngineMetrics() {
@@ -77,6 +81,8 @@ EngineMetrics& GetEngineMetrics() {
         r.GetMaxGauge("engine.ring_occupancy_hwm"),
         r.GetHistogram("engine.checkpoint.write_ns"),
         r.GetHistogram("engine.checkpoint.restore_ns"),
+        r.GetCounter("engine.snapshot.tails_cloned"),
+        r.GetCounter("engine.snapshot.tails_skipped"),
     };
   }();
   return *m;
@@ -117,18 +123,28 @@ std::string StreamEngineOptions::ToString() const {
   return buf;
 }
 
-/// The producer-owned half of a tail snapshot: what to visit, and the
-/// flag the worker releases when the visitor has run.
+/// One shard's part of a tail snapshot, owned by the calling thread
+/// (which blocks on `done`, so the worker may use it until it releases
+/// the flag): what to visit, from which hand-off count on, and the
+/// outcome.
 struct StreamEngine::TailSnapshotRequest {
+  std::size_t shard = 0;
   const TailSnapshotVisitor* visitor = nullptr;
-  bool filter = false;          ///< visit only `filter_id`
+  const TailSummaryFilter* may_match = nullptr;  ///< window form only
+  const ShardSnapshotHook* on_shard = nullptr;   ///< window form only
+  bool filter = false;  ///< object form: visit only `filter_id`
   traj::ObjectId filter_id = 0;
+  /// The shard's hand-off count at submission: served once the worker
+  /// has processed at least this many updates.
+  std::uint64_t handed_off = 0;
+  bool refused = false;  ///< the engine closed first; set before `done`
   std::atomic<bool> done{false};
 };
 
-/// One state-table partition, owned by exactly one worker thread. All
-/// members below `ring`/`processed` are consumer-side only, so the hot
-/// path (table probe + state Push) is lock-free and unsynchronized.
+/// One state-table partition, owned by exactly one worker thread. Apart
+/// from `ring`/`processed` and the snapshot mailbox, every member is
+/// consumer-side only, so the hot path (table probe + state Push) is
+/// lock-free and unsynchronized.
 class StreamEngine::Shard {
  public:
   Shard(const StreamEngineOptions& options,
@@ -149,7 +165,7 @@ class StreamEngine::Shard {
   SpscRing<Update> ring;
   /// Updates consumed, released after each processed batch; the producer
   /// compares it against its hand-off count to implement Close()'s drain
-  /// barrier.
+  /// barrier, and the worker against a snapshot request's.
   std::atomic<std::uint64_t> processed{0};
 
   /// Processes one consumer batch, coalescing consecutive kPoint updates
@@ -225,11 +241,6 @@ class StreamEngine::Shard {
         }
         break;
       }
-      case Kind::kSnapshot: {
-        HandleSnapshot(*u.snap);
-        u.snap->done.store(true, std::memory_order_release);
-        break;
-      }
     }
   }
 
@@ -254,45 +265,96 @@ class StreamEngine::Shard {
     s.last_time = pts[n - 1].t;
   }
 
-  /// Runs a tail snapshot on this worker thread: every live (and
-  /// matching, when filtered) slot's state is serialized, cloned into
-  /// the scratch state and finished; the clone's emissions — timed via
-  /// the slot's tail clock, which is read but never advanced — go to
-  /// the request's visitor in ascending object-id order. The live state
-  /// is never touched, so processing resumes as if the snapshot had
-  /// not happened.
-  void HandleSnapshot(const TailSnapshotRequest& req) {
-    std::vector<const Slot*> live;
-    live.reserve(req.filter ? 1 : live_);
-    for (const Slot& s : slots_) {
-      if (s.status != kOccupied) continue;
-      if (req.filter && s.id != req.filter_id) continue;
-      live.push_back(&s);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Slot* a, const Slot* b) { return a->id < b->id; });
-    for (const Slot* s : live) {
-      snapshot_blob_.clear();
-      states_[s->state]->Serialize(&snapshot_blob_);
-      EnsureScratch();
-      scratch_->Reset();
-      std::size_t pos = 0;
-      const Status restored = scratch_->Deserialize(snapshot_blob_, &pos);
-      OPERB_CHECK_MSG(restored.ok(),
-                      "tail snapshot: live state failed to round-trip");
-      snapshot_raw_.clear();
-      scratch_->Finish();
-      scratch_->Reset();
-      snapshot_tail_.clear();
-      snapshot_tail_.reserve(snapshot_raw_.size());
-      const TailClock& clock = clocks_[s->state];
-      for (const traj::RepresentedSegment& seg : snapshot_raw_) {
-        snapshot_tail_.push_back(traj::TimedSegment{
-            s->id, seg, clock.At(seg.first_index),
-            clock.At(seg.last_index)});
+  /// Mailbox side of the tail snapshots. Any thread submits; the
+  /// owning worker serves between batches and when idle; Close() refuses
+  /// whatever is left once the worker has been joined. Returns false when
+  /// the mailbox is already closed.
+  bool Submit(TailSnapshotRequest* req) {
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    if (requests_closed_) return false;
+    requests_.push_back(req);
+    requests_pending_.store(true, std::memory_order_release);
+    return true;
+  }
+
+  /// Serves every pending request whose hand-off count this worker has
+  /// processed (worker thread only). One relaxed-cost load when idle.
+  void ServeRequests() {
+    if (!requests_pending_.load(std::memory_order_acquire)) return;
+    const std::uint64_t done = processed.load(std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(requests_mu_);
+      std::size_t keep = 0;
+      for (TailSnapshotRequest* req : requests_) {
+        if (req->handed_off > done) {
+          requests_[keep++] = req;
+        } else {
+          serving_.push_back(req);
+        }
       }
+      requests_.resize(keep);
+      requests_pending_.store(keep != 0, std::memory_order_relaxed);
+    }
+    for (TailSnapshotRequest* req : serving_) {
+      HandleSnapshot(*req);
+      // The caller may destroy the request as soon as it sees the flag.
+      req->done.store(true, std::memory_order_release);
+    }
+    serving_.clear();
+  }
+
+  /// Closes the mailbox and refuses what is still in it. Call after the
+  /// owning worker has been joined (or never started).
+  void RefuseRequests() {
+    std::lock_guard<std::mutex> lock(requests_mu_);
+    requests_closed_ = true;
+    for (TailSnapshotRequest* req : requests_) {
+      req->refused = true;
+      req->done.store(true, std::memory_order_release);
+    }
+    requests_.clear();
+    requests_pending_.store(false, std::memory_order_relaxed);
+  }
+
+  /// Runs a tail snapshot on this worker thread: the request's shard
+  /// hook first, then every live (and matching, when filtered) slot
+  /// that the request's summary filter cannot rule out is cloned — its
+  /// state serialized into the scratch state and finished — and the
+  /// clone's emissions, timed via the slot's tail clock (read, never
+  /// advanced), go to the request's visitor in ascending object-id
+  /// order. The live state is never touched, so processing resumes as
+  /// if the snapshot had not happened.
+  void HandleSnapshot(const TailSnapshotRequest& req) {
+    if (req.on_shard != nullptr) (*req.on_shard)(req.shard);
+    // Summaries are grown here, not per state at creation, so engines
+    // that never take a window snapshot never pay for them.
+    if (summaries_.size() < states_.size()) summaries_.resize(states_.size());
+    visit_.clear();
+    std::uint64_t skipped = 0;
+    if (req.filter) {
+      const Slot* s = Find(req.filter_id);
+      if (s != nullptr) visit_.push_back(s);
+    } else {
+      for (const Slot& s : slots_) {
+        if (s.status != kOccupied) continue;
+        if (RuledOut(s.state, *req.may_match)) {
+          ++skipped;
+          continue;
+        }
+        visit_.push_back(&s);
+      }
+      std::sort(visit_.begin(), visit_.end(),
+                [](const Slot* a, const Slot* b) { return a->id < b->id; });
+    }
+    for (const Slot* s : visit_) {
+      CloneTail(*s);
       (*req.visitor)(s->id, std::span<const traj::TimedSegment>(
                                 snapshot_tail_));
+    }
+    if constexpr (obs::kMetricsEnabled) {
+      EngineMetrics& m = GetEngineMetrics();
+      m.tails_cloned->Add(visit_.size());
+      m.tails_skipped->Add(skipped);
     }
   }
 
@@ -540,6 +602,9 @@ class StreamEngine::Shard {
     state.Finish();
     state.Reset();
     if (options_.track_segment_times) clocks_[s.state].Clear();
+    // The pooled state's next object restarts its clock at index 0, so
+    // an old summary could look current again: drop it here.
+    if (s.state < summaries_.size()) summaries_[s.state].end = kNoSummary;
     free_states_.push_back(s.state);
     s.status = kTombstone;
     --live_;
@@ -565,6 +630,8 @@ class StreamEngine::Shard {
 
     void Append(double t) { times.push_back(t); }
     std::size_t size() const { return times.size() - off; }
+    /// Absolute index of the next point; moves with every Append only.
+    std::uint64_t end() const { return base + size(); }
     double At(std::uint64_t index) const {
       OPERB_DCHECK(index >= base && index - base < size());
       return times[off + static_cast<std::size_t>(index - base)];
@@ -586,6 +653,21 @@ class StreamEngine::Shard {
     }
   };
 
+  /// A state's summary of its last cloned tail (TailSummary), current
+  /// while `end` equals its tail clock's end(); kNoSummary otherwise.
+  static constexpr std::uint64_t kNoSummary =
+      std::numeric_limits<std::uint64_t>::max();
+  struct SummaryEntry {
+    TailSummary summary;
+    std::uint64_t end = kNoSummary;
+  };
+
+  /// True when `state`'s summary is current and `may_match` rejects it.
+  bool RuledOut(std::uint32_t state, const TailSummaryFilter& may_match) const {
+    const SummaryEntry& e = summaries_[state];
+    return e.end == clocks_[state].end() && !may_match(e.summary);
+  }
+
   /// Creates the snapshot scratch state on first use: same spec, sink
   /// wired once to collect raw emissions into snapshot_raw_.
   void EnsureScratch() {
@@ -595,6 +677,47 @@ class StreamEngine::Shard {
     scratch_->SetSink([this](const traj::RepresentedSegment& seg) {
       snapshot_raw_.push_back(seg);
     });
+  }
+
+  /// Clone-finishes `s`'s live state into snapshot_tail_ (timed by the
+  /// slot's tail clock) and refreshes the state's summary from it.
+  void CloneTail(const Slot& s) {
+    snapshot_blob_.clear();
+    states_[s.state]->Serialize(&snapshot_blob_);
+    EnsureScratch();
+    scratch_->Reset();
+    std::size_t pos = 0;
+    const Status restored = scratch_->Deserialize(snapshot_blob_, &pos);
+    OPERB_CHECK_MSG(restored.ok(),
+                    "tail snapshot: live state failed to round-trip");
+    snapshot_raw_.clear();
+    scratch_->Finish();
+    scratch_->Reset();
+    snapshot_tail_.clear();
+    snapshot_tail_.reserve(snapshot_raw_.size());
+    const TailClock& clock = clocks_[s.state];
+    TailSummary summary;
+    summary.t_min = std::numeric_limits<double>::infinity();
+    summary.t_max = -summary.t_min;
+    bool finite = true;
+    for (const traj::RepresentedSegment& seg : snapshot_raw_) {
+      const traj::TimedSegment& t = snapshot_tail_.emplace_back(
+          traj::TimedSegment{s.id, seg, clock.At(seg.first_index),
+                             clock.At(seg.last_index)});
+      finite = finite && std::isfinite(seg.start.x) &&
+               std::isfinite(seg.start.y) && std::isfinite(seg.end.x) &&
+               std::isfinite(seg.end.y) && std::isfinite(t.t_start) &&
+               std::isfinite(t.t_end);
+      summary.box.Extend(seg.start);
+      summary.box.Extend(seg.end);
+      summary.t_min = std::min(summary.t_min, t.t_start);
+      summary.t_max = std::max(summary.t_max, t.t_end);
+    }
+    // A non-finite endpoint defeats the box arithmetic, so such a tail
+    // keeps no summary and is cloned by every window snapshot.
+    SummaryEntry& entry = summaries_[s.state];
+    entry.summary = summary;
+    entry.end = finite ? clock.end() : kNoSummary;
   }
 
   const StreamEngineOptions& options_;
@@ -617,11 +740,25 @@ class StreamEngine::Shard {
   traj::ObjectId current_id_ = 0;
   std::uint32_t current_state_ = 0;
 
+  /// Parallel to states_ once a snapshot has run (grown there, so the
+  /// table probe and the per-point path never touch it).
+  std::vector<SummaryEntry> summaries_;
+
   /// Tail-snapshot scratch (consumer-side, reused across snapshots).
   std::unique_ptr<baselines::StreamingSimplifier> scratch_;
   std::vector<std::uint8_t> snapshot_blob_;
   std::vector<traj::RepresentedSegment> snapshot_raw_;
   std::vector<traj::TimedSegment> snapshot_tail_;
+  std::vector<const Slot*> visit_;
+
+  /// Snapshot mailbox (Submit / ServeRequests / RefuseRequests).
+  std::mutex requests_mu_;
+  std::vector<TailSnapshotRequest*> requests_;  ///< guarded by requests_mu_
+  bool requests_closed_ = false;                ///< guarded by requests_mu_
+  /// Set while requests_ is non-empty, so an idle worker checks the
+  /// mailbox with one load instead of a lock.
+  std::atomic<bool> requests_pending_{false};
+  std::vector<TailSnapshotRequest*> serving_;  ///< worker-side scratch
 
   std::uint64_t segments_ = 0;
   std::uint64_t objects_opened_ = 0;
@@ -636,7 +773,7 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Create(
 }
 
 Status StreamEngine::Checkpoint(const std::string& path, store::Env* env) {
-  if (closed_) {
+  if (closed()) {
     return Status::InvalidArgument("checkpoint of a closed engine");
   }
   obs::ScopedTimer write_timer(
@@ -845,7 +982,8 @@ void StreamEngine::SetTimedSink(TimedSegmentSink sink) {
                  pushed_[s].load(std::memory_order_relaxed) != 0 ||
                  !staging_[s].empty();
   }
-  OPERB_CHECK_MSG(!pushed_any && !closed_, "SetTimedSink after the first Push");
+  OPERB_CHECK_MSG(!pushed_any && !closed(),
+                  "SetTimedSink after the first Push");
   timed_sink_ = std::move(sink);
 }
 
@@ -902,7 +1040,7 @@ void StreamEngine::FlushShard(std::size_t shard) {
 }
 
 void StreamEngine::Push(traj::ObjectId id, const geo::Point& p) {
-  OPERB_DCHECK(!closed_);
+  OPERB_DCHECK(!closed());
   ++stats_.points;
   Route(ShardOf(id), Update{id, p, Kind::kPoint});
 }
@@ -912,12 +1050,12 @@ void StreamEngine::Push(std::span<const traj::ObjectUpdate> updates) {
 }
 
 void StreamEngine::FinishObject(traj::ObjectId id) {
-  OPERB_DCHECK(!closed_);
+  OPERB_DCHECK(!closed());
   Route(ShardOf(id), Update{id, geo::Point{}, Kind::kFinish});
 }
 
 void StreamEngine::Tick(double watermark) {
-  OPERB_DCHECK(!closed_);
+  OPERB_DCHECK(!closed());
   Flush();  // everything pushed before the tick must reach the rings first
   const Update tick{0, geo::Point{0.0, 0.0, watermark}, Kind::kTick};
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -948,23 +1086,37 @@ std::size_t StreamEngine::RingCapacity() const {
   return shards_.front()->ring.capacity();
 }
 
-Status StreamEngine::SnapshotShardTails(std::size_t shard,
-                                        const TailSnapshotVisitor& visitor) {
-  if (shard >= shards_.size()) {
-    return Status::InvalidArgument("tail snapshot shard out of range");
-  }
-  return SnapshotImpl(shard, nullptr, visitor);
-}
-
 Status StreamEngine::SnapshotObjectTail(traj::ObjectId id,
                                         const TailSnapshotVisitor& visitor) {
-  return SnapshotImpl(ShardOf(id), &id, visitor);
+  OPERB_RETURN_IF_ERROR(CheckSnapshot(visitor));
+  TailSnapshotRequest req;
+  req.shard = ShardOf(id);
+  req.visitor = &visitor;
+  req.filter = true;
+  req.filter_id = id;
+  return RunSnapshot(&req, 1);
 }
 
-Status StreamEngine::SnapshotImpl(std::size_t shard,
-                                  const traj::ObjectId* only,
-                                  const TailSnapshotVisitor& visitor) {
-  if (closed_) {
+Status StreamEngine::SnapshotWindowTails(const TailSummaryFilter& may_match,
+                                         const ShardSnapshotHook& on_shard,
+                                         const TailSnapshotVisitor& visitor) {
+  OPERB_RETURN_IF_ERROR(CheckSnapshot(visitor));
+  if (!may_match || !on_shard) {
+    return Status::InvalidArgument(
+        "window tail snapshot needs a filter and a shard hook");
+  }
+  std::vector<TailSnapshotRequest> requests(shards_.size());
+  for (std::size_t s = 0; s < requests.size(); ++s) {
+    requests[s].shard = s;
+    requests[s].visitor = &visitor;
+    requests[s].may_match = &may_match;
+    requests[s].on_shard = &on_shard;
+  }
+  return RunSnapshot(requests.data(), requests.size());
+}
+
+Status StreamEngine::CheckSnapshot(const TailSnapshotVisitor& visitor) const {
+  if (closed()) {
     return Status::InvalidArgument("tail snapshot of a closed engine");
   }
   if (!options_.track_segment_times) {
@@ -974,33 +1126,38 @@ Status StreamEngine::SnapshotImpl(std::size_t shard,
   if (!visitor) {
     return Status::InvalidArgument("tail snapshot visitor must be callable");
   }
-  TailSnapshotRequest req;
-  req.visitor = &visitor;
-  if (only != nullptr) {
-    req.filter = true;
-    req.filter_id = *only;
-  }
-  // Read-your-writes: everything this producer pushed for the shard is
-  // handed to the FIFO ring before the marker, so the worker runs the
-  // visitor only after processing it all.
-  FlushShard(shard);
-  Update u;
-  u.kind = Kind::kSnapshot;
-  u.snap = &req;
-  while (shards_[shard]->ring.TryPush(&u, 1) == 0) {
-    ++stats_.ring_full_stalls;
-    if constexpr (obs::kMetricsEnabled) {
-      GetEngineMetrics().backpressure_yields->Increment();
+  return Status::OK();
+}
+
+Status StreamEngine::RunSnapshot(TailSnapshotRequest* requests,
+                                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    TailSnapshotRequest& req = requests[i];
+    // Read-your-writes: an update acked to the caller before this call
+    // was handed off (and counted) before the ack, so this load sees a
+    // count that includes it. A relaxed load suffices: whatever ordered
+    // the ack before the call also orders the count's increment before
+    // this read, and the worker compares against its own counter.
+    req.handed_off = pushed_[req.shard].load(std::memory_order_relaxed);
+    if (!shards_[req.shard]->Submit(&req)) {
+      req.refused = true;
+      req.done.store(true, std::memory_order_relaxed);
     }
-    std::this_thread::yield();
   }
-  pushed_[shard].fetch_add(1, std::memory_order_relaxed);
-  for (int spins = 0; !req.done.load(std::memory_order_acquire); ++spins) {
-    if (spins < kSnapshotSpinsBeforeSleep) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(kSnapshotPoll);
+  bool refused = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const TailSnapshotRequest& req = requests[i];
+    for (int spins = 0; !req.done.load(std::memory_order_acquire); ++spins) {
+      if (spins < kSnapshotSpinsBeforeSleep) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(kSnapshotPoll);
+      }
     }
+    refused = refused || req.refused;
+  }
+  if (refused) {
+    return Status::InvalidArgument("tail snapshot of a closed engine");
   }
   return Status::OK();
 }
@@ -1015,13 +1172,16 @@ void StreamEngine::WaitDrained() {
 }
 
 void StreamEngine::Close() {
-  if (closed_) return;
+  if (closed()) return;
   if (workers_.empty()) {
     // A deferred engine whose restore failed before StartWorkers():
     // nothing runs, nothing is in flight, so closing is bookkeeping.
-    for (const auto& shard : shards_) shard->AccumulateStats(&stats_);
+    for (const auto& shard : shards_) {
+      shard->RefuseRequests();
+      shard->AccumulateStats(&stats_);
+    }
     stats_.peak_live_objects = peak_live_.load(std::memory_order_relaxed);
-    closed_ = true;
+    closed_.store(true, std::memory_order_release);
     return;
   }
   Flush();
@@ -1040,13 +1200,18 @@ void StreamEngine::Close() {
   stop_.store(true, std::memory_order_release);
   for (std::thread& t : workers_) t.join();
   workers_.clear();
-  for (const auto& shard : shards_) shard->AccumulateStats(&stats_);
+  // Snapshot requests submitted after a worker's last mailbox check
+  // would otherwise wait forever.
+  for (const auto& shard : shards_) {
+    shard->RefuseRequests();
+    shard->AccumulateStats(&stats_);
+  }
   stats_.peak_live_objects = peak_live_.load(std::memory_order_relaxed);
-  closed_ = true;
+  closed_.store(true, std::memory_order_release);
 }
 
 const StreamEngineStats& StreamEngine::stats() const {
-  OPERB_CHECK_MSG(closed_, "stats() before Close()");
+  OPERB_CHECK_MSG(closed(), "stats() before Close()");
   return stats_;
 }
 
@@ -1066,6 +1231,7 @@ void StreamEngine::WorkerLoop(std::size_t worker_index) {
         did_work = true;
         if (n < batch.size()) break;
       }
+      shard.ServeRequests();
     }
     if (did_work) {
       idle_spins = 0;

@@ -18,6 +18,7 @@
 #include "api/spec.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "geo/bbox.h"
 #include "geo/point.h"
 #include "store/env.h"
 #include "traj/multi_object.h"
@@ -41,16 +42,37 @@ using TaggedSegmentSink =
 /// TaggedSegmentSink.
 using TimedSegmentSink = std::function<void(const traj::TimedSegment&)>;
 
-/// Callback of the tail-snapshot seam (SnapshotShardTails /
-/// SnapshotObjectTail): invoked once per visited live object — in
-/// ascending object-id order — with the segments a FinishObject at the
-/// snapshot point would emit ("the in-flight tail"; possibly empty).
-/// Runs on the shard's worker thread while the producer blocks, so the
-/// shard is provably between updates: anything the visitor reads of its
-/// own data structures is consistent with exactly the update prefix the
-/// worker has processed. The span is only valid during the call.
+/// Callback of the tail-snapshot seam (SnapshotWindowTails /
+/// SnapshotObjectTail): invoked once per visited
+/// live object — in ascending object-id order within a shard — with the
+/// segments a FinishObject at the snapshot point would emit ("the
+/// in-flight tail"; possibly empty). Runs on the shard's worker thread
+/// between two batches, so the shard is provably between updates:
+/// anything the visitor reads of its own data structures is consistent
+/// with exactly the update prefix the worker has processed. The span is
+/// only valid during the call.
 using TailSnapshotVisitor =
     std::function<void(traj::ObjectId, std::span<const traj::TimedSegment>)>;
+
+/// Extent of one live object's in-flight tail, as the window snapshot's
+/// predicate sees it: the bounding box of the tail segments' endpoints
+/// and [min t_start, max t_end] over them (an empty tail has an empty
+/// box and t_min > t_max). Only tails whose every endpoint is finite get
+/// a summary.
+struct TailSummary {
+  geo::BoundingBox box;
+  double t_min = 0.0;
+  double t_max = 0.0;
+};
+
+/// Predicate of SnapshotWindowTails: returns false only when no segment
+/// inside `summary` can match the caller's query, which lets the worker
+/// skip cloning that object's tail.
+using TailSummaryFilter = std::function<bool(const TailSummary& summary)>;
+
+/// Per-shard hook of SnapshotWindowTails, run on the shard's worker
+/// before its tails are visited (same consistency point as the visitor).
+using ShardSnapshotHook = std::function<void(std::size_t shard)>;
 
 /// Configuration of a StreamEngine.
 struct StreamEngineOptions {
@@ -91,7 +113,7 @@ struct StreamEngineOptions {
   /// Track, per live object, the timestamps of the points since its
   /// last emitted segment boundary (consumer-side, lock-free). This
   /// enables the TimedSegmentSink and the tail-snapshot seam
-  /// (SnapshotShardTails) — the features the server's read-your-writes
+  /// (SnapshotWindowTails, SnapshotObjectTail) — the features the server's read-your-writes
   /// merge is built on — at the cost of O(open-tail length) doubles per
   /// live object. Checkpoints of a tracking engine are written as
   /// format version 2 (the tail clocks are part of the state) and can
@@ -145,9 +167,11 @@ struct StreamEngineStats {
 /// is exactly the single-stream simplifier (see DESIGN.md "Sharded
 /// multi-object streaming engine").
 ///
-/// Threading contract: Push/FinishObject/Tick/Flush/Close must be called
-/// from one producer thread (or externally serialized). The sink runs on
-/// worker threads, concurrently across shards.
+/// Threading contract: Push/FinishObject/Tick/Flush/Checkpoint/Close
+/// must be called from one producer thread (or externally serialized).
+/// The tail snapshots and the read-only accessors are safe from any
+/// thread, concurrently with the producer. The sink runs on worker
+/// threads, concurrently across shards.
 ///
 /// Steady-state cost: after warm-up (state pool and table grown to the
 /// live-object working set), a point update performs no heap allocation
@@ -231,25 +255,42 @@ class StreamEngine {
   /// nullptr uses the real filesystem.
   Status Checkpoint(const std::string& path, store::Env* env = nullptr);
 
-  /// Visits the in-flight tail of every live object on `shard` (see
-  /// TailSnapshotVisitor): each live simplifier state is serialized,
+  /// The window form behind spatio-temporal queries: visits the
+  /// in-flight tail of every live object (see TailSnapshotVisitor) that
+  /// `may_match` cannot rule out. Each visited state is serialized,
   /// deserialized into a scratch state of the same spec and
   /// clone-finished, so the visited segments are bit-identical to what
-  /// FinishObject would emit — without perturbing the live state. The
-  /// snapshot request rides the shard's own FIFO ring (staged updates
-  /// for the shard are flushed first), making it a read-your-writes
-  /// barrier for everything pushed before the call while staying
-  /// drain-free: no other shard is touched, no global barrier is taken.
-  /// Producer-thread only, like Push(). Blocks until the worker has run
-  /// the visitor (bounded by the shard's queue depth). InvalidArgument
-  /// on a closed engine, a shard out of range, an empty visitor, or
-  /// when options.track_segment_times is off.
-  Status SnapshotShardTails(std::size_t shard,
-                            const TailSnapshotVisitor& visitor);
+  /// FinishObject would emit — without perturbing the live state.
+  ///
+  /// One request per shard goes to the shard's mailbox, not its ring,
+  /// all submitted before any is awaited, so the workers serve them in
+  /// parallel. Each records the shard's hand-off count when it is
+  /// submitted; the worker serves it between batches once it has
+  /// processed that many updates. So the call is a read-your-writes
+  /// barrier for every update handed to the rings before it (by Flush()
+  /// or a full staging batch — updates still in the producer's staging
+  /// are not covered), drain-free, and it never waits for the producer.
+  /// Safe from any thread. Blocks until every worker has served its
+  /// request (bounded by the shard's queue depth).
+  ///
+  /// On each shard's worker `on_shard(shard)` runs first, then `visitor`
+  /// per object in ascending id order. Each object keeps the summary of
+  /// its last cloned tail while no point has been pushed to it since; an
+  /// object with such a summary that `may_match` rejects is skipped
+  /// without a clone. Every other live object is cloned and visited, and
+  /// its summary refreshed. `on_shard` and `visitor` run concurrently
+  /// across shards. InvalidArgument on a closed engine (including a
+  /// request still pending when Close() joins the workers), an empty
+  /// callable, or when options.track_segment_times is off.
+  Status SnapshotWindowTails(const TailSummaryFilter& may_match,
+                             const ShardSnapshotHook& on_shard,
+                             const TailSnapshotVisitor& visitor);
 
-  /// SnapshotShardTails restricted to one object: only `id`'s tail is
-  /// cloned and visited (no call when the object is not live). The
-  /// cheap form behind single-object queries.
+  /// The single-object form behind object queries: only `id`'s tail is
+  /// cloned and visited (no call when the object is not live), by `id`'s
+  /// shard alone. Same barrier and status contract as
+  /// SnapshotWindowTails; the clone refreshes the object's summary as a
+  /// window visit does.
   Status SnapshotObjectTail(traj::ObjectId id,
                             const TailSnapshotVisitor& visitor);
 
@@ -275,7 +316,7 @@ class StreamEngine {
   /// stats().
   void Close();
 
-  bool closed() const { return closed_; }
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   /// Aggregate counters; requires closed().
   const StreamEngineStats& stats() const;
@@ -283,20 +324,15 @@ class StreamEngine {
   const StreamEngineOptions& options() const { return options_; }
 
  private:
-  enum class Kind : std::uint8_t { kPoint, kFinish, kTick, kCloseAll,
-                                   kSnapshot };
+  enum class Kind : std::uint8_t { kPoint, kFinish, kTick, kCloseAll };
 
   struct TailSnapshotRequest;
 
-  /// One ring entry. For kTick, point.t carries the watermark; for
-  /// kSnapshot, `snap` points at the producer-owned request (the
-  /// producer blocks on its done flag, so the pointer outlives the
-  /// worker's use).
+  /// One ring entry. For kTick, point.t carries the watermark.
   struct Update {
     traj::ObjectId id = 0;
     geo::Point point;
     Kind kind = Kind::kPoint;
-    TailSnapshotRequest* snap = nullptr;
   };
 
   class Shard;
@@ -318,10 +354,12 @@ class StreamEngine {
   /// Blocks until every shard has consumed everything handed to it.
   void WaitDrained();
   void WorkerLoop(std::size_t worker_index);
-  /// Common body of the two tail-snapshot entry points: flushes the
-  /// shard's staging, enqueues the request, waits for the worker.
-  Status SnapshotImpl(std::size_t shard, const traj::ObjectId* only,
-                      const TailSnapshotVisitor& visitor);
+  /// The status contract shared by the tail-snapshot entry points.
+  Status CheckSnapshot(const TailSnapshotVisitor& visitor) const;
+  /// Common body of the tail-snapshot entry points: submits each of the
+  /// `n` requests to its shard's mailbox, then waits until every one
+  /// was served or refused.
+  Status RunSnapshot(TailSnapshotRequest* requests, std::size_t n);
 
   StreamEngineOptions options_;
   TaggedSegmentSink sink_;
@@ -329,7 +367,7 @@ class StreamEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::vector<Update>> staging_;  ///< producer-side, per shard
   /// Per-shard hand-off counts. Written by the producer only; atomic so
-  /// RingOccupancy can subtract the consumer's processed count from any
+  /// RingOccupancy and the snapshot barrier can read them from any
   /// thread without the drain barrier.
   std::vector<std::atomic<std::uint64_t>> pushed_;
   std::vector<std::thread> workers_;
@@ -338,7 +376,9 @@ class StreamEngine {
   /// open/finish (object-lifecycle frequency, not per point).
   std::atomic<std::uint64_t> live_objects_{0};
   std::atomic<std::uint64_t> peak_live_{0};
-  bool closed_ = false;
+  /// Written by Close() only; atomic because snapshot calls read it from
+  /// any thread.
+  std::atomic<bool> closed_{false};
   StreamEngineStats stats_;  ///< aggregated in Close()
 };
 

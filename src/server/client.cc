@@ -97,7 +97,8 @@ Result<std::vector<traj::TimedSegment>> ParseSegments(
     const std::vector<std::uint8_t>& reply) {
   std::size_t pos = 0;
   std::uint32_t count = 0;
-  if (!serial::GetU32(reply, &pos, &count)) {
+  if (!serial::GetU32(reply, &pos, &count) ||
+      count > (reply.size() - pos) / kTimedSegmentBytes) {
     return Status::IOError("malformed segment reply");
   }
   std::vector<traj::TimedSegment> out(count);

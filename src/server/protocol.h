@@ -86,7 +86,15 @@ struct StatsBody {
   std::uint64_t connections = 0;  ///< currently open
 };
 
-/// Appends `s` (u64 id, 50-byte segment encoding, f64 t_start/t_end).
+/// Wire size of one kIngest update (u64 id, f64 t, x, y).
+inline constexpr std::size_t kIngestUpdateBytes = 32;
+
+/// Wire size of one timed segment (u64 id, 50-byte segment encoding,
+/// f64 t_start/t_end).
+inline constexpr std::size_t kTimedSegmentBytes = 74;
+
+/// Appends `s` (kTimedSegmentBytes: u64 id, 50-byte segment encoding,
+/// f64 t_start/t_end).
 void PutTimedSegment(const traj::TimedSegment& s,
                      std::vector<std::uint8_t>* out);
 

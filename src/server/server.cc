@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/serial.h"
@@ -255,18 +253,16 @@ Status TrajectoryServer::FinishObject(traj::ObjectId id) {
   return Status::OK();
 }
 
-void TrajectoryServer::AppendOverlay(traj::ObjectId id, std::size_t prefix,
-                                     double t_min, double t_max,
+void TrajectoryServer::AppendOverlay(traj::ObjectId id, double t_min,
+                                     double t_max,
                                      std::vector<traj::TimedSegment>* out) {
   OverlayShard& shard = OverlayOf(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.segments.find(id);
   if (it == shard.segments.end()) return;
-  const std::vector<traj::TimedSegment>& v = it->second;
-  const std::size_t n = std::min(prefix, v.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (store::IntervalsOverlap(v[i].t_start, v[i].t_end, t_min, t_max)) {
-      out->push_back(v[i]);
+  for (const traj::TimedSegment& s : it->second) {
+    if (store::IntervalsOverlap(s.t_start, s.t_end, t_min, t_max)) {
+      out->push_back(s);
     }
   }
 }
@@ -275,41 +271,27 @@ Result<std::vector<traj::TimedSegment>> TrajectoryServer::QueryObject(
     traj::ObjectId id, double t_min, double t_max) {
   std::shared_lock<std::shared_mutex> seal_lock(seal_mu_);
 
-  // Capture tail + overlay boundary on the worker thread: both describe
-  // the same processed prefix of the object's updates (no torn tails).
-  TailCapture cap;
-  bool captured = false;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    OPERB_RETURN_IF_ERROR(engine_->SnapshotObjectTail(
-        id, [this, &cap, &captured](
-                traj::ObjectId oid,
-                std::span<const traj::TimedSegment> tail) {
-          OverlayShard& shard = OverlayOf(oid);
-          {
-            std::lock_guard<std::mutex> overlay_lock(shard.mu);
-            const auto it = shard.segments.find(oid);
-            cap.overlay_prefix =
-                it == shard.segments.end() ? 0 : it->second.size();
+  // A live object's overlay and tail are read together on its worker,
+  // so both describe the same processed prefix (no torn tails).
+  std::vector<traj::TimedSegment> unsealed;
+  bool live = false;
+  OPERB_RETURN_IF_ERROR(engine_->SnapshotObjectTail(
+      id, [&](traj::ObjectId oid, std::span<const traj::TimedSegment> tail) {
+        AppendOverlay(oid, t_min, t_max, &unsealed);
+        for (const traj::TimedSegment& s : tail) {
+          if (store::IntervalsOverlap(s.t_start, s.t_end, t_min, t_max)) {
+            unsealed.push_back(s);
           }
-          cap.tail.assign(tail.begin(), tail.end());
-          captured = true;
-        }));
-  }
+        }
+        live = true;
+      }));
+  // Not live: the object is finished or unknown, so its overlay entry
+  // is complete.
+  if (!live) AppendOverlay(id, t_min, t_max, &unsealed);
 
   OPERB_ASSIGN_OR_RETURN(std::vector<traj::TimedSegment> out,
                          reader_->ReconstructObject(id, t_min, t_max));
-  // Not live (not captured): the object is finished or unknown, so its
-  // overlay entry is stable and complete — take all of it.
-  AppendOverlay(id,
-                captured ? cap.overlay_prefix
-                         : std::numeric_limits<std::size_t>::max(),
-                t_min, t_max, &out);
-  for (const traj::TimedSegment& s : cap.tail) {
-    if (store::IntervalsOverlap(s.t_start, s.t_end, t_min, t_max)) {
-      out.push_back(s);
-    }
-  }
+  out.insert(out.end(), unsealed.begin(), unsealed.end());
   return out;
 }
 
@@ -318,58 +300,49 @@ Result<std::vector<traj::TimedSegment>> TrajectoryServer::QueryWindow(
     bool flat_scan) {
   std::shared_lock<std::shared_mutex> seal_lock(seal_mu_);
 
-  std::unordered_map<traj::ObjectId, TailCapture> caps;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    for (std::size_t s = 0; s < options_.engine.num_shards; ++s) {
-      OPERB_RETURN_IF_ERROR(engine_->SnapshotShardTails(
-          s, [this, &caps](traj::ObjectId oid,
-                           std::span<const traj::TimedSegment> tail) {
-            TailCapture& cap = caps[oid];
-            OverlayShard& shard = OverlayOf(oid);
-            {
-              std::lock_guard<std::mutex> overlay_lock(shard.mu);
-              const auto it = shard.segments.find(oid);
-              cap.overlay_prefix =
-                  it == shard.segments.end() ? 0 : it->second.size();
-            }
-            cap.tail.assign(tail.begin(), tail.end());
-          }));
-    }
-  }
+  // Same predicate the reader applies to sealed segments.
+  const geo::BoundingBox inflated = store::Inflate(window, reader_->zeta());
+  const auto matches = [&](const traj::TimedSegment& s) {
+    return store::SegmentMatchesWindow(s, inflated, t_min, t_max);
+  };
+  // The unsealed layers, gathered per engine shard on that shard's
+  // worker: first its whole overlay shard (finished objects and the
+  // emitted part of live ones), then the tails of the live objects whose
+  // summary the window cannot rule out. Overlay shard s only grows on
+  // that worker, so both reads see the same processed prefix.
+  std::vector<std::vector<traj::TimedSegment>> unsealed(overlay_.size());
+  OPERB_RETURN_IF_ERROR(engine_->SnapshotWindowTails(
+      [&](const engine::TailSummary& tail) {
+        return store::ExtentMayMatchWindow(tail.box, tail.t_min, tail.t_max,
+                                           inflated, t_min, t_max);
+      },
+      [&](std::size_t s) {
+        OverlayShard& shard = *overlay_[s];
+        std::lock_guard<std::mutex> lock(shard.mu);
+        for (const auto& [oid, v] : shard.segments) {
+          for (const traj::TimedSegment& seg : v) {
+            if (matches(seg)) unsealed[s].push_back(seg);
+          }
+        }
+      },
+      [&](traj::ObjectId oid, std::span<const traj::TimedSegment> tail) {
+        std::vector<traj::TimedSegment>& out =
+            unsealed[traj::ShardOfObject(oid, overlay_.size())];
+        for (const traj::TimedSegment& seg : tail) {
+          if (matches(seg)) out.push_back(seg);
+        }
+      }));
 
   OPERB_ASSIGN_OR_RETURN(
       std::vector<traj::TimedSegment> out,
       reader_->QueryWindow(window, t_min, t_max, nullptr,
                            flat_scan ? store::ScanMode::kFlatScan
                                      : store::ScanMode::kIndexed));
-  // Same predicate the reader applied to sealed segments.
-  const geo::BoundingBox inflated = store::Inflate(window, reader_->zeta());
-  const auto matches = [&](const traj::TimedSegment& s) {
-    return store::SegmentMatchesWindow(s, inflated, t_min, t_max);
-  };
-
-  // Unsealed layers: overlay first (captured prefix for live objects,
-  // everything for finished ones), then the captured tails — per
-  // object that is emission order, and stable_sort below keeps it
-  // while restoring the canonical ascending-id order across objects
-  // (sealed segments of an id were appended first, so they stay first).
-  for (const auto& shard : overlay_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [oid, v] : shard->segments) {
-      const auto cap = caps.find(oid);
-      const std::size_t n =
-          cap == caps.end() ? v.size()
-                            : std::min(cap->second.overlay_prefix, v.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (matches(v[i])) out.push_back(v[i]);
-      }
-    }
-  }
-  for (const auto& [oid, cap] : caps) {
-    for (const traj::TimedSegment& s : cap.tail) {
-      if (matches(s)) out.push_back(s);
-    }
+  // Per object that is sealed, then overlay, then tail — emission order —
+  // and stable_sort keeps it while restoring the canonical ascending-id
+  // order across objects.
+  for (const std::vector<traj::TimedSegment>& v : unsealed) {
+    out.insert(out.end(), v.begin(), v.end());
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const traj::TimedSegment& a,
@@ -575,6 +548,9 @@ bool TrajectoryServer::Dispatch(Connection* conn, Verb verb,
     case Verb::kIngest: {
       std::uint32_t n = 0;
       if (!serial::GetU32(body, &pos, &n)) return malformed();
+      // The count is the peer's word: bound it by the bytes that are
+      // actually there before allocating for it.
+      if (n > (body.size() - pos) / kIngestUpdateBytes) return malformed();
       std::vector<traj::ObjectUpdate> updates(n);
       for (traj::ObjectUpdate& u : updates) {
         double t = 0.0;

@@ -17,11 +17,12 @@
 ///
 /// The three layers partition the object's emission sequence, so
 /// concatenating them *is* the offline answer at the snapshot point.
-/// Consistency: a query captures the overlay boundary of each live
-/// object on the owning worker thread itself (inside the tail-snapshot
-/// visitor), so tail and overlay prefix always describe the same
-/// stream prefix — no torn tails. Seals take the seal lock
-/// exclusively; queries hold it shared across their whole merge.
+/// Consistency: a query reads a live object's overlay and tail on the
+/// engine worker that owns the object (inside the tail snapshot) — the
+/// only thread that appends to that overlay shard — so both describe
+/// the same stream prefix: no torn tails. Seals take the seal lock
+/// exclusively; queries hold it shared across their whole merge and
+/// never take the engine mutex.
 
 #include <atomic>
 #include <cstdint>
@@ -163,19 +164,13 @@ class TrajectoryServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  /// Per-engine-shard slice of the overlay. The mutex is leaf-level:
-  /// nothing is called while holding it.
+  /// Per-engine-shard slice of the overlay: overlay_[s] holds the
+  /// objects of engine shard s, so only that shard's worker appends to
+  /// it. The mutex is leaf-level: nothing is called while holding it.
   struct OverlayShard {
     std::mutex mu;
     std::unordered_map<traj::ObjectId, std::vector<traj::TimedSegment>>
         segments;
-  };
-
-  /// What a tail snapshot captured for one live object — on the worker
-  /// thread, so tail and overlay_prefix describe the same prefix.
-  struct TailCapture {
-    std::size_t overlay_prefix = 0;
-    std::vector<traj::TimedSegment> tail;
   };
 
   struct Connection {
@@ -205,10 +200,10 @@ class TrajectoryServer {
     return *overlay_[traj::ShardOfObject(id, overlay_.size())];
   }
 
-  /// First `prefix` overlay segments of `id` overlapping
-  /// [t_min, t_max], appended to `out` in emission order.
-  void AppendOverlay(traj::ObjectId id, std::size_t prefix, double t_min,
-                     double t_max, std::vector<traj::TimedSegment>* out);
+  /// The overlay segments of `id` overlapping [t_min, t_max], appended
+  /// to `out` in emission order.
+  void AppendOverlay(traj::ObjectId id, double t_min, double t_max,
+                     std::vector<traj::TimedSegment>* out);
 
   /// Seal with the exclusive lock already held.
   Status SealLocked();
@@ -216,8 +211,11 @@ class TrajectoryServer {
   ServerOptions options_;
   Listener listener_;
   std::unique_ptr<engine::StreamEngine> engine_;
-  /// Serializes every engine producer call (Push/Flush/snapshot/
-  /// checkpoint) — the engine's single-producer contract.
+  /// Serializes the engine's producer calls (Push/Flush/FinishObject/
+  /// Checkpoint/Close) — its single-producer contract. Queries never
+  /// take it: tail snapshots are safe from any thread, and their
+  /// barrier is the shard's hand-off count, which an acked Ingest has
+  /// already advanced.
   std::mutex engine_mu_;
 
   /// Seal lock: queries shared (reader_ and the overlay boundary are

@@ -11,6 +11,8 @@
 /// header is the correctness seam: a predicate change cannot drift
 /// between the sealed and live halves of an answer.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 #include "geo/bbox.h"
@@ -80,6 +82,35 @@ inline bool SegmentMatchesWindow(const traj::TimedSegment& s,
                                  double t_min, double t_max) {
   return IntervalsOverlap(s.t_start, s.t_end, t_min, t_max) &&
          SegmentIntersectsBox(s.segment.start, s.segment.end, inflated);
+}
+
+/// Skip test for a group of segments known only by their extent: every
+/// endpoint lies in `extent` and every [t_start, t_end] in [t_lo, t_hi].
+/// False proves that no segment of the group passes
+/// SegmentMatchesWindow(·, inflated, t_min, t_max), so the caller may
+/// skip the group unread; true decides nothing. The time half is exact
+/// (comparisons only). The box half pads the window first, because
+/// SegmentIntersectsBox divides rounded differences and can accept a
+/// segment whose endpoints lie outside the box by a few ulps of the
+/// largest coordinate in play; the pad, 2^-40 of that magnitude (plus
+/// 2^-40 absolute), covers it many times over. An empty extent (no
+/// segments) or an empty window is always skipped; a window with a NaN
+/// or infinite bound never is.
+inline bool ExtentMayMatchWindow(const geo::BoundingBox& extent, double t_lo,
+                                 double t_hi,
+                                 const geo::BoundingBox& inflated,
+                                 double t_min, double t_max) {
+  if (extent.IsEmpty() || inflated.IsEmpty()) return false;
+  if (!IntervalsOverlap(t_lo, t_hi, t_min, t_max)) return false;
+  const double bounds[8] = {extent.min_x,   extent.min_y,   extent.max_x,
+                            extent.max_y,   inflated.min_x, inflated.min_y,
+                            inflated.max_x, inflated.max_y};
+  double magnitude = 0.0;
+  for (const double v : bounds) {
+    if (!std::isfinite(v)) return true;
+    magnitude = std::max(magnitude, std::fabs(v));
+  }
+  return BoxesOverlap(extent, Inflate(inflated, 0x1p-40 * (1.0 + magnitude)));
 }
 
 /// Position on `s` at time `t` by time-proportional interpolation —

@@ -8,15 +8,19 @@
 // fixtures for all 10 algorithms across several shard/thread
 // configurations.
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "datagen/rng.h"
 #include "engine/spsc_ring.h"
 #include "engine/stream_engine.h"
+#include "geo/bbox.h"
 #include "store/env.h"
 #include "test_util.h"
 #include "traj/multi_object.h"
@@ -849,6 +854,8 @@ TEST(EngineTailSnapshotTest, ObjectTailMatchesFinishBitExactly) {
   TimedCollector sink;
   eng.SetTimedSink(sink.Sink());
   for (std::size_t i = 0; i < t.size(); ++i) eng.Push(42, t[i]);
+  // A snapshot covers what has been handed to the rings, not staging.
+  eng.Flush();
 
   std::vector<traj::TimedSegment> tail;
   std::size_t visits = 0;
@@ -891,8 +898,13 @@ TEST(EngineTailSnapshotTest, ObjectTailMatchesFinishBitExactly) {
   empty.Close();
 }
 
+// Window-snapshot arguments that rule nothing out and hook nothing: the
+// snapshot then visits every live object.
+bool AcceptAll(const engine::TailSummary&) { return true; }
+void NoHook(std::size_t) {}
+
 TEST(EngineTailSnapshotTest, ShardTailsVisitAscendingIdsAndMatchFinish) {
-  // One shard so every object lands in the same snapshot.
+  // One shard so every object lands in the same shard's visit.
   engine::StreamEngine eng(TrackingOptions(1), nullptr);
   TimedCollector sink;
   eng.SetTimedSink(sink.Sink());
@@ -902,11 +914,12 @@ TEST(EngineTailSnapshotTest, ShardTailsVisitAscendingIdsAndMatchFinish) {
         testutil::Generated(datagen::DatasetKind::kSerCar, 120, id);
     for (std::size_t i = 0; i < t.size(); ++i) eng.Push(id, t[i]);
   }
+  eng.Flush();
 
   std::vector<traj::ObjectId> visited;
   std::map<traj::ObjectId, std::vector<traj::TimedSegment>> tails;
-  ASSERT_TRUE(eng.SnapshotShardTails(
-                     0,
+  ASSERT_TRUE(eng.SnapshotWindowTails(
+                     AcceptAll, NoHook,
                      [&](traj::ObjectId id,
                          std::span<const traj::TimedSegment> s) {
                        visited.push_back(id);
@@ -938,19 +951,260 @@ TEST(EngineTailSnapshotTest, SnapshotStatusContract) {
   engine::StreamEngineOptions untracked;
   untracked.spec = api::SpecFor(baselines::Algorithm::kOPERB, kGoldenZeta);
   engine::StreamEngine plain(untracked, nullptr);
-  EXPECT_EQ(plain.SnapshotShardTails(0, visitor).code(),
+  EXPECT_EQ(plain.SnapshotWindowTails(AcceptAll, NoHook, visitor).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(plain.SnapshotObjectTail(0, visitor).code(),
             StatusCode::kInvalidArgument);
   plain.Close();
 
   engine::StreamEngine eng(TrackingOptions(2), nullptr);
-  EXPECT_EQ(eng.SnapshotShardTails(2, visitor).code(),
-            StatusCode::kInvalidArgument);  // shard out of range
-  EXPECT_EQ(eng.SnapshotShardTails(0, nullptr).code(),
+  EXPECT_EQ(eng.SnapshotWindowTails(AcceptAll, NoHook, nullptr).code(),
             StatusCode::kInvalidArgument);  // empty visitor
-  EXPECT_TRUE(eng.SnapshotShardTails(0, visitor).ok());
+  EXPECT_EQ(eng.SnapshotObjectTail(0, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(eng.SnapshotWindowTails(nullptr, NoHook, visitor).code(),
+            StatusCode::kInvalidArgument);  // empty filter
+  EXPECT_EQ(eng.SnapshotWindowTails(AcceptAll, nullptr, visitor).code(),
+            StatusCode::kInvalidArgument);  // empty hook
+  EXPECT_TRUE(eng.SnapshotWindowTails(AcceptAll, NoHook, visitor).ok());
+  EXPECT_TRUE(eng.SnapshotObjectTail(0, visitor).ok());
   eng.Close();
-  EXPECT_EQ(eng.SnapshotShardTails(0, visitor).code(),
+  EXPECT_EQ(eng.SnapshotWindowTails(AcceptAll, NoHook, visitor).code(),
             StatusCode::kInvalidArgument);  // closed engine
+  EXPECT_EQ(eng.SnapshotObjectTail(0, visitor).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTailSnapshotTest, SnapshotsFromAnotherThreadSeeFlushedPoints) {
+  // The producer pushes and flushes while a second thread snapshots. A
+  // snapshot taken after the producer published "n points of this object
+  // are flushed" must cover at least those n points, and what one reader
+  // sees of an object never shrinks.
+  engine::StreamEngineOptions opts = TrackingOptions(3);
+  opts.num_threads = 2;
+  engine::StreamEngine eng(opts, nullptr);
+  constexpr std::size_t kObjects = 5;
+  constexpr std::size_t kPoints = 400;
+  // Points of each object covered by its emitted segments so far;
+  // written by the timed sink and read by the visitor, both on the
+  // object's worker.
+  std::vector<std::atomic<std::uint64_t>> emitted_end(kObjects);
+  eng.SetTimedSink([&](const traj::TimedSegment& s) {
+    emitted_end[s.object_id].store(s.segment.last_index + 1,
+                                   std::memory_order_relaxed);
+  });
+  std::vector<traj::Trajectory> trajs;
+  for (std::size_t o = 0; o < kObjects; ++o) {
+    trajs.push_back(
+        testutil::Generated(datagen::DatasetKind::kTaxi, kPoints, 300 + o));
+  }
+  std::vector<std::atomic<std::size_t>> flushed(kObjects);
+  std::atomic<bool> producer_done{false};
+  std::atomic<std::size_t> rounds{0};
+  std::atomic<bool> failed{false};
+
+  std::thread reader([&] {
+    std::vector<std::uint64_t> last_seen(kObjects, 0);
+    for (std::size_t round = 0;
+         !producer_done.load(std::memory_order_acquire); ++round) {
+      const traj::ObjectId id = round % kObjects;
+      const std::size_t floor = flushed[id].load(std::memory_order_acquire);
+      std::uint64_t seen = 0;
+      const engine::TailSnapshotVisitor visitor =
+          [&](traj::ObjectId oid, std::span<const traj::TimedSegment> tail) {
+            if (oid != id) return;
+            seen = emitted_end[oid].load(std::memory_order_relaxed);
+            if (!tail.empty()) seen = tail.back().segment.last_index + 1;
+          };
+      const Status st =
+          round % 2 == 0 ? eng.SnapshotObjectTail(id, visitor)
+                         : eng.SnapshotWindowTails(AcceptAll, NoHook, visitor);
+      if (!st.ok() || (floor >= 2 && seen < floor) || seen < last_seen[id]) {
+        failed.store(true);
+        return;
+      }
+      last_seen[id] = seen;
+      rounds.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    for (std::size_t o = 0; o < kObjects; ++o) eng.Push(o, trajs[o][i]);
+    if (i % 7 == 6 || i + 1 == kPoints) {
+      eng.Flush();
+      for (auto& f : flushed) f.store(i + 1, std::memory_order_release);
+      std::this_thread::yield();
+    }
+  }
+  // Let the reader see the final state a few times before stopping it.
+  while (rounds.load(std::memory_order_relaxed) < 3 * kObjects &&
+         !failed.load()) {
+    std::this_thread::yield();
+  }
+  producer_done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_FALSE(failed.load()) << "a snapshot missed flushed points or "
+                                 "went backwards";
+
+  // Quiesced: every object's tail reaches its last point.
+  for (traj::ObjectId id = 0; id < kObjects; ++id) {
+    std::uint64_t end = 0;
+    ASSERT_TRUE(eng.SnapshotObjectTail(
+                       id,
+                       [&](traj::ObjectId,
+                           std::span<const traj::TimedSegment> tail) {
+                         ASSERT_FALSE(tail.empty());
+                         end = tail.back().segment.last_index + 1;
+                       })
+                    .ok());
+    EXPECT_EQ(end, kPoints) << "object " << id;
+  }
+  eng.Close();
+}
+
+TEST(EngineTailSnapshotTest, WindowSnapshotSkipsOnlyCurrentRuledOutSummaries) {
+  engine::StreamEngine eng(TrackingOptions(2), nullptr);
+  const std::vector<traj::ObjectId> ids = {3, 8, 21};
+  std::map<traj::ObjectId, traj::Trajectory> trajs;
+  for (const traj::ObjectId id : ids) {
+    trajs[id] = testutil::Generated(datagen::DatasetKind::kSerCar, 81, id);
+    for (std::size_t i = 0; i + 1 < trajs[id].size(); ++i) {
+      eng.Push(id, trajs[id][i]);
+    }
+  }
+  eng.Flush();
+
+  // One window snapshot; reports visited ids, filter calls, hook calls.
+  struct Outcome {
+    std::vector<traj::ObjectId> visited;
+    std::vector<engine::TailSummary> summaries;
+    std::size_t hooks = 0;
+  };
+  std::map<traj::ObjectId, std::vector<traj::TimedSegment>> tails;
+  const auto window = [&](bool accept) {
+    Outcome out;
+    std::mutex mu;
+    const Status st = eng.SnapshotWindowTails(
+        [&](const engine::TailSummary& s) {
+          const std::lock_guard<std::mutex> lock(mu);
+          out.summaries.push_back(s);
+          return accept;
+        },
+        [&](std::size_t) {
+          const std::lock_guard<std::mutex> lock(mu);
+          ++out.hooks;
+        },
+        [&](traj::ObjectId id, std::span<const traj::TimedSegment> tail) {
+          const std::lock_guard<std::mutex> lock(mu);
+          out.visited.push_back(id);
+          tails[id].assign(tail.begin(), tail.end());
+        });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    std::sort(out.visited.begin(), out.visited.end());
+    return out;
+  };
+
+  // No summary yet: every live object is cloned whatever the filter says.
+  Outcome first = window(false);
+  EXPECT_EQ(first.visited, ids);
+  EXPECT_TRUE(first.summaries.empty());
+  EXPECT_EQ(first.hooks, 2u);
+
+  // Nothing pushed since: each summary is current, so the filter decides
+  // alone — and each summary is exactly the extent of the tail cloned.
+  Outcome rejected = window(false);
+  EXPECT_TRUE(rejected.visited.empty());
+  ASSERT_EQ(rejected.summaries.size(), ids.size());
+  for (const engine::TailSummary& s : rejected.summaries) {
+    bool found = false;
+    for (const auto& [id, tail] : tails) {
+      geo::BoundingBox box;
+      double t_min = std::numeric_limits<double>::infinity();
+      double t_max = -t_min;
+      for (const traj::TimedSegment& seg : tail) {
+        box.Extend(seg.segment.start);
+        box.Extend(seg.segment.end);
+        t_min = std::min(t_min, seg.t_start);
+        t_max = std::max(t_max, seg.t_end);
+      }
+      found = found || (box.min_x == s.box.min_x && box.min_y == s.box.min_y &&
+                        box.max_x == s.box.max_x && box.max_y == s.box.max_y &&
+                        t_min == s.t_min && t_max == s.t_max);
+    }
+    EXPECT_TRUE(found) << "a summary matches no cloned tail's extent";
+  }
+  EXPECT_EQ(window(true).visited, ids);
+
+  // A push invalidates only its own object's summary.
+  eng.Push(8, trajs[8][80]);
+  eng.Flush();
+  EXPECT_EQ(window(false).visited, std::vector<traj::ObjectId>{8});
+  EXPECT_TRUE(window(false).visited.empty());
+
+  // A finished object is no longer visited or summarized.
+  eng.FinishObject(21);
+  eng.Flush();
+  Outcome after_finish = window(false);
+  EXPECT_TRUE(after_finish.visited.empty());
+  EXPECT_EQ(after_finish.summaries.size(), 2u);
+
+  // The object form refreshes summaries too, and keeps ignoring them.
+  std::size_t object_visits = 0;
+  ASSERT_TRUE(eng.SnapshotObjectTail(3,
+                                     [&](traj::ObjectId,
+                                         std::span<const traj::TimedSegment>) {
+                                       ++object_visits;
+                                     })
+                  .ok());
+  EXPECT_EQ(object_visits, 1u);
+  eng.Close();
+}
+
+TEST(EngineTailSnapshotTest, CloseAnswersOrRefusesEverySnapshot) {
+  // Readers snapshot in a loop from their own threads while the producer
+  // closes the engine: each call returns OK or InvalidArgument and none
+  // is left waiting (a stuck request would hang the joins below).
+  engine::StreamEngineOptions opts = TrackingOptions(4);
+  opts.num_threads = 2;
+  engine::StreamEngine eng(opts, nullptr);
+  const traj::Trajectory t =
+      testutil::Generated(datagen::DatasetKind::kTruck, 200, 5);
+  for (traj::ObjectId id = 0; id < 6; ++id) {
+    for (std::size_t i = 0; i < t.size(); ++i) eng.Push(id, t[i]);
+  }
+  eng.Flush();
+
+  std::atomic<std::size_t> answered{0};
+  std::atomic<bool> wrong_code{false};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      const auto visitor = [](traj::ObjectId,
+                              std::span<const traj::TimedSegment>) {};
+      for (std::size_t k = 0;; ++k) {
+        const Status st =
+            r == 0 ? eng.SnapshotWindowTails(AcceptAll, NoHook, visitor)
+            : r == 1
+                ? eng.SnapshotObjectTail(k % 6, visitor)
+                : eng.SnapshotWindowTails(
+                      [](const engine::TailSummary&) { return false; },
+                      NoHook, visitor);
+        if (st.ok()) {
+          answered.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        if (st.code() != StatusCode::kInvalidArgument) wrong_code.store(true);
+        return;
+      }
+    });
+  }
+  while (answered.load(std::memory_order_relaxed) < 30) {
+    std::this_thread::yield();
+  }
+  eng.Close();
+  for (std::thread& r : readers) r.join();
+  EXPECT_FALSE(wrong_code.load());
+  EXPECT_TRUE(eng.closed());
 }
 
 TEST(EngineTest, LiveObjectCountAndRingAccessorsTrackTheCensus) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,12 +29,14 @@
 #include "baselines/streaming.h"
 #include "codec/segment_codec.h"
 #include "codec/varint.h"
+#include "datagen/rng.h"
 #include "eval/verifier.h"
 #include "geo/bbox.h"
 #include "store/compactor.h"
 #include "store/env.h"
 #include "store/format.h"
 #include "store/manifest.h"
+#include "store/query_filter.h"
 #include "store/reader.h"
 #include "store/writer.h"
 #include "test_util.h"
@@ -999,6 +1002,101 @@ TEST(StoreCompactionTest, ConcurrentAppendQueryAndBackgroundCompaction) {
     ExpectTimedEqual(*rec, per_object[id],
                      "post-churn object " + std::to_string(id));
   }
+}
+
+// ---------------------------------------------------------------------
+// The extent skip test behind live-tail skipping
+// ---------------------------------------------------------------------
+
+TEST(StoreQueryFilterTest, ExtentSkipNeverRejectsAMatchingSegment) {
+  // Liang-Barsky rounds: this segment ends 5e-11 short of the box, yet
+  // min_x - a.x and b.x - a.x round to the same double, so the test
+  // accepts it. A plain box-overlap skip would drop it; the padded one
+  // must not.
+  {
+    traj::TimedSegment s;
+    s.segment.start = {-1e6, 0.5};
+    s.segment.end = {1.0 - 5e-11, 0.5};
+    s.t_start = 0.0;
+    s.t_end = 1.0;
+    geo::BoundingBox box;
+    box.Extend(geo::Vec2{1.0, 0.0});
+    box.Extend(geo::Vec2{2.0, 1.0});
+    geo::BoundingBox extent;
+    extent.Extend(s.segment.start);
+    extent.Extend(s.segment.end);
+    ASSERT_TRUE(store::SegmentMatchesWindow(s, box, 0.0, 1.0));
+    ASSERT_FALSE(store::BoxesOverlap(extent, box));
+    EXPECT_TRUE(store::ExtentMayMatchWindow(extent, 0.0, 1.0, box, 0.0, 1.0));
+  }
+
+  // Seeded segments against windows whose edges sit on, or an ulp off,
+  // an endpoint coordinate, at magnitudes from 1e-3 to 1e7.
+  datagen::Rng rng(20171017);
+  std::size_t matches = 0;
+  for (int i = 0; i < 50000; ++i) {
+    const double scale = std::pow(10.0, rng.Uniform(-3.0, 7.0));
+    traj::TimedSegment s;
+    s.segment.start = {rng.Uniform(-scale, scale), rng.Uniform(-scale, scale)};
+    s.segment.end = {rng.Uniform(-scale, scale), rng.Uniform(-scale, scale)};
+    if (i % 5 == 0) s.segment.end = s.segment.start;  // zero length
+    s.t_start = rng.Uniform(0.0, 100.0);
+    s.t_end = s.t_start + (i % 7 == 0 ? 0.0 : rng.Uniform(0.0, 10.0));
+    const geo::Vec2 anchor = i % 2 == 0 ? s.segment.start : s.segment.end;
+    const double nudge[3] = {0.0, 1.0, -1.0};
+    const auto edge = [&](double v, int k) {
+      return nudge[k] == 0.0 ? v
+                             : std::nextafter(v, nudge[k] *
+                                   std::numeric_limits<double>::infinity());
+    };
+    const double w = rng.Uniform(0.0, scale);
+    geo::BoundingBox box;
+    switch (i % 4) {
+      case 0:  // left edge on the anchor
+        box.Extend(geo::Vec2{edge(anchor.x, i % 3), anchor.y - w});
+        box.Extend(geo::Vec2{anchor.x + w, anchor.y + w});
+        break;
+      case 1:  // right edge on the anchor
+        box.Extend(geo::Vec2{anchor.x - w, anchor.y - w});
+        box.Extend(geo::Vec2{edge(anchor.x, i % 3), anchor.y + w});
+        break;
+      case 2:  // bottom edge on the anchor
+        box.Extend(geo::Vec2{anchor.x - w, edge(anchor.y, i % 3)});
+        box.Extend(geo::Vec2{anchor.x + w, anchor.y + w});
+        break;
+      default:  // anywhere
+        box.Extend(geo::Vec2{rng.Uniform(-scale, scale),
+                             rng.Uniform(-scale, scale)});
+        box.Extend(geo::Vec2{rng.Uniform(-scale, scale),
+                             rng.Uniform(-scale, scale)});
+        break;
+    }
+    const double t_min = rng.Uniform(0.0, 110.0);
+    const double t_max = i % 3 == 0 ? t_min : t_min + rng.Uniform(0.0, 20.0);
+    if (!store::SegmentMatchesWindow(s, box, t_min, t_max)) continue;
+    ++matches;
+    geo::BoundingBox extent;
+    extent.Extend(s.segment.start);
+    extent.Extend(s.segment.end);
+    ASSERT_TRUE(store::ExtentMayMatchWindow(extent, s.t_start, s.t_end, box,
+                                            t_min, t_max))
+        << "a matching segment was ruled out at iteration " << i;
+  }
+  EXPECT_GT(matches, 1000u);
+
+  // The decided cases: an empty extent or window is skipped, a
+  // non-finite window never is, and disjoint times always are.
+  geo::BoundingBox unit;
+  unit.Extend(geo::Vec2{0.0, 0.0});
+  unit.Extend(geo::Vec2{1.0, 1.0});
+  EXPECT_FALSE(store::ExtentMayMatchWindow(geo::BoundingBox{}, 0.0, 1.0, unit,
+                                           0.0, 1.0));
+  EXPECT_FALSE(store::ExtentMayMatchWindow(unit, 0.0, 1.0, geo::BoundingBox{},
+                                           0.0, 1.0));
+  geo::BoundingBox nan_box = unit;
+  nan_box.max_x = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(store::ExtentMayMatchWindow(unit, 0.0, 1.0, nan_box, 0.0, 1.0));
+  EXPECT_FALSE(store::ExtentMayMatchWindow(unit, 0.0, 1.0, unit, 2.0, 3.0));
 }
 
 // ---------------------------------------------------------------------
