@@ -56,7 +56,6 @@ Result<StoreQueryReport> RunStoreQuery(const StoreQuery& query) {
   report.store_shards = reader->num_shards();
   report.store_files = reader->file_count();
   report.store_generation = reader->open_info().generation;
-  report.legacy_single_file = reader->open_info().legacy_single_file;
   report.index_nodes = reader->index_node_count();
 
   Stopwatch watch;

@@ -67,8 +67,7 @@ struct StoreQueryReport {
   bool tail_dropped = false;      ///< reader dropped a torn tail on open
   std::size_t store_shards = 1;   ///< shard partition of the store
   std::size_t store_files = 1;    ///< live segment files behind it
-  std::uint64_t store_generation = 0;  ///< manifest generation (0 legacy)
-  bool legacy_single_file = false;  ///< opened through the compat shim
+  std::uint64_t store_generation = 0;  ///< manifest generation
   std::size_t index_nodes = 0;    ///< R-tree nodes built over the footers
 
   /// Matched segments (reconstruction / window queries; empty for a

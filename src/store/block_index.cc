@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace operb::store {
 
@@ -9,6 +10,14 @@ namespace {
 
 bool Overlaps(double a_min, double a_max, double b_min, double b_max) {
   return a_min <= b_max && b_min <= a_max;
+}
+
+/// Twice a box's center along one axis: the STR sort key. A box from
+/// -inf to +inf has no center; it sorts last instead of handing the
+/// sort a NaN, which would break its strict weak ordering.
+double CenterKey(double lo, double hi) {
+  const double twice = lo + hi;
+  return std::isnan(twice) ? std::numeric_limits<double>::infinity() : twice;
 }
 
 }  // namespace
@@ -29,14 +38,16 @@ void BlockIndex::Build(std::vector<BlockIndexEntry> entries) {
       ((leaf_count + slices - 1) / slices) * kFanout;
   std::sort(entries_.begin(), entries_.end(),
             [](const BlockIndexEntry& a, const BlockIndexEntry& b) {
-              return a.min_x + a.max_x < b.min_x + b.max_x;
+              return CenterKey(a.min_x, a.max_x) <
+                     CenterKey(b.min_x, b.max_x);
             });
   for (std::size_t begin = 0; begin < n; begin += slice_entries) {
     const std::size_t end = std::min(n, begin + slice_entries);
     std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(begin),
               entries_.begin() + static_cast<std::ptrdiff_t>(end),
               [](const BlockIndexEntry& a, const BlockIndexEntry& b) {
-                return a.min_y + a.max_y < b.min_y + b.max_y;
+                return CenterKey(a.min_y, a.max_y) <
+                       CenterKey(b.min_y, b.max_y);
               });
   }
 

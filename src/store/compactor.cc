@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "store/segment_file.h"
 #include "store/store_metrics.h"
+#include "store/writer.h"
 
 namespace operb::store {
 
@@ -57,8 +58,8 @@ bool Compactor::NeedsCompaction(const Manifest& manifest,
   // Only sealed files are merge candidates — an active file may still be
   // growing under a live writer. A shard warrants a rewrite when its
   // sealed set is fragmented (more than one file) or still in the
-  // streaming layout (level 0: frames sealed by the write-path budget,
-  // not re-blocked densely).
+  // streaming layout (level 0: seals cut from whatever the write path
+  // buffered, an object's segments spread over many of them).
   std::size_t sealed = 0;
   bool level0 = false;
   for (const SegmentFileInfo& f : manifest.files) {
@@ -114,7 +115,7 @@ Status Compactor::CompactShardPass(std::uint32_t shard, bool force,
     }
   }
   if (inputs.empty()) return Status::OK();
-  if (budget < 1024) budget = 64 * 1024;
+  if (budget < 1024) budget = StoreWriterOptions{}.block_budget_bytes;
 
   // Phase 2 — merge, outside the lock, so append sessions (the writer's
   // Create/Close commits) never stall behind a shard rewrite. Drain the

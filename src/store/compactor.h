@@ -2,9 +2,8 @@
 #define OPERB_STORE_COMPACTOR_H_
 
 /// \file
-/// Store compaction: merges a shard's segment files into one dense
-/// id-ordered file one level up, committing each merge as a new
-/// manifest generation.
+/// Store compaction: merges a shard's segment files into one file one
+/// level up, committing each merge as a new manifest generation.
 
 #include <chrono>
 #include <condition_variable>
@@ -61,11 +60,14 @@ struct CompactionStats {
 /// level-0 file (a freshly written file whose frames were sealed by the
 /// streaming budget, not re-blocked densely). Compacting a shard reads
 /// every live segment of the shard's files in manifest order — which is
-/// per-object emission order — and rewrites them through one
-/// SegmentFileWriter in ascending object id order at level max+1, so
-/// queries return byte-identical results before and after (the reader's
-/// canonical result order is (object id, emission order), both
-/// preserved).
+/// per-object emission order — gathers each object's segments into one
+/// run and feeds the runs, objects ascending, to one SegmentFileWriter
+/// at level max+1. Each seal of that writer therefore holds a
+/// contiguous id range (so lookups still prune on footer id ranges),
+/// laid out by place within it (so windows prune on footer boxes).
+/// Queries return byte-identical results before and after: the
+/// reader's canonical result order is (object id, emission order), and
+/// the writer keeps every object's emission order.
 ///
 /// Crash safety: the output file is fully written and flushed *before*
 /// the manifest naming it is committed (temp+rename). A crash before

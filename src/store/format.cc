@@ -77,7 +77,7 @@ void EncodeFileHeader(double zeta, std::vector<std::uint8_t>* out) {
   PutF64(zeta, out);
 }
 
-Result<FileHeaderInfo> DecodeFileHeader(std::span<const std::uint8_t> data) {
+Result<double> DecodeFileHeader(std::span<const std::uint8_t> data) {
   if (data.size() < kFileHeaderBytes) {
     return Status::Corruption("store file shorter than its header");
   }
@@ -86,7 +86,7 @@ Result<FileHeaderInfo> DecodeFileHeader(std::span<const std::uint8_t> data) {
     return Status::Corruption("not a trajectory store (bad magic)");
   }
   const std::uint32_t version = GetU32(data, 8);
-  if (version != kFormatVersionLegacy && version != kFormatVersion) {
+  if (version != kFormatVersion) {
     return Status::Corruption("unsupported store format version " +
                               std::to_string(version));
   }
@@ -94,10 +94,7 @@ Result<FileHeaderInfo> DecodeFileHeader(std::span<const std::uint8_t> data) {
     return Status::Corruption(
         "store magic generation disagrees with header version");
   }
-  FileHeaderInfo info;
-  info.version = version;
-  info.zeta = GetF64(data, 16);
-  return info;
+  return GetF64(data, 16);
 }
 
 BlockFooter MakeFooter(std::span<const traj::TimedSegment> segments,
@@ -140,9 +137,8 @@ void EncodeFooter(const BlockFooter& footer,
   PutU64(footer.footer_checksum, out);
 }
 
-Result<BlockFooter> DecodeFooter(std::span<const std::uint8_t> data,
-                                 std::uint32_t version) {
-  if (data.size() < FooterBytes(version)) {
+Result<BlockFooter> DecodeFooter(std::span<const std::uint8_t> data) {
+  if (data.size() < kBlockFooterBytes) {
     return Status::Corruption("truncated block footer");
   }
   if (GetU32(data, 0) != kFooterMagic) {
@@ -160,11 +156,9 @@ Result<BlockFooter> DecodeFooter(std::span<const std::uint8_t> data,
   f.max_y = GetF64(data, 64);
   f.payload_bytes = GetU32(data, 72);
   f.checksum = GetU64(data, 76);
-  if (version != kFormatVersionLegacy) {
-    f.footer_checksum = GetU64(data, 84);
-    if (f.footer_checksum != FooterChecksum(f)) {
-      return Status::Corruption("block footer checksum mismatch");
-    }
+  f.footer_checksum = GetU64(data, 84);
+  if (f.footer_checksum != FooterChecksum(f)) {
+    return Status::Corruption("block footer checksum mismatch");
   }
   return f;
 }

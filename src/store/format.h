@@ -33,21 +33,17 @@ namespace operb::store {
 /// the metadata a reader needs to decide — without touching the payload —
 /// whether the block can contain anything a query wants (id range, time
 /// interval, bounding box), plus two checksums: one over payload+footer
-/// (verified lazily when the payload is read) and, since format version
-/// 2, one over the footer bytes alone so any flipped footer byte is
-/// caught by the footer-only open scan.
+/// (verified whenever the payload is read) and one over the footer bytes
+/// alone, so any flipped footer byte is caught by the footer-only open
+/// scan.
 
 /// First 7 bytes of every store file; the 8th byte is '0' + version.
 inline constexpr std::array<std::uint8_t, 7> kFileMagicPrefix = {
     'O', 'P', 'R', 'B', 'S', 'T', 'R'};
 
-/// Format version of legacy single-file stores (PR 5). Readable via the
-/// compat shim, never written anymore.
-inline constexpr std::uint32_t kFormatVersionLegacy = 1;
-
-/// Format version written into segment files by the current writer.
-/// Versioning rules (when to bump, what may change without a bump) are
-/// specified in docs/ARCHITECTURE.md.
+/// Format version written into segment files, and the only one the
+/// reader accepts. Versioning rules (when to bump, what may change
+/// without a bump) are specified in docs/ARCHITECTURE.md.
 inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Marker leading every block footer, used to cross-check the payload
@@ -61,20 +57,11 @@ inline constexpr std::size_t kFileHeaderBytes = 8 + 4 + 4 + 8;  // magic,
                                                                 // reserved,
                                                                 // zeta
 
-/// v1 footer: magic, segment count, id range, t interval + bbox, payload
-/// length, payload checksum.
-inline constexpr std::size_t kBlockFooterBytesLegacy =
-    4 + 4 + 8 + 8 + 6 * 8 + 4 + 8;
-
-/// v2 footer: the v1 fields plus a trailing checksum over the footer
+/// Footer: magic, segment count, id range, t interval + bbox, payload
+/// length, payload checksum, and a trailing checksum over the footer
 /// bytes themselves.
-inline constexpr std::size_t kBlockFooterBytes = kBlockFooterBytesLegacy + 8;
-
-/// Footer size for a given header version.
-constexpr std::size_t FooterBytes(std::uint32_t version) {
-  return version == kFormatVersionLegacy ? kBlockFooterBytesLegacy
-                                         : kBlockFooterBytes;
-}
+inline constexpr std::size_t kBlockFooterBytes =
+    4 + 4 + 8 + 8 + 6 * 8 + 4 + 8 + 8;
 
 /// Fixed-size per-block metadata, appended after the payload. All ranges
 /// are inclusive and describe the *stored segment geometry* (a window
@@ -89,9 +76,8 @@ struct BlockFooter {
   double min_x = 0.0, min_y = 0.0, max_x = 0.0, max_y = 0.0;  ///< geometry
   std::uint64_t checksum = 0;  ///< FNV-1a over payload || footer body
   /// FNV-1a over the serialized footer up to (and including) `checksum`.
-  /// v2 only; stays 0 when a v1 footer is decoded. This is what lets the
-  /// open scan detect a flipped bit in any footer field without reading
-  /// the payload.
+  /// This is what lets the open scan detect a flipped bit in any footer
+  /// field without reading the payload.
   std::uint64_t footer_checksum = 0;
 
   /// The footer's bounding box as the geo type queries intersect against.
@@ -111,20 +97,13 @@ struct BlockFooter {
 std::uint64_t Fnv1a64(std::span<const std::uint8_t> data,
                       std::uint64_t seed = 0xCBF2'9CE4'8422'2325ULL);
 
-/// Serializes a current-version file header (magic, version, reserved,
-/// zeta).
+/// Serializes a file header (magic, version, reserved, zeta).
 void EncodeFileHeader(double zeta, std::vector<std::uint8_t>* out);
 
-/// What DecodeFileHeader learned about a file.
-struct FileHeaderInfo {
-  std::uint32_t version = 0;
-  double zeta = 0.0;
-};
-
-/// Parses and validates a file header; accepts versions 1 (legacy
-/// single-file) and 2 (segment files). Corruption on bad magic, an
-/// unsupported version or a truncated header.
-Result<FileHeaderInfo> DecodeFileHeader(std::span<const std::uint8_t> data);
+/// Parses and validates a file header and returns the zeta it records.
+/// Corruption on bad magic, a version other than kFormatVersion or a
+/// truncated header.
+Result<double> DecodeFileHeader(std::span<const std::uint8_t> data);
 
 /// Computes footer metadata over `segments` (which must be the block's
 /// exact payload input) plus both checksums. `payload` is the encoded
@@ -132,15 +111,14 @@ Result<FileHeaderInfo> DecodeFileHeader(std::span<const std::uint8_t> data);
 BlockFooter MakeFooter(std::span<const traj::TimedSegment> segments,
                        std::span<const std::uint8_t> payload);
 
-/// Serializes `footer` in the current (v2) layout, checksums included.
+/// Serializes `footer`, checksums included.
 void EncodeFooter(const BlockFooter& footer, std::vector<std::uint8_t>* out);
 
-/// Parses a footer from exactly FooterBytes(version) bytes. Corruption on
-/// a bad footer magic or (v2) a footer-checksum mismatch. The payload
-/// checksum is *not* verified here (the caller decides whether it holds
-/// the payload bytes to verify against).
-Result<BlockFooter> DecodeFooter(std::span<const std::uint8_t> data,
-                                 std::uint32_t version);
+/// Parses a footer from exactly kBlockFooterBytes bytes. Corruption on a
+/// bad footer magic or a footer-checksum mismatch. The payload checksum
+/// is *not* verified here (the caller decides whether it holds the
+/// payload bytes to verify against).
+Result<BlockFooter> DecodeFooter(std::span<const std::uint8_t> data);
 
 /// Structural sanity of decoded footer metadata: a block must be
 /// non-empty and every range non-inverted (id range, time interval,
@@ -155,7 +133,7 @@ Status ValidateFooterRanges(const BlockFooter& footer);
 std::uint64_t BlockChecksum(std::span<const std::uint8_t> payload,
                             const BlockFooter& footer);
 
-/// The v2 footer self-checksum: FNV-1a over the serialized footer up to
+/// The footer self-checksum: FNV-1a over the serialized footer up to
 /// and including the payload checksum field.
 std::uint64_t FooterChecksum(const BlockFooter& footer);
 

@@ -106,39 +106,34 @@ Result<std::unique_ptr<StoreReader>> StoreReader::Open(
   std::unique_ptr<StoreReader> reader(new StoreReader());
 
   std::error_code ec;
-  if (fs::is_directory(path, ec)) {
-    // A compaction can commit between our manifest read and the file
-    // opens, unlinking a file we were about to open; re-reading the
-    // manifest and retrying converges because every retry starts from a
-    // newer generation. Losing twice in a row means commits are coming
-    // fast, so the retries back off (doubling, capped) instead of
-    // hammering the manifest in a tight loop.
-    Status open = Status::OK();
-    std::uint32_t retries = 0;
-    std::chrono::microseconds backoff = kOpenRetryInitialBackoff;
-    for (int attempt = 0; attempt < kOpenMaxAttempts; ++attempt) {
-      reader.reset(new StoreReader());
-      open = OpenDirectory(path, reader.get());
-      if (open.ok() || open.code() != StatusCode::kIOError) break;
-      if (attempt + 1 == kOpenMaxAttempts) break;
-      ++retries;
-      OpenRetrySleep(backoff);
-      backoff = std::min(backoff * 2, kOpenRetryMaxBackoff);
+  if (!fs::is_directory(path, ec)) {
+    if (fs::exists(path, ec)) {
+      return Status::Corruption(path + " is not a store directory");
     }
-    OPERB_RETURN_IF_ERROR(open);
-    reader->open_info_.open_retries = retries;
-    if constexpr (obs::kMetricsEnabled) {
-      GetReaderMetrics().open_retries->Add(retries);
-    }
-  } else {
-    // Compat shim: a regular file is a legacy (PR 5) single-file store —
-    // one implicit shard, no manifest.
-    OPERB_ASSIGN_OR_RETURN(std::unique_ptr<SegmentFileReader> file,
-                           SegmentFileReader::Open(path));
-    reader->zeta_ = file->zeta();
-    reader->open_info_.legacy_single_file = true;
-    reader->shard_blocks_.resize(1);
-    reader->AdoptFile(std::move(file), 0);
+    return Status::IOError("no store at " + path);
+  }
+  // A compaction can commit between our manifest read and the file
+  // opens, unlinking a file we were about to open; re-reading the
+  // manifest and retrying converges because every retry starts from a
+  // newer generation. Losing twice in a row means commits are coming
+  // fast, so the retries back off (doubling, capped) instead of
+  // hammering the manifest in a tight loop.
+  Status open = Status::OK();
+  std::uint32_t retries = 0;
+  std::chrono::microseconds backoff = kOpenRetryInitialBackoff;
+  for (int attempt = 0; attempt < kOpenMaxAttempts; ++attempt) {
+    reader.reset(new StoreReader());
+    open = OpenDirectory(path, reader.get());
+    if (open.ok() || open.code() != StatusCode::kIOError) break;
+    if (attempt + 1 == kOpenMaxAttempts) break;
+    ++retries;
+    OpenRetrySleep(backoff);
+    backoff = std::min(backoff * 2, kOpenRetryMaxBackoff);
+  }
+  OPERB_RETURN_IF_ERROR(open);
+  reader->open_info_.open_retries = retries;
+  if constexpr (obs::kMetricsEnabled) {
+    GetReaderMetrics().open_retries->Add(retries);
   }
 
   // Bulk-load the hierarchical index from the footers just scanned.

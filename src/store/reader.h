@@ -2,9 +2,9 @@
 #define OPERB_STORE_READER_H_
 
 /// \file
-/// Query reader over a trajectory store (sharded directory or legacy
-/// single file): per-object reconstruction, window queries via the
-/// hierarchical block index, position-at-time.
+/// Query reader over a trajectory store directory: per-object
+/// reconstruction, window queries via the hierarchical block index,
+/// position-at-time.
 
 #include <chrono>
 #include <cstddef>
@@ -31,10 +31,7 @@ struct StoreOpenInfo {
   bool tail_dropped = false;        ///< some file's partial tail was ignored
   std::uint64_t dropped_bytes = 0;  ///< bytes ignored across files after
                                     ///< the last valid block
-  /// True when the path was a legacy (PR 5) single-file store opened
-  /// through the compat shim: one implicit shard, no manifest.
-  bool legacy_single_file = false;
-  std::uint64_t generation = 0;  ///< manifest generation (0 for legacy)
+  std::uint64_t generation = 0;  ///< manifest generation
   /// Times Open() lost the manifest-swap race against a concurrent
   /// compaction commit and re-read the manifest (each retry backs off,
   /// see StoreReader::Open).
@@ -81,15 +78,14 @@ struct StoreQueryStats {
 
 /// Query reader over a trajectory store.
 ///
-/// Open() accepts either a store directory (manifest + per-shard
-/// segment files, the current format) or a legacy single-file store
-/// (compat shim, read-only as ever). It reads the manifest, opens every
-/// live segment file — footer scans only, payloads stay on disk — and
-/// bulk-loads the hierarchical block index from the footers.
+/// Open() takes a store directory (manifest + per-shard segment files).
+/// It reads the manifest, opens every live segment file — footer scans
+/// only, payloads stay on disk — and bulk-loads the hierarchical block
+/// index from the footers.
 ///
 /// Queries prune blocks whose footer metadata cannot match and decode
-/// only the survivors; payload checksums are verified lazily, the first
-/// time a query reads a block. Per-object queries additionally prune
+/// only the survivors; a block's payload checksum is verified every
+/// time a query reads it. Per-object queries additionally prune
 /// whole shards: only the object's own shard (traj::ShardOfObject) is
 /// consulted. Window queries descend the R-tree by default; the flat
 /// footer scan remains available as the verification oracle
@@ -98,13 +94,14 @@ struct StoreQueryStats {
 /// emission order) — which is also why results are byte-identical
 /// across shard counts and before/after compaction.
 ///
-/// Queries are thread-safe (file access is serialized internally).
+/// Queries are thread-safe (blocks are read with pread, no lock).
 class StoreReader {
  public:
-  /// Opens and index-scans the store at `path`. IOError when
-  /// unreadable, Corruption when the manifest, a header or any complete
-  /// block frame is invalid. A torn tail in a segment file is *not* an
-  /// error: it is dropped and reported via open_info().
+  /// Opens and index-scans the store directory at `path`. IOError when
+  /// missing or unreadable, Corruption when `path` is not a directory or
+  /// the manifest, a header or any complete block frame is invalid. A
+  /// torn tail in a segment file is *not* an error: it is dropped and
+  /// reported via open_info().
   static Result<std::unique_ptr<StoreReader>> Open(const std::string& path);
 
   /// Replaces the sleep Open()'s retry backoff performs between
@@ -125,7 +122,7 @@ class StoreReader {
   /// Total stored segments (sum of footer counts).
   std::uint64_t segment_count() const { return segment_count_; }
 
-  /// Shards the store was written with (1 for legacy files).
+  /// Shards the store was written with.
   std::size_t num_shards() const { return shard_blocks_.size(); }
 
   /// Live segment files backing this reader.

@@ -1,23 +1,131 @@
 #include "store/segment_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "codec/segment_codec.h"
+#include "geo/bbox.h"
 #include "store/store_metrics.h"
 
 namespace operb::store {
 
 namespace {
 
-/// std::fseek takes a long, which is 32 bits on LLP64 platforms; a
-/// position beyond its range must fail cleanly instead of wrapping into
-/// a misread. (On LP64 this is a no-op guard.)
-bool SeekTo(std::FILE* file, std::uint64_t pos) {
-  if (pos > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
-    return false;
+/// Cells per axis of the Hilbert grid a seal orders its runs on.
+constexpr std::uint32_t kHilbertSide = std::uint32_t{1} << 16;
+
+/// The cell of `v` along an axis whose extent is [lo, hi]. Halving
+/// before subtracting keeps hi - lo finite for any finite bounds.
+std::uint32_t HilbertCell(double v, double lo, double hi) {
+  const double span = hi * 0.5 - lo * 0.5;
+  if (!(span > 0.0)) return 0;
+  const double u = std::clamp((v * 0.5 - lo * 0.5) / span, 0.0, 1.0);
+  return static_cast<std::uint32_t>(u * (kHilbertSide - 1));
+}
+
+/// Position of cell (x, y) along the Hilbert curve over the
+/// kHilbertSide x kHilbertSide grid: cells close on the curve are close
+/// in the plane, so cutting the curve into pieces yields compact boxes.
+std::uint64_t HilbertIndex(std::uint32_t x, std::uint32_t y) {
+  std::uint64_t d = 0;
+  for (std::uint32_t s = kHilbertSide / 2; s > 0; s /= 2) {
+    const std::uint32_t rx = (x & s) != 0 ? 1 : 0;
+    const std::uint32_t ry = (y & s) != 0 ? 1 : 0;
+    d += std::uint64_t{s} * s * ((3 * rx) ^ ry);
+    if (ry == 0) {  // rotate the quadrant so the curve stays continuous
+      if (rx == 1) {
+        x = kHilbertSide - 1 - x;
+        y = kHilbertSide - 1 - y;
+      }
+      std::swap(x, y);
+    }
   }
-  return std::fseek(file, static_cast<long>(pos), SEEK_SET) == 0;
+  return d;
+}
+
+/// `pending` in seal order: grouped into one run per object (arrival
+/// order kept within the run), runs ordered by the Hilbert index of
+/// their first start point over the extent of those points, ties by
+/// id. A run whose first start point is not finite sorts last.
+std::vector<traj::TimedSegment> OrderForSeal(
+    std::span<const traj::TimedSegment> pending) {
+  // (id, arrival index) pairs are unique, so an unstable sort of them is
+  // a stable sort by id.
+  std::vector<std::pair<traj::ObjectId, std::size_t>> by_id;
+  by_id.reserve(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    by_id.emplace_back(pending[i].object_id, i);
+  }
+  std::sort(by_id.begin(), by_id.end());
+
+  struct Run {
+    std::uint64_t key = 0;
+    traj::ObjectId id = 0;
+    std::size_t begin = 0;  ///< range in by_id
+    std::size_t end = 0;
+  };
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < by_id.size(); ++i) {
+    if (runs.empty() || runs.back().id != by_id[i].first) {
+      runs.push_back(Run{0, by_id[i].first, i, i});
+    }
+    runs.back().end = i + 1;
+  }
+  auto first_start = [&](const Run& r) {
+    return pending[by_id[r.begin].second].segment.start;
+  };
+  auto finite = [](geo::Vec2 p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  geo::BoundingBox extent;
+  for (const Run& r : runs) {
+    if (finite(first_start(r))) extent.Extend(first_start(r));
+  }
+  for (Run& r : runs) {
+    const geo::Vec2 p = first_start(r);
+    r.key = finite(p) ? HilbertIndex(
+                            HilbertCell(p.x, extent.min_x, extent.max_x),
+                            HilbertCell(p.y, extent.min_y, extent.max_y))
+                      : std::numeric_limits<std::uint64_t>::max();
+  }
+  std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+    return a.key != b.key ? a.key < b.key : a.id < b.id;
+  });
+
+  std::vector<traj::TimedSegment> ordered;
+  ordered.reserve(pending.size());
+  for (const Run& r : runs) {
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      ordered.push_back(pending[by_id[i].second]);
+    }
+  }
+  return ordered;
+}
+
+/// Reads exactly `n` bytes at `offset`; false on an error or early end
+/// of file.
+bool PreadFull(int fd, std::uint8_t* out, std::size_t n,
+               std::uint64_t offset) {
+  while (n > 0) {
+    if (offset > static_cast<std::uint64_t>(
+                     std::numeric_limits<off_t>::max())) {
+      return false;
+    }
+    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    n -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
+  }
+  return true;
 }
 
 }  // namespace
@@ -53,11 +161,10 @@ Status SegmentFileWriter::Append(const traj::TimedSegment& segment) {
   if (closed_) {
     return Status::InvalidArgument("append to a closed segment file writer");
   }
-  pending_[segment.object_id].push_back(segment);
-  ++pending_segments_;
+  pending_.push_back(segment);
   ++stats_.segments;
-  if (static_cast<double>(pending_segments_) * estimated_segment_bytes_ >=
-      static_cast<double>(block_budget_bytes_)) {
+  if (static_cast<double>(pending_.size()) * estimated_segment_bytes_ >=
+      static_cast<double>(block_budget_bytes_ * kBlocksPerSeal)) {
     const Status s = SealLocked();
     if (!s.ok() && first_error_.ok()) first_error_ = s;
   }
@@ -65,15 +172,33 @@ Status SegmentFileWriter::Append(const traj::TimedSegment& segment) {
 }
 
 Status SegmentFileWriter::SealLocked() {
-  if (pending_segments_ == 0) return Status::OK();
-  std::vector<traj::TimedSegment> block;
-  block.reserve(pending_segments_);
-  for (const auto& [id, segments] : pending_) {
-    block.insert(block.end(), segments.begin(), segments.end());
-  }
+  if (pending_.empty()) return Status::OK();
+  const std::vector<traj::TimedSegment> ordered = OrderForSeal(pending_);
   pending_.clear();
-  pending_segments_ = 0;
 
+  // Cut into equal segment counts that each encode to about the budget;
+  // a run may continue into the next block, never into another seal.
+  const std::size_t n = ordered.size();
+  const double blocks_wanted = static_cast<double>(n) *
+                               estimated_segment_bytes_ /
+                               static_cast<double>(block_budget_bytes_);
+  const std::size_t blocks = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::lround(blocks_wanted)), 1, n);
+  const std::uint64_t payload_before = stats_.payload_bytes;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t lo = b * n / blocks;
+    const std::size_t hi = (b + 1) * n / blocks;
+    OPERB_RETURN_IF_ERROR(WriteBlockLocked(
+        std::span<const traj::TimedSegment>(ordered).subspan(lo, hi - lo)));
+  }
+  estimated_segment_bytes_ =
+      static_cast<double>(stats_.payload_bytes - payload_before) /
+      static_cast<double>(n);
+  return Status::OK();
+}
+
+Status SegmentFileWriter::WriteBlockLocked(
+    std::span<const traj::TimedSegment> block) {
   std::vector<std::uint8_t> payload;
   codec::EncodeSegmentBlock(block, &payload);
   if (payload.size() > std::numeric_limits<std::uint32_t>::max()) {
@@ -109,8 +234,6 @@ Status SegmentFileWriter::SealLocked() {
     m.file_flushes->Increment();
     m.bytes_written->Add(frame.size());
   }
-  estimated_segment_bytes_ =
-      static_cast<double>(payload.size()) / static_cast<double>(block.size());
   return Status::OK();
 }
 
@@ -128,36 +251,29 @@ Status SegmentFileWriter::Close() {
 
 Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
     const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError("cannot open segment file " + path);
   }
   std::unique_ptr<SegmentFileReader> reader(new SegmentFileReader());
   reader->path_ = path;
-  reader->file_ = file;
+  reader->fd_ = fd;
 
-  if (std::fseek(file, 0, SEEK_END) != 0) {
-    return Status::IOError("cannot seek in segment file " + path);
-  }
-  const long file_size_l = std::ftell(file);
-  if (file_size_l < 0) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     return Status::IOError("cannot size segment file " + path);
   }
-  const std::uint64_t file_size = static_cast<std::uint64_t>(file_size_l);
+  const std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
   reader->file_bytes_ = file_size;
 
   std::vector<std::uint8_t> header(kFileHeaderBytes);
   if (file_size < kFileHeaderBytes) {
     return Status::Corruption("store file shorter than its header: " + path);
   }
-  if (!SeekTo(file, 0) ||
-      std::fread(header.data(), 1, header.size(), file) != header.size()) {
+  if (!PreadFull(fd, header.data(), header.size(), 0)) {
     return Status::IOError("cannot read segment file header from " + path);
   }
-  OPERB_ASSIGN_OR_RETURN(const FileHeaderInfo info, DecodeFileHeader(header));
-  reader->zeta_ = info.zeta;
-  reader->version_ = info.version;
-  const std::size_t footer_bytes = FooterBytes(info.version);
+  OPERB_ASSIGN_OR_RETURN(reader->zeta_, DecodeFileHeader(header));
 
   // Structural scan: length prefix -> footer, payloads skipped. An
   // *incomplete* final frame is the torn tail a crashed append leaves
@@ -165,11 +281,12 @@ Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
   // fails validation is Corruption — the writer flushed it as
   // committed, so dropping it would silently lose data.
   std::uint64_t pos = kFileHeaderBytes;
+  std::vector<std::uint8_t> footer_data(kBlockFooterBytes);
   while (pos < file_size) {
     const std::uint64_t remaining = file_size - pos;
     if (remaining < 4) break;  // partial length prefix
     std::uint8_t len_bytes[4];
-    if (!SeekTo(file, pos) || std::fread(len_bytes, 1, 4, file) != 4) {
+    if (!PreadFull(fd, len_bytes, 4, pos)) {
       return Status::IOError("cannot read block length in " + path);
     }
     const std::uint32_t payload_bytes =
@@ -178,17 +295,15 @@ Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
         (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
         (static_cast<std::uint32_t>(len_bytes[3]) << 24);
     if (remaining <
-        4 + static_cast<std::uint64_t>(payload_bytes) + footer_bytes) {
+        4 + static_cast<std::uint64_t>(payload_bytes) + kBlockFooterBytes) {
       break;  // partial tail frame
     }
-    std::vector<std::uint8_t> footer_data(footer_bytes);
-    if (!SeekTo(file, pos + 4 + payload_bytes) ||
-        std::fread(footer_data.data(), 1, footer_data.size(), file) !=
-            footer_data.size()) {
+    if (!PreadFull(fd, footer_data.data(), footer_data.size(),
+                   pos + 4 + payload_bytes)) {
       return Status::IOError("cannot read block footer in " + path);
     }
     OPERB_ASSIGN_OR_RETURN(const BlockFooter footer,
-                           DecodeFooter(footer_data, info.version));
+                           DecodeFooter(footer_data));
     if (footer.payload_bytes != payload_bytes) {
       return Status::Corruption(
           "block length prefix disagrees with its footer in " + path);
@@ -198,7 +313,7 @@ Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
     ref.payload_offset = pos + 4;
     ref.footer = footer;
     reader->blocks_.push_back(ref);
-    pos += 4 + payload_bytes + footer_bytes;
+    pos += 4 + payload_bytes + kBlockFooterBytes;
   }
   if (pos < file_size) {
     reader->open_info_.tail_dropped = true;
@@ -208,20 +323,15 @@ Result<std::unique_ptr<SegmentFileReader>> SegmentFileReader::Open(
 }
 
 SegmentFileReader::~SegmentFileReader() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Result<std::vector<traj::TimedSegment>> SegmentFileReader::ReadBlock(
     std::size_t i) const {
   const BlockRef& ref = blocks_[i];
   std::vector<std::uint8_t> payload(ref.footer.payload_bytes);
-  {
-    const std::lock_guard<std::mutex> lock(file_mu_);
-    if (!SeekTo(file_, ref.payload_offset) ||
-        std::fread(payload.data(), 1, payload.size(), file_) !=
-            payload.size()) {
-      return Status::IOError("cannot read store block from " + path_);
-    }
+  if (!PreadFull(fd_, payload.data(), payload.size(), ref.payload_offset)) {
+    return Status::IOError("cannot read store block from " + path_);
   }
   if (BlockChecksum(payload, ref.footer) != ref.footer.checksum) {
     return Status::Corruption("store block " + std::to_string(i) +

@@ -3,15 +3,14 @@
 
 /// \file
 /// One segment file: the append-only block container that is the unit of
-/// sharding and compaction. A directory store is a manifest naming many
-/// of these; a legacy single-file store is exactly one of them.
+/// sharding and compaction. A store is a directory whose manifest names
+/// many of these.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,19 +49,30 @@ struct SegmentFileStats {
 
 /// Append-only writer of one segment file.
 ///
-/// Buffers id-tagged, time-annotated segments per object and seals
-/// fixed-budget blocks: each object's buffered segments become one
-/// contiguous run (objects ordered by id for determinism), delta-encoded
-/// by codec::EncodeSegmentBlock, framed with a length prefix and a
-/// metadata footer (store/format.h).
+/// Buffers id-tagged, time-annotated segments and seals them
+/// kBlocksPerSeal blocks at a time, clustered by place: the buffer is
+/// stable-sorted by object id, so each object's segments form one run
+/// in arrival order; the runs are ordered by the Hilbert index of their
+/// first start point over the seal's own extent (ties by id, non-finite
+/// points last); and the ordered runs are cut into blocks of about
+/// `block_budget_bytes` each. Neighbouring objects therefore share
+/// blocks, and each footer's bounding box covers a small part of the
+/// shard's extent. Every block is delta-encoded by
+/// codec::EncodeSegmentBlock, framed with a length prefix and a
+/// metadata footer (store/format.h). The file contents are a
+/// deterministic function of the append sequence.
+///
+/// Emission order per object survives the layout: within a seal an
+/// object's segments are one run, so they lie in one block or in
+/// consecutive blocks, in arrival order; seals are written in order.
 ///
 /// Thread safety: Append() may be called concurrently (it takes an
 /// internal lock). Per object, callers must append in emission order.
 /// Create/Close are not concurrent with Append.
 ///
 /// Crash safety: the stream is flushed after every sealed block; a
-/// crash mid-block loses at most the unflushed tail, which the reader's
-/// open scan detects and drops.
+/// crash mid-seal loses at most the unflushed blocks, which the
+/// reader's open scan detects and drops.
 class SegmentFileWriter {
  public:
   /// Opens `path` for writing (truncating any existing file) through
@@ -79,13 +89,20 @@ class SegmentFileWriter {
   SegmentFileWriter(const SegmentFileWriter&) = delete;
   SegmentFileWriter& operator=(const SegmentFileWriter&) = delete;
 
-  /// Buffers one segment; seals a block when the budget fills.
+  /// Blocks' worth of segments one seal buffers before it orders and
+  /// cuts them. More blocks per seal cluster more objects by place, at
+  /// the cost of a larger buffer per open writer.
+  static constexpr std::size_t kBlocksPerSeal = 8;
+
+  /// Buffers one segment; seals kBlocksPerSeal blocks when the buffer
+  /// fills.
   /// Thread-safe. Returns the first write error encountered (subsequent
   /// appends keep buffering but the writer is poisoned — Close() reports
   /// the error again).
   Status Append(const traj::TimedSegment& segment);
 
-  /// Seals the remaining buffered segments (if any), flushes and closes
+  /// Seals the remaining buffered segments (if any, possibly fewer than
+  /// kBlocksPerSeal blocks' worth), flushes and closes
   /// the file. Idempotent: the first call's status is remembered and
   /// re-returned. stats() is final after Close().
   Status Close();
@@ -97,27 +114,28 @@ class SegmentFileWriter {
   SegmentFileWriter(std::unique_ptr<WritableFile> file,
                     std::size_t block_budget_bytes);
 
-  /// Seals the pending buffer into one block. Caller holds mu_.
+  /// Orders the pending buffer and writes it as one or more blocks.
+  /// Caller holds mu_.
   Status SealLocked();
+
+  /// Encodes and writes one block. Caller holds mu_.
+  Status WriteBlockLocked(std::span<const traj::TimedSegment> block);
 
   std::size_t block_budget_bytes_ = 0;
   std::unique_ptr<WritableFile> file_;
 
   std::mutex mu_;
-  /// Pending segments per object, in arrival order. std::map: blocks are
-  /// sealed with objects in ascending id order, making the file contents
-  /// a deterministic function of the per-object input sequences.
-  std::map<traj::ObjectId, std::vector<traj::TimedSegment>> pending_;
-  std::size_t pending_segments_ = 0;
+  /// Segments appended since the last seal, in arrival order.
+  std::vector<traj::TimedSegment> pending_;
   /// Bytes/segment estimate used against the block budget, updated from
-  /// each sealed block's actual encoding.
+  /// each seal's actual encoding.
   double estimated_segment_bytes_ = 48.0;
   bool closed_ = false;
   Status first_error_;
   SegmentFileStats stats_;
 };
 
-/// Footer-scan reader of one segment file (format v1 or v2).
+/// Footer-scan reader of one segment file.
 ///
 /// Open() scans the block structure once — length prefixes and footers
 /// only, payloads stay on disk — applying the valid-prefix rule: an
@@ -125,10 +143,11 @@ class SegmentFileWriter {
 /// open_info()), but a size-complete frame that fails validation (bad
 /// footer magic, v2 footer-checksum mismatch, length-prefix/footer
 /// disagreement, inverted ranges) is Corruption — dropping it would
-/// silently lose committed data. Payload checksums are verified lazily
-/// by ReadBlock().
+/// silently lose committed data. Payload checksums are verified by
+/// ReadBlock(), on every read.
 ///
-/// ReadBlock() is thread-safe (file access is serialized internally).
+/// ReadBlock() is thread-safe: it reads with pread at the block's
+/// offset, so concurrent reads share the descriptor without a lock.
 class SegmentFileReader {
  public:
   /// Opens and footer-scans `path`. IOError when unreadable, Corruption
@@ -143,9 +162,6 @@ class SegmentFileReader {
 
   /// The error bound recorded in the file header.
   double zeta() const { return zeta_; }
-
-  /// The file's format version (kFormatVersionLegacy or kFormatVersion).
-  std::uint32_t format_version() const { return version_; }
 
   const std::vector<BlockRef>& blocks() const { return blocks_; }
 
@@ -162,13 +178,11 @@ class SegmentFileReader {
 
   std::string path_;
   double zeta_ = 0.0;
-  std::uint32_t version_ = kFormatVersion;
   std::uint64_t file_bytes_ = 0;
   std::vector<BlockRef> blocks_;
   SegmentFileOpenInfo open_info_;
 
-  mutable std::mutex file_mu_;  ///< serializes seek+read pairs
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
 };
 
 }  // namespace operb::store

@@ -28,11 +28,12 @@ struct StoreWriterOptions {
   /// error certificate (DESIGN.md §8). Must be positive and finite.
   double zeta = 40.0;
 
-  /// Target encoded payload size per block. A block is sealed once the
-  /// buffered segments' estimated encoding reaches this budget, so block
-  /// count scales with data volume and every block's footer prunes a
-  /// bounded byte range. Must be >= 1024.
-  std::size_t block_budget_bytes = 64 * 1024;
+  /// Target encoded payload size per block. Each shard file buffers
+  /// SegmentFileWriter::kBlocksPerSeal blocks' worth of segments, orders
+  /// them by place and cuts them into blocks of about this size, so
+  /// block count scales with data volume and every block's footer prunes
+  /// a bounded byte range of nearby objects. Must be >= 1024.
+  std::size_t block_budget_bytes = 8 * 1024;
 
   /// Shards the store's objects are partitioned into, by
   /// traj::ShardOfObject — the same hash the StreamEngine routes with,
@@ -112,8 +113,8 @@ class StoreWriter {
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
 
-  /// Buffers one segment in its shard; seals a block when that shard's
-  /// budget fills. Thread-safe. Returns the first write error
+  /// Buffers one segment in its shard; seals blocks when that shard's
+  /// buffer fills. Thread-safe. Returns the first write error
   /// encountered (the writer is poisoned — Close() reports it again).
   Status Append(const traj::TimedSegment& segment);
 

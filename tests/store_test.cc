@@ -8,6 +8,7 @@
 // certificate.
 
 #include <algorithm>
+#include <bit>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -38,6 +39,7 @@
 #include "store/manifest.h"
 #include "store/query_filter.h"
 #include "store/reader.h"
+#include "store/segment_file.h"
 #include "store/writer.h"
 #include "test_util.h"
 #include "traj/multi_object.h"
@@ -369,7 +371,8 @@ TEST(StoreTest, WindowQuerySkipsBlocksOnFooterMetadata) {
   const std::size_t near_count = all.size();
   all.insert(all.end(), far.begin(), far.end());
 
-  // One object per block: budget below one object's encoding.
+  // Blocks smaller than one object's encoding: each object spans blocks,
+  // so some block holds only the far object.
   const auto reader = WriteAndOpen(path, all, /*block_budget=*/1024);
   ASSERT_GE(reader->block_count(), 2u);
 
@@ -492,7 +495,7 @@ TEST(StoreTest, InvertedFooterRangesFailOpenWithStatus) {
   const std::span<const std::uint8_t> footer_bytes(
       reinterpret_cast<const std::uint8_t*>(original.data()) + footer_at,
       store::kBlockFooterBytes);
-  auto footer = store::DecodeFooter(footer_bytes, store::kFormatVersion);
+  auto footer = store::DecodeFooter(footer_bytes);
   ASSERT_TRUE(footer.ok()) << footer.status().ToString();
   footer->object_min = footer->object_max + 1;  // inverted
   const std::span<const std::uint8_t> payload(
@@ -518,7 +521,7 @@ TEST(StoreTest, InvertedFooterRangesFailOpenWithStatus) {
 
   // The same treatment for the time interval and the bounding box.
   auto patch_and_open = [&](auto mutate) {
-    auto f = store::DecodeFooter(footer_bytes, store::kFormatVersion);
+    auto f = store::DecodeFooter(footer_bytes);
     EXPECT_TRUE(f.ok());
     mutate(&*f);
     f->checksum = store::BlockChecksum(payload, *f);
@@ -596,6 +599,25 @@ TEST(StoreTest, OpenRejectsForeignAndTruncatedHeaders) {
                 .status()
                 .code(),
             StatusCode::kIOError);
+
+  // Inside a store directory, a segment file with a foreign, truncated
+  // or version-1 header fails the open the same way.
+  const std::string dir = TempPath("store_badsegheader.store");
+  {
+    WriteAndOpen(dir, SimplifyTimed(testutil::ZigZag(40),
+                                    baselines::Algorithm::kOPERB, 3));
+  }
+  const std::string segment = OnlySegmentFile(dir);
+  std::string version1 = ReadFileBytes(segment);
+  version1[7] = '1';
+  version1[8] = 1;
+  for (const std::string& bad :
+       {std::string("definitely not a store"), std::string("xy"),
+        version1}) {
+    WriteFileBytes(segment, bad);
+    EXPECT_EQ(store::StoreReader::Open(dir).status().code(),
+              StatusCode::kCorruption);
+  }
 }
 
 TEST(StoreTest, WriterRejectsBadOptionsAndLateAppends) {
@@ -1624,6 +1646,398 @@ TEST(StoreCompactionTest, PauseResumeRacingStopIsSafe) {
     pauser.join();
     stopper.join();
     background.Stop();  // idempotent after the race resolved
+  }
+}
+
+// ---------------------------------------------------------------------
+// Block layout: seals clustered by place
+// ---------------------------------------------------------------------
+
+/// A seeded fleet: `objects` random walks of `segments_per_object`
+/// chained segments with 200 m steps, starting uniformly over a 100 km
+/// square. Returned in the order a sharded engine delivers segments:
+/// rounds in which every object emits 1–6 of its next segments, so
+/// objects interleave and each object's segments stay in emission order.
+std::vector<traj::TimedSegment> FleetFeed(std::size_t objects,
+                                          std::size_t segments_per_object,
+                                          std::uint64_t seed) {
+  datagen::Rng rng(seed);
+  std::vector<std::vector<traj::TimedSegment>> per_object(objects);
+  for (std::size_t id = 0; id < objects; ++id) {
+    geo::Vec2 at{rng.Uniform(0.0, 1e5), rng.Uniform(0.0, 1e5)};
+    double t = rng.Uniform(0.0, 3600.0);
+    for (std::size_t k = 0; k < segments_per_object; ++k) {
+      traj::TimedSegment s;
+      s.object_id = id;
+      s.segment.start = at;
+      at.x += rng.Uniform(-200.0, 200.0);
+      at.y += rng.Uniform(-200.0, 200.0);
+      s.segment.end = at;
+      s.segment.first_index = k;
+      s.segment.last_index = k + 1;
+      s.t_start = t;
+      t += rng.Uniform(10.0, 30.0);
+      s.t_end = t;
+      per_object[id].push_back(s);
+    }
+  }
+  std::vector<traj::TimedSegment> feed;
+  std::vector<std::size_t> next(objects, 0);
+  while (feed.size() < objects * segments_per_object) {
+    for (std::size_t id = 0; id < objects; ++id) {
+      const std::size_t burst = 1 + rng.NextBelow(6);
+      for (std::size_t b = 0; b < burst && next[id] < segments_per_object;
+           ++b) {
+        feed.push_back(per_object[id][next[id]++]);
+      }
+    }
+  }
+  return feed;
+}
+
+/// The segments of `id` in `feed`, in feed order.
+std::vector<traj::TimedSegment> SegmentsOf(
+    const std::vector<traj::TimedSegment>& feed, traj::ObjectId id) {
+  std::vector<traj::TimedSegment> out;
+  for (const traj::TimedSegment& s : feed) {
+    if (s.object_id == id) out.push_back(s);
+  }
+  return out;
+}
+
+/// Writes `feed` to a fresh store at `path`; default options except the
+/// ones given.
+void WriteFeed(const std::string& path,
+               const std::vector<traj::TimedSegment>& feed,
+               std::size_t num_shards, std::size_t block_budget = 0) {
+  store::StoreWriterOptions options;
+  options.zeta = testutil::kGoldenZeta;
+  options.num_shards = num_shards;
+  if (block_budget != 0) options.block_budget_bytes = block_budget;
+  auto writer = store::StoreWriter::Create(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const traj::TimedSegment& s : feed) {
+    ASSERT_TRUE(writer.value()->Append(s).ok());
+  }
+  ASSERT_TRUE(writer.value()->Close().ok());
+}
+
+/// Every segment of `feed` the window query (window, t_min, t_max) must
+/// return, in the canonical order: ascending id, feed order within.
+std::vector<traj::TimedSegment> BruteForceWindow(
+    const std::vector<traj::TimedSegment>& feed,
+    const geo::BoundingBox& window, double t_min, double t_max) {
+  const geo::BoundingBox inflated =
+      store::Inflate(window, testutil::kGoldenZeta);
+  std::vector<traj::TimedSegment> out;
+  for (const traj::TimedSegment& s : feed) {
+    if (store::SegmentMatchesWindow(s, inflated, t_min, t_max)) {
+      out.push_back(s);
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const traj::TimedSegment& a,
+                      const traj::TimedSegment& b) {
+                     return a.object_id < b.object_id;
+                   });
+  return out;
+}
+
+/// Median over every block of every segment file in `dir` of the
+/// block's footer box area, as a share of its file's extent (the union
+/// of that file's footer boxes). A one-session store has one file per
+/// shard.
+double MedianFooterAreaShare(const std::string& dir) {
+  std::vector<double> shares;
+  for (const std::string& path : SegmentFilesIn(dir)) {
+    const auto file = store::SegmentFileReader::Open(path);
+    EXPECT_TRUE(file.ok()) << file.status().ToString();
+    if (!file.ok()) continue;
+    geo::BoundingBox extent;
+    for (const store::BlockRef& b : file.value()->blocks()) {
+      extent.Extend(b.footer.BBox());
+    }
+    const double extent_area = extent.Width() * extent.Height();
+    for (const store::BlockRef& b : file.value()->blocks()) {
+      const geo::BoundingBox box = b.footer.BBox();
+      shares.push_back(box.Width() * box.Height() / extent_area);
+    }
+  }
+  if (shares.empty()) return 1.0;
+  std::sort(shares.begin(), shares.end());
+  return shares[shares.size() / 2];
+}
+
+TEST(StoreLayoutTest, FleetAnswersMatchBruteForceAndBlocksClusterByPlace) {
+  const std::string path = TempPath("store_layout_fleet.store");
+  const std::vector<traj::TimedSegment> feed = FleetFeed(600, 60, 2024);
+  WriteFeed(path, feed, /*num_shards=*/2);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto reader = store::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_GE(reader.value()->block_count(), 16u)
+      << "fixture too small to form many blocks per shard";
+
+  // The pruning guard: each block covers a small part of its shard.
+  EXPECT_LE(MedianFooterAreaShare(path), 0.25);
+
+  for (traj::ObjectId id = 0; id < 600; ++id) {
+    const auto got = reader.value()->ReconstructObject(id);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectTimedEqual(*got, SegmentsOf(feed, id),
+                     "object " + std::to_string(id));
+    if (HasFatalFailure()) return;
+  }
+
+  datagen::Rng rng(7);
+  std::uint64_t matched = 0;
+  std::uint64_t scanned = 0;
+  std::uint64_t total = 0;
+  for (int q = 0; q < 120; ++q) {
+    // Centered on a stored segment, so most windows match something;
+    // a third run over all time, the rest over ten minutes.
+    const traj::TimedSegment& probe = feed[rng.NextBelow(feed.size())];
+    const double half = rng.Uniform(200.0, 5000.0);
+    geo::BoundingBox window;
+    window.Extend(geo::Vec2{probe.segment.start.x - half,
+                            probe.segment.start.y - half});
+    window.Extend(geo::Vec2{probe.segment.start.x + half,
+                            probe.segment.start.y + half});
+    const bool all_time = q % 3 == 0;
+    const double t_min = all_time ? -kInf : probe.t_start - 300.0;
+    const double t_max = all_time ? kInf : probe.t_start + 300.0;
+    const std::string label = "window " + std::to_string(q);
+
+    const std::vector<traj::TimedSegment> want =
+        BruteForceWindow(feed, window, t_min, t_max);
+    store::StoreQueryStats stats;
+    const auto indexed = reader.value()->QueryWindow(
+        window, t_min, t_max, &stats, store::ScanMode::kIndexed);
+    const auto flat = reader.value()->QueryWindow(
+        window, t_min, t_max, nullptr, store::ScanMode::kFlatScan);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    ExpectTimedEqual(*indexed, want, label + " indexed");
+    ExpectTimedEqual(*flat, want, label + " flat");
+    if (HasFatalFailure()) return;
+    matched += want.size();
+    scanned += stats.blocks_scanned;
+    total += stats.blocks_total;
+  }
+  EXPECT_GT(matched, 0u);
+  // Footer boxes, not just time, do the skipping.
+  EXPECT_LT(scanned * 4, total);
+}
+
+TEST(StoreLayoutTest, ObjectLongerThanASealKeepsItsOrder) {
+  const std::string path = TempPath("store_layout_long.store");
+  // Object 7 has far more segments than one seal buffers at the minimum
+  // budget; twenty short objects interleave with it.
+  std::vector<traj::TimedSegment> feed = FleetFeed(21, 30, 99);
+  const std::vector<traj::TimedSegment> long_run =
+      SegmentsOf(FleetFeed(1, 4000, 5), 0);
+  std::vector<traj::TimedSegment> mixed;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < long_run.size(); ++i) {
+    traj::TimedSegment s = long_run[i];
+    s.object_id = 7;
+    mixed.push_back(s);
+    if (i % 8 == 0 && next < feed.size()) {
+      if (feed[next].object_id != 7) mixed.push_back(feed[next]);
+      ++next;
+    }
+  }
+  WriteFeed(path, mixed, /*num_shards=*/1, /*block_budget=*/1024);
+  ASSERT_FALSE(HasFatalFailure());
+
+  // File order is emission order for every object: decoding the blocks
+  // front to back yields each object's appended sequence.
+  const auto file = store::SegmentFileReader::Open(OnlySegmentFile(path));
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_GT(file.value()->blocks().size(),
+            2 * store::SegmentFileWriter::kBlocksPerSeal)
+      << "the long object must span several seals";
+  std::vector<traj::TimedSegment> in_file;
+  for (std::size_t b = 0; b < file.value()->blocks().size(); ++b) {
+    const auto block = file.value()->ReadBlock(b);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    in_file.insert(in_file.end(), block->begin(), block->end());
+  }
+  ASSERT_EQ(in_file.size(), mixed.size());
+  const auto reader = store::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (traj::ObjectId id = 0; id < 21; ++id) {
+    const std::vector<traj::TimedSegment> want = SegmentsOf(mixed, id);
+    ExpectTimedEqual(SegmentsOf(in_file, id), want,
+                     "file order, object " + std::to_string(id));
+    const auto got = reader.value()->ReconstructObject(id);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectTimedEqual(*got, want, "object " + std::to_string(id));
+  }
+}
+
+/// ExpectTimedEqual for segments that may hold NaN coordinates, which
+/// never compare equal: coordinates are compared as bit patterns.
+void ExpectBitIdentical(const std::vector<traj::TimedSegment>& actual,
+                        const std::vector<traj::TimedSegment>& want,
+                        const std::string& label) {
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(actual.size(), want.size()) << label;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const traj::TimedSegment& a = actual[i];
+    const traj::TimedSegment& b = want[i];
+    SCOPED_TRACE(label + " segment " + std::to_string(i));
+    EXPECT_EQ(a.object_id, b.object_id);
+    EXPECT_EQ(bits(a.segment.start.x), bits(b.segment.start.x));
+    EXPECT_EQ(bits(a.segment.start.y), bits(b.segment.start.y));
+    EXPECT_EQ(bits(a.segment.end.x), bits(b.segment.end.x));
+    EXPECT_EQ(bits(a.segment.end.y), bits(b.segment.end.y));
+    EXPECT_EQ(a.segment.first_index, b.segment.first_index);
+    EXPECT_EQ(a.segment.last_index, b.segment.last_index);
+    EXPECT_EQ(a.t_start, b.t_start);
+    EXPECT_EQ(a.t_end, b.t_end);
+  }
+}
+
+TEST(StoreLayoutTest, NonFiniteStartPointsNeitherCrashNorReorder) {
+  const std::string path = TempPath("store_layout_nonfinite.store");
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<traj::TimedSegment> feed = FleetFeed(40, 40, 31);
+  // Poison the first start point of most objects: NaN, +inf and -inf
+  // in x or y. Adjacent ids share a block, so one block spans
+  // -inf..+inf.
+  const geo::Vec2 poison[] = {{kNaN, 1.0},  {1.0, kNaN},  {kInf, 1.0},
+                              {-kInf, 1.0}, {1.0, kInf},  {1.0, -kInf},
+                              {kNaN, kNaN}, {kInf, -kInf}};
+  for (traj::TimedSegment& s : feed) {
+    if (s.segment.first_index == 0 && s.object_id % 5 != 0) {
+      s.segment.start = poison[s.object_id % 8];
+    }
+  }
+  WriteFeed(path, feed, /*num_shards=*/1, /*block_budget=*/1024);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto reader = store::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_GT(reader.value()->block_count(),
+            store::SegmentFileWriter::kBlocksPerSeal);
+
+  for (traj::ObjectId id = 0; id < 40; ++id) {
+    const auto got = reader.value()->ReconstructObject(id);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectBitIdentical(*got, SegmentsOf(feed, id),
+                       "object " + std::to_string(id));
+  }
+  // Window queries run through the poisoned blocks and still agree.
+  geo::BoundingBox window;
+  window.Extend(geo::Vec2{2e4, 2e4});
+  window.Extend(geo::Vec2{8e4, 8e4});
+  const auto indexed = reader.value()->QueryWindow(
+      window, -kInf, kInf, nullptr, store::ScanMode::kIndexed);
+  const auto flat = reader.value()->QueryWindow(
+      window, -kInf, kInf, nullptr, store::ScanMode::kFlatScan);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  EXPECT_FALSE(indexed->empty());
+  ExpectBitIdentical(*indexed, *flat, "non-finite indexed vs flat");
+}
+
+TEST(StoreLayoutTest, CloseSealsAPartialBuffer) {
+  // Less than one seal's worth, then several seals' worth whose last
+  // seal is partial: Close() writes the partial seal either way.
+  const std::vector<traj::TimedSegment> feed = FleetFeed(30, 40, 77);
+  std::uint64_t seal_blocks = 0;
+  for (const std::size_t take : {std::size_t{40}, feed.size()}) {
+    const std::string path =
+        TempPath("store_layout_partial_" + std::to_string(take) + ".store");
+    const std::vector<traj::TimedSegment> part(feed.begin(),
+                                               feed.begin() + take);
+    store::StoreWriterOptions options;
+    options.zeta = testutil::kGoldenZeta;
+    options.block_budget_bytes = 1024;
+    auto writer = store::StoreWriter::Create(path, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const traj::TimedSegment& s : part) {
+      ASSERT_TRUE(writer.value()->Append(s).ok());
+    }
+    if (take == 40) {
+      // Less than a seal's worth stays buffered until Close().
+      const auto file = store::SegmentFileReader::Open(OnlySegmentFile(path));
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      EXPECT_TRUE(file.value()->blocks().empty());
+    }
+    ASSERT_TRUE(writer.value()->Close().ok());
+    EXPECT_EQ(writer.value()->stats().segments, take);
+    seal_blocks = writer.value()->stats().blocks;
+    EXPECT_GE(seal_blocks, 1u);
+
+    const auto reader = store::StoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ(reader.value()->segment_count(), take);
+    EXPECT_EQ(reader.value()->block_count(), seal_blocks);
+    for (traj::ObjectId id = 0; id < 30; ++id) {
+      const auto got = reader.value()->ReconstructObject(id);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectTimedEqual(*got, SegmentsOf(part, id),
+                       "take " + std::to_string(take) + " object " +
+                           std::to_string(id));
+    }
+  }
+  EXPECT_GT(seal_blocks, 2 * store::SegmentFileWriter::kBlocksPerSeal)
+      << "the full feed must fill more than two seals";
+}
+
+TEST(StoreLayoutTest, SmallBlocksCompactToLargerBudgetIdentically) {
+  const std::string path = TempPath("store_layout_compact.store");
+  const std::vector<traj::TimedSegment> feed = FleetFeed(200, 40, 13);
+  WriteFeed(path, feed, /*num_shards=*/2);  // default 8 KiB blocks
+  ASSERT_FALSE(HasFatalFailure());
+
+  datagen::Rng rng(3);
+  std::vector<geo::BoundingBox> windows;
+  for (int q = 0; q < 30; ++q) {
+    const traj::TimedSegment& probe = feed[rng.NextBelow(feed.size())];
+    const double half = rng.Uniform(500.0, 8000.0);
+    geo::BoundingBox w;
+    w.Extend(geo::Vec2{probe.segment.start.x - half,
+                       probe.segment.start.y - half});
+    w.Extend(geo::Vec2{probe.segment.start.x + half,
+                       probe.segment.start.y + half});
+    windows.push_back(w);
+  }
+  auto answers = [&](std::size_t* blocks) {
+    std::vector<std::vector<traj::TimedSegment>> out;
+    const auto reader = store::StoreReader::Open(path);
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    if (!reader.ok()) return out;
+    *blocks = reader.value()->block_count();
+    for (traj::ObjectId id = 0; id < 200; ++id) {
+      out.push_back(reader.value()->ReconstructObject(id).value());
+    }
+    for (const geo::BoundingBox& w : windows) {
+      out.push_back(reader.value()->QueryWindow(w).value());
+      out.push_back(reader.value()
+                        ->QueryWindow(w, -kInf, kInf, nullptr,
+                                      store::ScanMode::kFlatScan)
+                        .value());
+    }
+    return out;
+  };
+  std::size_t blocks_before = 0;
+  const auto before = answers(&blocks_before);
+  ASSERT_FALSE(HasFailure());
+
+  store::CompactionOptions compaction;
+  compaction.block_budget_bytes = 64 * 1024;
+  const auto ran = store::Compactor(path, compaction).Run();
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  EXPECT_EQ(ran->shards_compacted, 2u);
+
+  std::size_t blocks_after = 0;
+  const auto after = answers(&blocks_after);
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_LT(blocks_after, blocks_before);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ExpectTimedEqual(after[i], before[i], "answer " + std::to_string(i));
   }
 }
 

@@ -27,8 +27,8 @@
 // spatio-temporal window queries (--window) answered through a packed
 // R-tree over per-block footer metadata (--flat-scan switches to the
 // linear footer scan, the index's verification oracle). --compact PATH
-// is the admin verb that merges each shard's segment files into dense
-// id-ordered blocks (one manifest generation per shard).
+// is the admin verb that merges each shard's segment files into one
+// file of id-ordered seals (one manifest generation per shard).
 //
 // Examples:
 //   operb_cli --input drive.csv --spec OPERB-A:zeta=30 --output out.csv
@@ -237,8 +237,8 @@ void PrintUsage(std::FILE* out) {
                "\n"
                "Store (admin mode; excludes every other flag):\n"
                "  --compact PATH        merge each shard's segment files "
-               "into dense\n"
-               "                        id-ordered blocks, one manifest "
+               "into one file\n"
+               "                        of id-ordered seals, one manifest "
                "generation per\n"
                "                        shard; queries return byte-identical "
                "results\n"
@@ -929,12 +929,11 @@ int RunQuery(const CliOptions& options) {
   }
   const api::StoreQueryReport& report = *run;
   std::printf("store:     %s  (%zu blocks, %llu segments, zeta %g m, "
-              "%zu shard(s), %zu file(s), generation %llu%s%s)\n",
+              "%zu shard(s), %zu file(s), generation %llu%s)\n",
               options.query.store_path.c_str(), report.store_blocks,
               static_cast<unsigned long long>(report.store_segments),
               report.zeta, report.store_shards, report.store_files,
               static_cast<unsigned long long>(report.store_generation),
-              report.legacy_single_file ? ", legacy single-file" : "",
               report.tail_dropped ? ", torn tail dropped" : "");
   const store::StoreQueryStats& stats = report.stats;
   std::printf("scan:      skipped %llu of %llu blocks on footer metadata, "
