@@ -14,7 +14,6 @@
 #include "datagen/profiles.h"
 #include "datagen/rng.h"
 #include "geo/distance.h"
-#include "geo/simd.h"
 
 namespace {
 
@@ -75,147 +74,6 @@ void BM_SynchronousEuclideanDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SynchronousEuclideanDistance);
-
-// --------------------------------------------------------------------
-// geo::simd batch kernels, one benchmark per kernel swept over every
-// dispatch level the host supports (arg 0 = Level). Batch of 64 doubles
-// (the OperbStream staging window), points near the line so the
-// early-exit count kernels scan the whole batch. Compare the /scalar
-// row against the vector rows for the per-kernel speedup; the
-// simd_vs_scalar section of bench_throughput records the same ratio
-// interleaved (robust to frequency drift on shared machines).
-// --------------------------------------------------------------------
-
-constexpr std::size_t kSimdBatch = 64;
-
-struct SimdBenchInputs {
-  double xs[kSimdBatch], ys[kSimdBatch];
-  geo::Vec2 anchor{500.0, -250.0};
-  geo::Vec2 dir{0.8, 0.6};
-  geo::Vec2 ra_unit{-0.6, 0.8};
-
-  SimdBenchInputs() {
-    datagen::Rng rng(7);
-    for (std::size_t i = 0; i < kSimdBatch; ++i) {
-      const double along = static_cast<double>(i) * 12.0;
-      const double across = (rng.NextDouble() - 0.5) * 16.0;
-      xs[i] = anchor.x + along * dir.x - across * dir.y;
-      ys[i] = anchor.y + along * dir.y + across * dir.x;
-    }
-  }
-};
-
-const SimdBenchInputs& SimdInputs() {
-  static const SimdBenchInputs inputs;
-  return inputs;
-}
-
-void SupportedSimdLevels(benchmark::internal::Benchmark* b) {
-  for (geo::simd::Level level :
-       {geo::simd::Level::kScalar, geo::simd::Level::kSse2,
-        geo::simd::Level::kAvx2, geo::simd::Level::kNeon}) {
-    if (geo::simd::Supported(level)) b->Arg(static_cast<int>(level));
-  }
-}
-
-struct ScopedSimdLevel {
-  explicit ScopedSimdLevel(benchmark::State& state) {
-    const auto level = static_cast<geo::simd::Level>(state.range(0));
-    geo::simd::ForceLevel(level);
-    state.SetLabel(std::string(geo::simd::LevelName(level)));
-  }
-  ~ScopedSimdLevel() { geo::simd::ClearForcedLevel(); }
-};
-
-void BM_SimdSignedOffsets(benchmark::State& state) {
-  const ScopedSimdLevel pin(state);
-  const SimdBenchInputs& in = SimdInputs();
-  double out[kSimdBatch];
-  for (auto _ : state) {
-    geo::simd::SignedOffsets(in.xs, in.ys, kSimdBatch, in.anchor, in.dir,
-                             out);
-    benchmark::DoNotOptimize(out[kSimdBatch - 1]);
-  }
-  state.SetItemsProcessed(state.iterations() * kSimdBatch);
-}
-BENCHMARK(BM_SimdSignedOffsets)->Apply(SupportedSimdLevels);
-
-void BM_SimdRadii(benchmark::State& state) {
-  const ScopedSimdLevel pin(state);
-  const SimdBenchInputs& in = SimdInputs();
-  double out[kSimdBatch];
-  for (auto _ : state) {
-    geo::simd::Radii(in.xs, in.ys, kSimdBatch, in.anchor, out);
-    benchmark::DoNotOptimize(out[kSimdBatch - 1]);
-  }
-  state.SetItemsProcessed(state.iterations() * kSimdBatch);
-}
-BENCHMARK(BM_SimdRadii)->Apply(SupportedSimdLevels);
-
-void BM_SimdDots(benchmark::State& state) {
-  const ScopedSimdLevel pin(state);
-  const SimdBenchInputs& in = SimdInputs();
-  double out[kSimdBatch];
-  for (auto _ : state) {
-    geo::simd::Dots(in.xs, in.ys, kSimdBatch, in.anchor, in.dir, out);
-    benchmark::DoNotOptimize(out[kSimdBatch - 1]);
-  }
-  state.SetItemsProcessed(state.iterations() * kSimdBatch);
-}
-BENCHMARK(BM_SimdDots)->Apply(SupportedSimdLevels);
-
-void BM_SimdStageExtend(benchmark::State& state) {
-  const ScopedSimdLevel pin(state);
-  const SimdBenchInputs& in = SimdInputs();
-  double r[kSimdBatch], off[kSimdBatch], ra[kSimdBatch], dot[kSimdBatch];
-  for (auto _ : state) {
-    geo::simd::StageExtend(in.xs, in.ys, kSimdBatch, in.anchor, in.dir,
-                           in.ra_unit, /*want_dot=*/true, r, off, ra, dot);
-    benchmark::DoNotOptimize(r[kSimdBatch - 1]);
-    benchmark::DoNotOptimize(ra[kSimdBatch - 1]);
-  }
-  state.SetItemsProcessed(state.iterations() * kSimdBatch);
-}
-BENCHMARK(BM_SimdStageExtend)->Apply(SupportedSimdLevels);
-
-void BM_SimdCountWithin(benchmark::State& state) {
-  const ScopedSimdLevel pin(state);
-  const SimdBenchInputs& in = SimdInputs();
-  std::size_t total = 0;
-  for (auto _ : state) {
-    total += geo::simd::CountWithin(in.xs, in.ys, kSimdBatch, in.anchor,
-                                    in.dir, 1e9);
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * kSimdBatch);
-}
-BENCHMARK(BM_SimdCountWithin)->Apply(SupportedSimdLevels);
-
-void BM_SimdCountExtendAccept(benchmark::State& state) {
-  const ScopedSimdLevel pin(state);
-  const SimdBenchInputs& in = SimdInputs();
-  double r[kSimdBatch], off[kSimdBatch], ra[kSimdBatch], dot[kSimdBatch];
-  geo::simd::StageExtend(in.xs, in.ys, kSimdBatch, in.anchor, in.dir,
-                         in.ra_unit, /*want_dot=*/true, r, off, ra, dot);
-  geo::simd::ExtendAcceptParams p;
-  p.length = 0.0;
-  p.slack = 1e9;
-  p.d_plus_max = 1e9;
-  p.d_minus_max = 1e9;
-  p.zeta = 1e9;
-  p.guard = true;
-  p.drift_plus = 1e9;
-  p.drift_minus = 1e9;
-  p.drift_back = 1e9;
-  p.sum_ok = true;
-  std::size_t total = 0;
-  for (auto _ : state) {
-    total += geo::simd::CountExtendAccept(r, off, ra, dot, kSimdBatch, p);
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * kSimdBatch);
-}
-BENCHMARK(BM_SimdCountExtendAccept)->Apply(SupportedSimdLevels);
 
 void BM_FittingActivate(benchmark::State& state) {
   const core::OperbOptions opts = core::OperbOptions::Optimized(10.0);

@@ -7,6 +7,10 @@
 //   ingest             — ParseCsv / ParseGeoLifePlt on in-memory content
 //   steady_state       — each algorithm's sink-path compression throughput
 //                        (segments stream to a counting sink; no buffer)
+//   batched_vs_pointwise — OPERB point-wise Push vs span Push on the
+//                        stock profiles plus a dense GeoLife variant:
+//                        interleaved min-of-N speedup and an output-hash
+//                        equality gate
 //   end_to_end         — the CLI flow: parse CSV -> validate -> simplify
 //                        (sink) -> independent bound verification
 //   concurrent_streams — the sharded StreamEngine on a round-robin
@@ -49,7 +53,8 @@
 //                        uninterrupted run's (DESIGN.md §9)
 //
 // Every simplifier-bearing record carries the resolved canonical spec
-// string of what ran (schema version 9).
+// string of what ran; the header records the machine (nproc, CPU model,
+// compiler) the numbers came from (schema version 10).
 //
 // `--smoke` shrinks every dataset to a single fast pass (for CI), `--out
 // PATH` overrides the default ./BENCH_throughput.json. Later PRs
@@ -69,7 +74,6 @@
 #include <span>
 
 #include <limits>
-#include <functional>
 #include <algorithm>
 
 #include "api/registry.h"
@@ -81,8 +85,8 @@
 #include "core/operb.h"
 #include "eval/verifier.h"
 #include "geo/bbox.h"
-#include "geo/simd.h"
 #include <filesystem>
+#include <fstream>
 
 #include "obs/metrics.h"
 
@@ -185,6 +189,43 @@ std::string MakePltString(std::size_t rows) {
     out.append(buf, static_cast<std::size_t>(n));
   }
   return out;
+}
+
+/// The host CPU's model name from /proc/cpuinfo ("unknown" elsewhere),
+/// with JSON-special characters dropped.
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+        model += c;
+      }
+    }
+    const std::size_t first = model.find_first_not_of(' ');
+    if (first == std::string::npos) break;
+    return model.substr(first, model.find_last_not_of(' ') - first + 1);
+  }
+  return "unknown";
+}
+
+/// Compiler id and version the benchmark was built with.
+std::string CompilerId() {
+#if defined(__clang__)
+  return "Clang " + std::to_string(__clang_major__) + "." +
+         std::to_string(__clang_minor__) + "." +
+         std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+  return "GNU " + std::to_string(__GNUC__) + "." +
+         std::to_string(__GNUC_MINOR__) + "." +
+         std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  return "unknown";
+#endif
 }
 
 /// The quadratic-ish batch algorithms get smaller full-mode inputs than
@@ -311,56 +352,17 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // SIMD vs scalar (schema v9): the batched fitting kernels' evidence.
-  //
-  // kind=="kernel" rows time one geo::simd batch kernel at the host's
-  // best vector level against the scalar oracle on identical inputs,
-  // interleaved min-of-N — on throttling machines the interleaved ratio
-  // stays stable even when absolute numbers wobble. The hash covers
-  // every output element's bit pattern; equality is the differential
-  // contract restated on the bench inputs.
-  //
-  // kind=="steady_state" rows are this refactor's before/after: OPERB
-  // point-wise Push pinned to scalar dispatch (the pre-batching hot
-  // loop) vs span Push at the detected level, on each stock profile
-  // plus a dense high-rate GeoLife variant (~0.3 s sampling, ~300
-  // points/segment) whose long extend runs are the batched path's
-  // target workload. The hash covers the emitted segment bytes; the
-  // two paths must produce identical streams (bit-identity gate).
+  // Batched vs pointwise (schema v10): OPERB point-wise Push vs span Push
+  // on one stream, on each stock profile plus a dense high-rate GeoLife
+  // variant (~0.3 s sampling, ~300 points/segment) whose long extend runs
+  // are the batched path's target workload. Interleaved min-of-N: on
+  // throttling machines the ratio stays stable even when absolute
+  // numbers wobble. The hash covers the emitted segment bytes; the two
+  // paths must produce identical streams (bit-identity gate).
   // ------------------------------------------------------------------
-  std::vector<JsonRecord> simd_rows;
+  std::vector<JsonRecord> batched_rows;
   {
-    const geo::simd::Level best = geo::simd::Detect();
-    const std::string best_name{geo::simd::LevelName(best)};
     const int rounds = smoke ? 3 : 25;
-
-    // Interleaved min-of-N: alternate the two sides every round, keep
-    // each side's best sample.
-    const auto min_of = [&](auto&& base_fn, auto&& simd_fn) {
-      double best_base = std::numeric_limits<double>::infinity();
-      double best_simd = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < rounds; ++r) {
-        {
-          Stopwatch w;
-          base_fn();
-          best_base = std::min(best_base, w.ElapsedSeconds());
-        }
-        {
-          Stopwatch w;
-          simd_fn();
-          best_simd = std::min(best_simd, w.ElapsedSeconds());
-        }
-      }
-      return std::pair<double, double>{best_base, best_simd};
-    };
-
-    const auto hash_doubles = [](const double* p, std::size_t n,
-                                 std::uint64_t seed) {
-      return serial::Fnv1a64(
-          std::span<const std::uint8_t>(
-              reinterpret_cast<const std::uint8_t*>(p), n * sizeof(double)),
-          seed);
-    };
     char hex[32];
     const auto hex_str = [&hex](std::uint64_t h) {
       std::snprintf(hex, sizeof(hex), "%016llx",
@@ -368,131 +370,16 @@ int main(int argc, char** argv) {
       return std::string(hex);
     };
 
-    // Kernel micro rows: batch of 64 (the staging window), points near
-    // the line so the early-exit kernels scan the full batch.
-    constexpr std::size_t kN = 64;
-    double xs[kN], ys[kN], o1[kN], o2[kN], o3[kN], o4[kN];
-    datagen::Rng krng(bench::kBenchSeed);
-    const geo::Vec2 anchor{500.0, -250.0};
-    const geo::Vec2 dir{0.8, 0.6};
-    const geo::Vec2 ra_unit{-0.6, 0.8};
-    for (std::size_t i = 0; i < kN; ++i) {
-      const double along = static_cast<double>(i) * 12.0;
-      const double across = (krng.NextDouble() - 0.5) * 2.0 * kZeta * 0.4;
-      xs[i] = anchor.x + along * dir.x - across * dir.y;
-      ys[i] = anchor.y + along * dir.y + across * dir.x;
-    }
-    geo::simd::ExtendAcceptParams accept_all;
-    accept_all.length = 0.0;
-    accept_all.slack = 1e9;
-    accept_all.d_plus_max = 1e9;
-    accept_all.d_minus_max = 1e9;
-    accept_all.zeta = 1e9;
-    accept_all.guard = true;
-    accept_all.drift_plus = 1e9;
-    accept_all.drift_minus = 1e9;
-    accept_all.drift_back = 1e9;
-    accept_all.sum_ok = true;
-    std::size_t count_sink = 0;
-    const int kernel_iters = smoke ? 200 : 20000;
-
-    struct KernelCase {
-      const char* name;
-      std::function<void()> run;       // one batch at the active level
-      std::function<std::uint64_t()> hash;  // outputs of one batch
-    };
-    const std::vector<KernelCase> kernels = {
-        {"signed_offsets",
-         [&] { geo::simd::SignedOffsets(xs, ys, kN, anchor, dir, o1); },
-         [&] { return hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis); }},
-        {"radii", [&] { geo::simd::Radii(xs, ys, kN, anchor, o1); },
-         [&] { return hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis); }},
-        {"dots", [&] { geo::simd::Dots(xs, ys, kN, anchor, dir, o1); },
-         [&] { return hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis); }},
-        {"stage_extend",
-         [&] {
-           geo::simd::StageExtend(xs, ys, kN, anchor, dir, ra_unit,
-                                  /*want_dot=*/true, o1, o2, o3, o4);
-         },
-         [&] {
-           std::uint64_t h = hash_doubles(o1, kN, serial::kFnv1a64OffsetBasis);
-           h = hash_doubles(o2, kN, h);
-           h = hash_doubles(o3, kN, h);
-           return hash_doubles(o4, kN, h);
-         }},
-        {"count_within",
-         [&] {
-           count_sink +=
-               geo::simd::CountWithin(xs, ys, kN, anchor, dir, 1e9);
-         },
-         [&] {
-           return geo::simd::CountWithin(xs, ys, kN, anchor, dir, 1e9);
-         }},
-        {"count_extend_accept",
-         [&] {
-           geo::simd::StageExtend(xs, ys, kN, anchor, dir, ra_unit, true,
-                                  o1, o2, o3, o4);
-           count_sink += geo::simd::CountExtendAccept(o1, o2, o3, o4, kN,
-                                                      accept_all);
-         },
-         [&] {
-           geo::simd::StageExtend(xs, ys, kN, anchor, dir, ra_unit, true,
-                                  o1, o2, o3, o4);
-           return geo::simd::CountExtendAccept(o1, o2, o3, o4, kN,
-                                               accept_all);
-         }}};
-
-    for (const KernelCase& k : kernels) {
-      geo::simd::ForceLevel(geo::simd::Level::kScalar);
-      const std::uint64_t hash_base = k.hash();
-      geo::simd::ForceLevel(best);
-      const std::uint64_t hash_simd = k.hash();
-      const auto [base_s, simd_s] = min_of(
-          [&] {
-            geo::simd::ForceLevel(geo::simd::Level::kScalar);
-            for (int i = 0; i < kernel_iters; ++i) k.run();
-          },
-          [&] {
-            geo::simd::ForceLevel(best);
-            for (int i = 0; i < kernel_iters; ++i) k.run();
-          });
-      geo::simd::ClearForcedLevel();
-      const double total =
-          static_cast<double>(kN) * static_cast<double>(kernel_iters);
-      JsonRecord rec;
-      rec.Str("kind", "kernel");
-      rec.Str("name", k.name);
-      rec.Str("level", best_name);
-      rec.Int("points", static_cast<long long>(kN));
-      rec.Int("rounds", rounds);
-      rec.Num("base_points_per_sec", total / base_s);
-      rec.Num("simd_points_per_sec", total / simd_s);
-      rec.Num("speedup", base_s / simd_s);
-      rec.Str("hash_base", hex_str(hash_base));
-      rec.Str("hash_simd", hex_str(hash_simd));
-      rec.Int("hash_match", hash_base == hash_simd ? 1 : 0);
-      simd_rows.push_back(rec);
-      std::printf("simd kernel %-19s %s/scalar  %5.2fx  hashes %s\n",
-                  k.name, best_name.c_str(), base_s / simd_s,
-                  hash_base == hash_simd ? "match" : "DIVERGE");
-    }
-    if (count_sink == 0) std::printf("# unreachable\n");
-
-    // Steady-state before/after rows: OPERB paper-faithful, pointwise
-    // scalar vs batched at the detected level.
-    struct SteadyCase {
+    struct BatchCase {
       std::string name;
       datagen::DatasetProfile profile;
     };
-    std::vector<SteadyCase> cases;
+    std::vector<BatchCase> cases;
     for (datagen::DatasetKind kind : datagen::AllDatasetKinds()) {
       cases.push_back({std::string(datagen::DatasetName(kind)),
                        datagen::DatasetProfile::For(kind)});
     }
     {
-      // High-rate variant: GeoLife road walk at ~0.3 s sampling, the
-      // regime (hundreds of points per fitted segment) where the
-      // batched extend loop has real windows to vectorize.
       datagen::DatasetProfile dense =
           datagen::DatasetProfile::For(datagen::DatasetKind::kGeoLife);
       dense.sampling_min_s = 0.2;
@@ -502,7 +389,7 @@ int main(int argc, char** argv) {
 
     core::OperbOptions oopts = core::OperbOptions::Optimized(kZeta);
     oopts.strict_bound_guard = false;  // paper-faithful, as steady_state
-    for (const SteadyCase& c : cases) {
+    for (const BatchCase& c : cases) {
       const std::size_t per_traj = smoke ? 400 : 100000;
       std::vector<traj::Trajectory> dataset;
       datagen::Rng rng(bench::kBenchSeed);
@@ -535,49 +422,46 @@ int main(int argc, char** argv) {
         }
       };
 
-      geo::simd::ForceLevel(geo::simd::Level::kScalar);
       hash = serial::kFnv1a64OffsetBasis;
       segments = 0;
       run_pointwise();
-      const std::uint64_t hash_base = hash;
-      const std::size_t segments_base = segments;
-      geo::simd::ForceLevel(best);
+      const std::uint64_t hash_pointwise = hash;
+      const std::size_t segments_pointwise = segments;
       hash = serial::kFnv1a64OffsetBasis;
-      segments = 0;
       run_batched();
-      const std::uint64_t hash_simd = hash;
+      const std::uint64_t hash_batched = hash;
 
-      const auto [base_s, simd_s] = min_of(
-          [&] {
-            geo::simd::ForceLevel(geo::simd::Level::kScalar);
-            run_pointwise();
-          },
-          [&] {
-            geo::simd::ForceLevel(best);
-            run_batched();
-          });
-      geo::simd::ClearForcedLevel();
+      double pointwise_s = std::numeric_limits<double>::infinity();
+      double batched_s = std::numeric_limits<double>::infinity();
+      for (int r = 0; r < rounds; ++r) {
+        Stopwatch pw;
+        run_pointwise();
+        pointwise_s = std::min(pointwise_s, pw.ElapsedSeconds());
+        Stopwatch bw;
+        run_batched();
+        batched_s = std::min(batched_s, bw.ElapsedSeconds());
+      }
 
       JsonRecord rec;
-      rec.Str("kind", "steady_state");
       rec.Str("name", c.name);
-      rec.Str("level", best_name);
       rec.Int("points", static_cast<long long>(total));
       rec.Int("rounds", rounds);
-      rec.Num("base_points_per_sec", static_cast<double>(total) / base_s);
-      rec.Num("simd_points_per_sec", static_cast<double>(total) / simd_s);
-      rec.Num("speedup", base_s / simd_s);
-      rec.Str("hash_base", hex_str(hash_base));
-      rec.Str("hash_simd", hex_str(hash_simd));
-      rec.Int("hash_match", hash_base == hash_simd ? 1 : 0);
-      simd_rows.push_back(rec);
+      rec.Num("pointwise_points_per_sec",
+              static_cast<double>(total) / pointwise_s);
+      rec.Num("batched_points_per_sec",
+              static_cast<double>(total) / batched_s);
+      rec.Num("speedup", pointwise_s / batched_s);
+      rec.Str("hash_pointwise", hex_str(hash_pointwise));
+      rec.Str("hash_batched", hex_str(hash_batched));
+      rec.Int("hash_match", hash_pointwise == hash_batched ? 1 : 0);
+      batched_rows.push_back(rec);
       std::printf(
-          "simd steady %-13s pointwise %7.2fM -> batched(%s) %7.2fM "
-          "pts/s  %4.2fx  %zu segs  hashes %s\n",
-          c.name.c_str(), static_cast<double>(total) / base_s / 1e6,
-          best_name.c_str(), static_cast<double>(total) / simd_s / 1e6,
-          base_s / simd_s, segments_base,
-          hash_base == hash_simd ? "match" : "DIVERGE");
+          "batched %-13s pointwise %7.2fM -> batched %7.2fM pts/s  %4.2fx  "
+          "%zu segs  hashes %s\n",
+          c.name.c_str(), static_cast<double>(total) / pointwise_s / 1e6,
+          static_cast<double>(total) / batched_s / 1e6,
+          pointwise_s / batched_s, segments_pointwise,
+          hash_pointwise == hash_batched ? "match" : "DIVERGE");
     }
   }
 
@@ -1502,18 +1386,23 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"operb-bench-throughput\",\n"
-               "  \"schema_version\": 9,\n"
+               "  \"schema_version\": 10,\n"
                "  \"smoke\": %s,\n"
                "  \"unix_time\": %lld,\n"
                "  \"zeta\": %g,\n"
-               "  \"seed\": %llu,\n",
+               "  \"seed\": %llu,\n"
+               "  \"nproc\": %u,\n"
+               "  \"cpu_model\": \"%s\",\n"
+               "  \"compiler\": \"%s\",\n",
                smoke ? "true" : "false",
                static_cast<long long>(std::time(nullptr)), kZeta,
-               static_cast<unsigned long long>(bench::kBenchSeed));
+               static_cast<unsigned long long>(bench::kBenchSeed),
+               std::thread::hardware_concurrency(), CpuModel().c_str(),
+               CompilerId().c_str());
   std::fprintf(f, "  \"ingest\": %s,\n", JoinRecords(ingest).c_str());
   std::fprintf(f, "  \"steady_state\": %s,\n", JoinRecords(steady).c_str());
-  std::fprintf(f, "  \"simd_vs_scalar\": %s,\n",
-               JoinRecords(simd_rows).c_str());
+  std::fprintf(f, "  \"batched_vs_pointwise\": %s,\n",
+               JoinRecords(batched_rows).c_str());
   std::fprintf(f, "  \"end_to_end\": %s,\n", JoinRecords(end_to_end).c_str());
   std::fprintf(f, "  \"concurrent_streams\": %s,\n",
                JoinRecords(concurrent).c_str());

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates BENCH_throughput.json against the operb-bench-throughput
-schema (version 9). Stdlib-only so CI needs no extra packages.
+schema (version 10). Stdlib-only so CI needs no extra packages.
 
 Beyond shape checks, the store section carries semantic gates: the
 R-tree index must never skip fewer blocks than the flat footer scan, the
@@ -16,12 +16,12 @@ validator re-checks the full-mode bound only when smoke is false). The
 server section (new in v8) gates the live daemon: a full-mode run must
 hold at least 100k live objects, sweep at least 2 client-thread counts,
 and report positive qps with p50 <= p99 query latency. The
-simd_vs_scalar section (new in v9) carries the batched-SIMD kernel
-evidence: every row's output hash pair must match (bit-identity is
-non-negotiable in smoke and full mode alike), and in full mode on a
-vector-capable host each kernel micro must run at >= 1.5x scalar and
-the dense steady-state row must show the >= 2x pointwise->batched
-speedup the refactor claims.
+batched_vs_pointwise section (v10; v9 called it simd_vs_scalar) compares
+OPERB's point-wise Push against its batched span Push: every row's
+output hash pair must match (bit-identity is non-negotiable in smoke and
+full mode alike), and in full mode the dense-profile row must show at
+least a 2x pointwise->batched speedup. Since v10 the header also records
+the machine the numbers came from (nproc, CPU model, compiler).
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -39,9 +39,12 @@ TOP_LEVEL = {
     "unix_time": int,
     "zeta": NUMBER,
     "seed": int,
+    "nproc": int,
+    "cpu_model": str,
+    "compiler": str,
     "ingest": list,
     "steady_state": list,
-    "simd_vs_scalar": list,
+    "batched_vs_pointwise": list,
     "end_to_end": list,
     "concurrent_streams": list,
     "facade_overhead": list,
@@ -72,17 +75,15 @@ SECTION_FIELDS = {
         "seconds_per_pass": NUMBER,
         "points_per_sec": NUMBER,
     },
-    "simd_vs_scalar": {
-        "kind": str,
+    "batched_vs_pointwise": {
         "name": str,
-        "level": str,
         "points": int,
         "rounds": int,
-        "base_points_per_sec": NUMBER,
-        "simd_points_per_sec": NUMBER,
+        "pointwise_points_per_sec": NUMBER,
+        "batched_points_per_sec": NUMBER,
         "speedup": NUMBER,
-        "hash_base": str,
-        "hash_simd": str,
+        "hash_pointwise": str,
+        "hash_batched": str,
         "hash_match": int,
     },
     "end_to_end": {
@@ -223,7 +224,7 @@ def main():
             fail(f"top-level key '{key}' has wrong type")
     if doc["schema"] != "operb-bench-throughput":
         fail(f"unexpected schema '{doc['schema']}'")
-    if doc["schema_version"] != 9:
+    if doc["schema_version"] != 10:
         fail(f"unexpected schema_version {doc['schema_version']}")
 
     for section, fields in SECTION_FIELDS.items():
@@ -240,35 +241,21 @@ def main():
                     entry[key], bool
                 ):
                     fail(f"{section}[{i}].{key} has wrong type")
-            if section == "simd_vs_scalar":
-                # Semantic gates (schema v9). Bit-identity first: the
-                # scalar and SIMD output hashes must agree in every
-                # mode — a diverging hash means the vector kernels
-                # changed the algorithm's output, which no speedup
-                # excuses.
-                if entry["kind"] not in ("kernel", "steady_state"):
-                    fail(f"{section}[{i}].kind '{entry['kind']}' unknown")
+            if section == "batched_vs_pointwise":
+                # Semantic gates (schema v10). Bit-identity first: the
+                # point-wise and batched output hashes must agree in
+                # every mode; no speedup excuses a diverging output.
                 if (entry["points"] <= 0 or entry["rounds"] <= 0
-                        or entry["base_points_per_sec"] <= 0
-                        or entry["simd_points_per_sec"] <= 0
+                        or entry["pointwise_points_per_sec"] <= 0
+                        or entry["batched_points_per_sec"] <= 0
                         or entry["speedup"] <= 0):
                     fail(f"{section}[{i}] has non-positive numbers")
                 if entry["hash_match"] != 1:
-                    fail(f"{section}[{i}] ({entry['kind']} "
-                         f"{entry['name']}) scalar and SIMD output "
-                         "hashes diverge")
-                if entry["hash_base"] != entry["hash_simd"]:
+                    fail(f"{section}[{i}] ({entry['name']}) point-wise "
+                         "and batched output hashes diverge")
+                if entry["hash_pointwise"] != entry["hash_batched"]:
                     fail(f"{section}[{i}] hash_match claims equality "
                          "but the hashes differ")
-                # Timing gates are full-mode only (smoke passes are
-                # microseconds) and need a vector unit to compare
-                # against.
-                if (not doc["smoke"] and entry["kind"] == "kernel"
-                        and entry["level"] != "scalar"
-                        and entry["speedup"] < 1.5):
-                    fail(f"{section}[{i}] kernel {entry['name']} ran at "
-                         f"only {entry['speedup']:.2f}x scalar "
-                         "(need >= 1.5x)")
                 continue
             if section == "facade_overhead":
                 if (entry["points"] <= 0
@@ -398,22 +385,19 @@ def main():
             if entry["passes"] <= 0 or entry["seconds_per_pass"] <= 0:
                 fail(f"{section}[{i}] has non-positive timing")
 
-    simd_kernels = [e for e in doc["simd_vs_scalar"]
-                    if e["kind"] == "kernel"]
-    if len(simd_kernels) < 6:
-        fail(f"simd_vs_scalar covers only {len(simd_kernels)} kernels "
-             "(need all 6)")
-    simd_steady = [e for e in doc["simd_vs_scalar"]
-                   if e["kind"] == "steady_state"]
-    if len(simd_steady) < 5:
-        fail(f"simd_vs_scalar has only {len(simd_steady)} steady-state "
-             "rows (need the 4 stock profiles plus the dense variant)")
-    dense = [e for e in simd_steady if "dense" in e["name"]]
+    if doc["nproc"] <= 0:
+        fail("nproc must be positive")
+    if not doc["cpu_model"] or not doc["compiler"]:
+        fail("cpu_model and compiler must be non-empty")
+    batched = doc["batched_vs_pointwise"]
+    if len(batched) < 5:
+        fail(f"batched_vs_pointwise has only {len(batched)} rows (need "
+             "the 4 stock profiles plus the dense variant)")
+    dense = [e for e in batched if "dense" in e["name"]]
     if not dense:
-        fail("simd_vs_scalar is missing the dense-profile row")
-    if (not doc["smoke"] and dense[0]["level"] != "scalar"
-            and dense[0]["speedup"] < 2.0):
-        fail(f"dense steady-state pointwise->batched speedup "
+        fail("batched_vs_pointwise is missing the dense-profile row")
+    if not doc["smoke"] and dense[0]["speedup"] < 2.0:
+        fail(f"dense pointwise->batched speedup "
              f"{dense[0]['speedup']:.2f}x is below the 2x gate")
 
     algos = {e["algorithm"] for e in doc["steady_state"]}
@@ -438,9 +422,10 @@ def main():
             if not entry["spec"].startswith(entry["algorithm"] + ":"):
                 fail(f"{section}[{i}].spec '{entry['spec']}' does not "
                      f"resolve to algorithm '{entry['algorithm']}'")
-    print(f"{sys.argv[1]}: valid operb-bench-throughput v9 "
+    print(f"{sys.argv[1]}: valid operb-bench-throughput v10 "
           f"({len(doc['steady_state'])} steady-state entries, "
-          f"{len(doc['simd_vs_scalar'])} simd-vs-scalar entries, "
+          f"{len(doc['batched_vs_pointwise'])} batched-vs-pointwise "
+          "entries, "
           f"{len(doc['concurrent_streams'])} concurrent-stream entries, "
           f"{len(doc['store'])} store entries, "
           f"{len(doc['checkpoint'])} checkpoint entries, "

@@ -123,26 +123,6 @@ class FittingFunction {
   /// budgets (supersedes ObserveOffset when the guard is active).
   void ObservePoint(geo::Vec2 p);
 
-  /// ObservePoint for the batched fit loop: applies the same state
-  /// updates from values the caller already holds. Precondition (the
-  /// bit-identity contract): `signed_offset` == dir().Cross(p - anchor()),
-  /// `dot` == dir().Dot(p - anchor()) and `radius` == |p - anchor()|,
-  /// computed with exactly those expressions — the geo::simd batch
-  /// kernels produce them per element (see DESIGN.md §12).
-  void ObservePointPrecomputed(double signed_offset, double dot,
-                               double radius) {
-    ObserveOffset(signed_offset);
-    if (dot >= 0.0) {
-      if (signed_offset >= 0.0) {
-        drift_plus_ = std::max(drift_plus_, signed_offset);
-      } else {
-        drift_minus_ = std::max(drift_minus_, -signed_offset);
-      }
-    } else {
-      drift_back_ = std::max(drift_back_, radius);
-    }
-  }
-
   /// True when executing `plan` keeps every consumed point provably within
   /// zeta of the would-be output chord anchor->p: the per-side drift after
   /// the rotation plus the chord-vs-line divergence stays under zeta.
@@ -150,13 +130,6 @@ class FittingFunction {
 
   geo::Vec2 anchor() const { return anchor_; }
   double length() const { return length_; }
-  /// The activity slack (paper: zeta/4) — IsActive()'s threshold.
-  double slack() const { return slack_; }
-  /// Individual drift budgets (the batched fit loop freezes them into
-  /// geo::simd::ExtendAcceptParams; drift_bound() is their max).
-  double drift_plus() const { return drift_plus_; }
-  double drift_minus() const { return drift_minus_; }
-  double drift_back() const { return drift_back_; }
   /// Cached unit direction of L (== FromAngle(theta_) for the internal,
   /// unnormalized theta_). Meaningful once directed; {1, 0} before.
   geo::Vec2 dir() const { return dir_; }

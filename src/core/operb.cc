@@ -1,35 +1,13 @@
 #include "core/operb.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 #include "common/serial.h"
 #include "geo/distance.h"
-#include "geo/simd.h"
 
 namespace operb::core {
-
-namespace {
-
-/// SoA staging for the batched Push(span) fast paths. Thread-local
-/// scratch, not per-stream state: the buffers are only live inside one
-/// {Absorb,Seek,Extend}Run call (no sink callback runs while they hold
-/// data), so every stream on a thread — the engine keeps one stream per
-/// live object — shares one instance, and pooled streams stay small.
-/// Plain arrays with static (zero) initialization: no heap allocation,
-/// no thread-local init guard on the hot path.
-struct StageBuffers {
-  double x[OperbStream::kStageCapacity];
-  double y[OperbStream::kStageCapacity];
-  double r[OperbStream::kStageCapacity];    ///< radii from the anchor
-  double off[OperbStream::kStageCapacity];  ///< signed offsets vs L
-  double ra[OperbStream::kStageCapacity];   ///< signed offsets vs R_a
-  double dot[OperbStream::kStageCapacity];  ///< projections onto L
-};
-
-thread_local StageBuffers tls_stage;
-
-}  // namespace
 
 OperbStream::OperbStream(const OperbOptions& options) : options_(options) {
   OPERB_CHECK_MSG(options.Validate().ok(), "invalid OperbOptions");
@@ -99,7 +77,7 @@ void OperbStream::Push(const geo::Point& p) {
 
 void OperbStream::Push(std::span<const geo::Point> points) {
   // Batched driver: each mode's "point fits, keep going" run is consumed
-  // through the SoA/simd fast path; the point that ends a run (absorb
+  // by a lookahead loop over the span; the point that ends a run (absorb
   // failure, activation, bound violation, cap) goes through the scalar
   // Push, which recomputes the same IEEE values and performs the mode
   // change. Output and state are bit-identical to point-wise Push.
@@ -107,241 +85,108 @@ void OperbStream::Push(std::span<const geo::Point> points) {
   std::size_t i = 0;
   while (i < n) {
     switch (mode_) {
-      case Mode::kAbsorb: {
-        if (options_.opt_absorb) {
-          i += AbsorbRun(points.subspan(i));
-          if (i >= n) return;
-        }
-        Push(points[i++]);  // fails the absorb test: emits, re-dispatches
+      case Mode::kAbsorb:
+        if (options_.opt_absorb) i += AbsorbRun(points.subspan(i));
         break;
-      }
-      case Mode::kSeek: {
+      case Mode::kSeek:
         i += SeekRun(points.subspan(i));
-        if (i >= n) return;
-        Push(points[i++]);  // first active point (or a cap break)
         break;
-      }
-      case Mode::kExtend: {
-        if (extend_skip_ > 0) {
-          // Recent extend runs consumed nothing (activation-dominated
-          // stream): back off from staging for a while.
-          --extend_skip_;
-          Push(points[i++]);
-          break;
-        }
-        bool blocked = false;
-        const std::size_t consumed = ExtendRun(points.subspan(i), &blocked);
-        i += consumed;
-        if (consumed == 0) {
-          extend_zero_streak_ = std::min<std::uint32_t>(
-              extend_zero_streak_ + 1, 5);  // skip at most 32 points
-          extend_skip_ = 1u << extend_zero_streak_;
-        } else {
-          extend_zero_streak_ = 0;
-        }
-        if (i >= n) return;
-        // Not blocked means the run only hit the speculation window edge:
-        // loop around and stage the next (larger) window.
-        if (blocked) Push(points[i++]);
+      case Mode::kExtend:
+        i += ExtendRun(points.subspan(i));
         break;
-      }
       case Mode::kIdle:
       case Mode::kFinished:
-        Push(points[i++]);
         break;
     }
+    if (i < n) Push(points[i++]);
   }
 }
 
-std::size_t OperbStream::AbsorbRun(std::span<const geo::Point> points) {
-  const geo::Vec2 anchor = pending_.start;
-  const geo::Vec2 unit = pending_unit_;
-  const double zeta = options_.zeta;
-  // Peek before staging: on absorb-hostile streams (sparse sampling
-  // breaks every point) the first point fails and the staging loop would
-  // be pure waste. The consumed case re-verifies the point inside
-  // CountWithin — same expression, same bits.
-  const double d0 = geo::PointToLineDistanceDir(points[0].pos(), anchor, unit);
-  if (!(d0 <= zeta)) return 0;
+std::size_t OperbStream::CapRoom() const {
+  // Points that can join the current segment before the per-segment cap
+  // forces a break; the scalar path owns the cap-break transition.
+  return options_.max_points_per_segment > points_in_segment_ + 1
+             ? options_.max_points_per_segment - points_in_segment_ - 1
+             : 0;
+}
 
-  StageBuffers& st = tls_stage;
-  std::size_t consumed = 0;
-  while (consumed < points.size()) {
-    // First block small: absorb runs average a handful of points, so a
-    // full-capacity stage would mostly copy points past the failure.
-    const std::size_t cap = consumed == 0 ? 16 : kStageCapacity;
-    const std::size_t m = std::min(cap, points.size() - consumed);
-    for (std::size_t k = 0; k < m; ++k) {
-      st.x[k] = points[consumed + k].x;
-      st.y[k] = points[consumed + k].y;
-    }
-    const std::size_t fit =
-        geo::simd::CountWithin(st.x, st.y, m, anchor, unit, zeta);
-    consumed += fit;
-    if (fit < m) break;
+void OperbStream::ConsumeRun(std::span<const geo::Point> run) {
+  // The index bookkeeping of `run.size()` point-wise Push calls that all
+  // took their mode's "point fits" branch.
+  next_index_ += run.size();
+  stats_.points_processed += run.size();
+  last_index_ = next_index_ - 1;
+  last_pos_ = run.back().pos();
+  covered_index_ = last_index_;
+}
+
+std::size_t OperbStream::AbsorbRun(std::span<const geo::Point> points) {
+  std::size_t k = 0;
+  while (k < points.size() &&
+         geo::PointToLineDistanceDir(points[k].pos(), pending_.start,
+                                     pending_unit_) <= options_.zeta) {
+    ++k;
   }
-  if (consumed > 0) {
-    // Cumulative effect of `consumed` scalar absorb iterations.
-    next_index_ += consumed;
-    stats_.points_processed += consumed;
-    stats_.points_absorbed += consumed;
-    last_index_ = next_index_ - 1;
-    last_pos_ = points[consumed - 1].pos();
-    pending_.last_index = last_index_;
-    covered_index_ = last_index_;
-  }
-  return consumed;
+  if (k == 0) return 0;
+  ConsumeRun(points.first(k));
+  stats_.points_absorbed += k;
+  pending_.last_index = last_index_;
+  return k;
 }
 
 std::size_t OperbStream::SeekRun(std::span<const geo::Point> points) {
   const double threshold = options_.opt_first_active
                                ? options_.zeta
                                : options_.zeta * options_.activation_slack_factor;
-  // Peek before staging (sparse streams activate on the first point).
-  // A consumable first point is recomputed by the Radii kernel — same
-  // expression, same bits.
-  const double r0 = geo::Distance(points[0].pos(), anchor_pos_);
-  if (!(r0 <= threshold)) return 0;
-
-  // Stop before the point whose consumption would reach the per-segment
-  // cap: the scalar path owns the cap-break transition.
-  const std::size_t cap_room =
-      options_.max_points_per_segment > points_in_segment_ + 1
-          ? options_.max_points_per_segment - points_in_segment_ - 1
-          : 0;
-  StageBuffers& st = tls_stage;
-  std::size_t consumed = 0;
-  double max_radius = 0.0;
-  bool stopped = false;
-  while (!stopped && consumed < points.size() && consumed < cap_room) {
-    const std::size_t cap = consumed == 0 ? 16 : kStageCapacity;
-    const std::size_t m =
-        std::min({cap, points.size() - consumed, cap_room - consumed});
-    for (std::size_t k = 0; k < m; ++k) {
-      st.x[k] = points[consumed + k].x;
-      st.y[k] = points[consumed + k].y;
-    }
-    geo::simd::Radii(st.x, st.y, m, anchor_pos_, st.r);
-    std::size_t fit = 0;
-    for (; fit < m && st.r[fit] <= threshold; ++fit) {
-      if (st.r[fit] > max_radius) max_radius = st.r[fit];
-    }
-    consumed += fit;
-    stopped = fit < m;
+  const std::size_t limit = std::min(points.size(), CapRoom());
+  std::size_t k = 0;
+  for (; k < limit; ++k) {
+    const double r = geo::Distance(points[k].pos(), anchor_pos_);
+    if (!(r <= threshold)) break;
+    fitting_->NoteDriftDistance(r);
   }
-  if (consumed > 0) {
-    next_index_ += consumed;
-    stats_.points_processed += consumed;
-    last_index_ = next_index_ - 1;
-    last_pos_ = points[consumed - 1].pos();
-    covered_index_ = last_index_;
-    points_in_segment_ += consumed;
-    // Equivalent to per-point NoteDriftDistance calls: the budget is a
-    // running max, so folding the run's max first changes nothing.
-    fitting_->NoteDriftDistance(max_radius);
-  }
-  return consumed;
+  if (k == 0) return 0;
+  ConsumeRun(points.first(k));
+  points_in_segment_ += k;
+  return k;
 }
 
-std::size_t OperbStream::ExtendRun(std::span<const geo::Point> points,
-                                   bool* blocked) {
-  const std::size_t cap_room =
-      options_.max_points_per_segment > points_in_segment_ + 1
-          ? options_.max_points_per_segment - points_in_segment_ - 1
-          : 0;
-  const std::size_t window = std::min<std::size_t>(
-      {extend_window_, points.size(), cap_room, kStageCapacity});
-  if (window == 0) {
-    *blocked = true;  // cap break — scalar path owns the transition
-    return 0;
-  }
-  StageBuffers& st = tls_stage;
-  for (std::size_t k = 0; k < window; ++k) {
-    st.x[k] = points[k].x;
-    st.y[k] = points[k].y;
-  }
-  const geo::Vec2 dir = fitting_->dir();
-  geo::simd::StageExtend(st.x, st.y, window, anchor_pos_, dir, ra_unit_,
-                         /*want_dot=*/guard_engaged_, st.r, st.off, st.ra,
-                         st.dot);
-
-  const double zeta = options_.zeta;
-  geo::simd::ExtendAcceptParams params;
-  params.slack = fitting_->slack();
-  params.zeta = zeta;
-  params.guard = guard_engaged_;
-  const auto refresh_params = [&] {
-    params.length = fitting_->length();
-    params.d_plus_max = fitting_->d_plus_max();
-    params.d_minus_max = fitting_->d_minus_max();
-    params.drift_plus = fitting_->drift_plus();
-    params.drift_minus = fitting_->drift_minus();
-    params.drift_back = fitting_->drift_back();
-    // An offset within both side maxima leaves the tentative maxima equal
-    // to the current ones, so the adjusted-distance test reduces to this
-    // per-window constant. Without optimization (2) the distance test is
-    // |off| <= zeta/2 — implied by the maxima themselves (every observed
-    // offset passed it), so no sum constraint applies.
-    params.sum_ok = !options_.opt_adjusted_distance ||
-                    (params.d_plus_max + params.d_minus_max) <= zeta;
-  };
-  refresh_params();
-  std::size_t consumed = 0;
-  while (consumed < window) {
-    // Leading run of no-op consumes — inactive, inside both side maxima,
-    // within zeta of R_a, inside the drift budgets — in one vectorized
-    // sweep over the staged intermediates. Such points leave the fitting
-    // state bit-for-bit unchanged, so skipping their Observe* calls is
-    // exact, not approximate.
-    consumed += geo::simd::CountExtendAccept(
-        st.r + consumed, st.off + consumed, st.ra + consumed,
-        st.dot + consumed, window - consumed, params);
-    if (consumed >= window) break;
-    // Full-semantics decision for the point the kernel rejected: it may
-    // still consume (moving a maximum or budget), in which case the
-    // params refresh and the sweep resumes.
-    const double r = st.r[consumed];
-    if (fitting_->IsActive(r)) break;  // activation: scalar path
-    const double offset = st.off[consumed];
-    bool distance_ok;
-    if (options_.opt_adjusted_distance) {
-      const double tentative_plus =
-          std::max(offset > 0.0 ? offset : 0.0, fitting_->d_plus_max());
-      const double tentative_minus =
-          std::max(offset < 0.0 ? -offset : 0.0, fitting_->d_minus_max());
-      distance_ok = (tentative_plus + tentative_minus) <= zeta;
-    } else {
-      distance_ok = std::fabs(offset) <= zeta / 2.0;
-    }
-    const double d_ra = std::fabs(st.ra[consumed]);
-    if (!(distance_ok && d_ra <= zeta)) break;  // segment break: scalar
+std::size_t OperbStream::ExtendRun(std::span<const geo::Point> points) {
+  // ProcessPoint's inactive-point branch, minus the activation and the
+  // segment break: the run stops at the first point that needs either.
+  const std::size_t limit = std::min(points.size(), CapRoom());
+  std::size_t k = 0;
+  for (; k < limit; ++k) {
+    const geo::Vec2 pos = points[k].pos();
+    const double r = geo::Distance(pos, anchor_pos_);
+    if (fitting_->IsActive(r)) break;
+    const double offset = fitting_->SignedOffset(pos);
+    if (!DistanceOk(offset)) break;
+    const double d_ra = geo::PointToLineDistanceDir(pos, anchor_pos_, ra_unit_);
+    if (!(d_ra <= options_.zeta)) break;
     if (guard_engaged_) {
-      fitting_->ObservePointPrecomputed(offset, st.dot[consumed], r);
+      fitting_->ObservePoint(pos);
     } else {
       fitting_->ObserveOffset(offset);
     }
-    ++consumed;
-    refresh_params();
   }
-  *blocked = consumed < window;
-  if (consumed > 0) {
-    next_index_ += consumed;
-    stats_.points_processed += consumed;
-    last_index_ = next_index_ - 1;
-    last_pos_ = points[consumed - 1].pos();
-    covered_index_ = last_index_;
-    points_in_segment_ += consumed;
+  if (k == 0) return 0;
+  ConsumeRun(points.first(k));
+  points_in_segment_ += k;
+  return k;
+}
+
+bool OperbStream::DistanceOk(double offset) const {
+  // The paper's distance condition d(P, L) <= zeta/2, or — with
+  // optimization (2) — the relaxed d+max + d-max <= zeta.
+  if (options_.opt_adjusted_distance) {
+    const double tentative_plus =
+        std::max(offset > 0.0 ? offset : 0.0, fitting_->d_plus_max());
+    const double tentative_minus =
+        std::max(offset < 0.0 ? -offset : 0.0, fitting_->d_minus_max());
+    return (tentative_plus + tentative_minus) <= options_.zeta;
   }
-  // Adapt the speculation depth: grow while runs fill the window, track
-  // the observed run length when they end early.
-  if (!*blocked) {
-    extend_window_ = static_cast<std::uint32_t>(
-        std::min<std::size_t>(extend_window_ * 2, kStageCapacity));
-  } else {
-    extend_window_ = static_cast<std::uint32_t>(
-        std::max<std::size_t>(kExtendWindowMin, consumed));
-  }
-  return consumed;
+  return std::fabs(offset) <= options_.zeta / 2.0;
 }
 
 void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
@@ -408,20 +253,7 @@ void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
         }
         const bool is_active = fitting_->IsActive(r);
         const double offset = fitting_->SignedOffset(pos);
-        const double d_line = std::fabs(offset);
-
-        // The paper's distance condition d(P, L) <= zeta/2, or — with
-        // optimization (2) — the relaxed d+max + d-max <= zeta.
-        bool distance_ok;
-        if (options_.opt_adjusted_distance) {
-          const double tentative_plus =
-              std::max(offset > 0.0 ? offset : 0.0, fitting_->d_plus_max());
-          const double tentative_minus =
-              std::max(offset < 0.0 ? -offset : 0.0, fitting_->d_minus_max());
-          distance_ok = (tentative_plus + tentative_minus) <= options_.zeta;
-        } else {
-          distance_ok = d_line <= options_.zeta / 2.0;
-        }
+        const bool distance_ok = DistanceOk(offset);
 
         if (!is_active) {
           // Inactive points must additionally stay within zeta of the
@@ -535,9 +367,6 @@ void OperbStream::Reset() {
   next_index_ = 0;
   last_pos_ = geo::Vec2{};
   last_index_ = 0;
-  extend_window_ = kExtendWindowMin;
-  extend_zero_streak_ = 0;
-  extend_skip_ = 0;
 }
 
 void OperbStream::Serialize(std::vector<std::uint8_t>* out) const {

@@ -78,10 +78,10 @@ class OperbStream {
   void Push(const geo::Point& p);
 
   /// Feeds a batch of points. Bit-identical to point-wise Push over the
-  /// same span, but runs the three "point fits, keep going" run types
-  /// (absorb, seek, inactive-extend) through the SoA-staged geo::simd
-  /// batch kernels with speculative multi-point advance, falling back to
-  /// the scalar per-point path at every mode change (DESIGN.md §12).
+  /// same span, but consumes the three "point fits, keep going" run types
+  /// (absorb, seek, inactive-extend) in tight lookahead loops over the
+  /// span, handing each point that changes the mode to the point-wise
+  /// path (DESIGN.md §12).
   void Push(std::span<const geo::Point> points);
 
   /// Declares end-of-input and flushes the pending state. Push() must not
@@ -137,22 +137,22 @@ class OperbStream {
 
   void ProcessPoint(geo::Vec2 pos, std::size_t idx);
 
-  // Batched fast paths of Push(span). Each stages a window of upcoming
-  // points into thread-local SoA buffers, runs the geo::simd batch
-  // kernels, and consumes the maximal prefix the scalar state machine
-  // would have consumed on its cheap no-mode-change path — bit-identical
-  // bookkeeping, zero allocations. They return the number of points
-  // consumed; the first unconsumed point (if any) is re-processed by the
-  // scalar Push, which recomputes the same IEEE values and takes the
-  // mode-changing branch.
-  //
-  // AbsorbRun / SeekRun run to the first non-fitting point or span end.
-  // ExtendRun processes one speculation window per call; `*blocked` is
-  // set when it stopped at a point that needs the scalar path (active,
-  // bound violation, or segment cap) rather than at the window edge.
+  // Batched fast paths of Push(span). Each consumes the longest prefix of
+  // `points` that the point-wise path would consume without a mode change,
+  // computing the same IEEE values in the same order, and returns its
+  // length; the first unconsumed point (if any) is left to the point-wise
+  // Push, which recomputes those values and takes the mode-changing
+  // branch. Runs stop short of the per-segment cap.
   std::size_t AbsorbRun(std::span<const geo::Point> points);
   std::size_t SeekRun(std::span<const geo::Point> points);
-  std::size_t ExtendRun(std::span<const geo::Point> points, bool* blocked);
+  std::size_t ExtendRun(std::span<const geo::Point> points);
+  /// Points the current segment can still take before the cap break.
+  std::size_t CapRoom() const;
+  /// Index and stats bookkeeping for a consumed run.
+  void ConsumeRun(std::span<const geo::Point> run);
+  /// kExtend's distance condition for a point at `offset` from L, shared
+  /// by ProcessPoint and ExtendRun so the two cannot drift apart.
+  bool DistanceOk(double offset) const;
 
   void SetActive(geo::Vec2 pos, std::size_t idx, double radius);
   /// Determines the current segment (anchor -> active point) covering
@@ -206,23 +206,6 @@ class OperbStream {
   std::size_t next_index_ = 0;
   geo::Vec2 last_pos_;
   std::size_t last_index_ = 0;
-
-  // Speculation hints for the batched extend path (performance state
-  // only — never serialized, has no effect on output). The window grows
-  // while inactive runs fill it and shrinks when they end early; after
-  // consecutive zero-length runs (activation-dominated traffic) the next
-  // 2^streak extend points skip staging entirely, so profiles where
-  // every point rotates the line pay (almost) no kernel waste.
-  std::uint32_t extend_window_ = kExtendWindowMin;
-  std::uint32_t extend_zero_streak_ = 0;
-  std::uint32_t extend_skip_ = 0;
-
-  static constexpr std::uint32_t kExtendWindowMin = 8;
-
- public:
-  /// Capacity of the thread-local SoA staging buffers (the maximum batch
-  /// the simd kernels see per call); exposed for tests and benches.
-  static constexpr std::size_t kStageCapacity = 64;
 };
 
 /// Batch convenience wrapper: runs OperbStream over `trajectory`.

@@ -173,8 +173,8 @@ class StreamEngine::Shard {
   /// (different ids, or control updates between points) degrade to the
   /// point-wise path; a single producer replaying one trajectory gets
   /// runs the length of the ring batch, which is what lets the batched
-  /// SIMD staging inside OperbStream::Push(span) see real windows
-  /// instead of singletons.
+  /// lookahead inside OperbStream::Push(span) see real runs instead of
+  /// singletons.
   void ProcessBatch(const Update* updates, std::size_t n) {
     std::size_t i = 0;
     while (i < n) {

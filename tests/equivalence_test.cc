@@ -21,7 +21,6 @@
 #include "core/operb.h"
 #include "core/operb_a.h"
 #include "datagen/profiles.h"
-#include "geo/simd.h"
 #include "test_util.h"
 #include "traj/piecewise.h"
 #include "traj/trajectory.h"
@@ -66,40 +65,6 @@ TEST_P(EquivalenceTest, AllPathsMatchGolden) {
         via_sink.push_back(s);
       });
   ExpectSegmentsEqual(via_sink, golden, "SimplifyToSink");
-}
-
-/// Forced-scalar vs forced-SIMD: every algorithm, on every golden
-/// profile, must emit byte-identical segments at every dispatch level
-/// the host supports. This is the end-to-end counterpart of the
-/// per-kernel differential suite in simd_kernel_test.cc — it catches a
-/// kernel that is bitwise right in isolation but wired into the batch
-/// staging loop wrongly (mis-sliced windows, stale refresh_params).
-TEST_P(EquivalenceTest, DispatchLevelsAreByteIdentical) {
-  const auto [algo, kind] = GetParam();
-  const traj::Trajectory t = GoldenTrajectory(kind);
-  const auto simplifier = baselines::MakeSimplifier(algo, kGoldenZeta);
-
-  geo::simd::ForceLevel(geo::simd::Level::kScalar);
-  std::vector<traj::RepresentedSegment> scalar_out;
-  simplifier->SimplifyToSink(
-      t, [&scalar_out](const traj::RepresentedSegment& s) {
-        scalar_out.push_back(s);
-      });
-
-  for (geo::simd::Level level :
-       {geo::simd::Level::kSse2, geo::simd::Level::kAvx2,
-        geo::simd::Level::kNeon}) {
-    if (!geo::simd::Supported(level)) continue;
-    geo::simd::ForceLevel(level);
-    std::vector<traj::RepresentedSegment> simd_out;
-    simplifier->SimplifyToSink(
-        t, [&simd_out](const traj::RepresentedSegment& s) {
-          simd_out.push_back(s);
-        });
-    ExpectSegmentsEqual(simd_out, scalar_out,
-                        std::string(geo::simd::LevelName(level)));
-  }
-  geo::simd::ClearForcedLevel();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,13 @@
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -293,6 +300,301 @@ TEST(OperbEdgeTest, TinyZetaProducesManySegmentsButStaysBounded) {
   const auto rep = SimplifyOperb(t, OperbOptions::Optimized(0.5));
   EXPECT_TRUE(rep.ValidateAgainst(t).ok());
   EXPECT_TRUE(eval::VerifyErrorBound(t, rep, 0.5).bounded);
+}
+
+// ---------------------------------------------------------------------------
+// Push(span) vs point-wise Push on an adversarial corpus
+// ---------------------------------------------------------------------------
+
+/// Everything a stream produced: the serialized segment bytes in emission
+/// order, the stats, and the serialized dynamic state before Finish().
+struct StreamOutput {
+  std::vector<std::uint8_t> segments;
+  std::vector<std::uint8_t> state;
+  OperbStats stats;
+};
+
+/// Feeds `t` in chunks of `chunk` points through Push(span), or point by
+/// point when `chunk` is 0.
+StreamOutput RunStream(const traj::Trajectory& t, const OperbOptions& opts,
+                       std::size_t chunk) {
+  StreamOutput out;
+  OperbStream stream(opts);
+  stream.SetSink([&out](const traj::RepresentedSegment& s) {
+    traj::SerializeSegment(s, &out.segments);
+  });
+  const std::span<const geo::Point> all(t.points());
+  if (chunk == 0) {
+    for (const geo::Point& p : all) stream.Push(p);
+  } else {
+    for (std::size_t i = 0; i < all.size(); i += chunk) {
+      stream.Push(all.subspan(i, std::min(chunk, all.size() - i)));
+    }
+  }
+  stream.Serialize(&out.state);
+  stream.Finish();
+  out.stats = stream.stats();
+  return out;
+}
+
+struct AdversarialInput {
+  std::string name;
+  traj::Trajectory points;
+  /// False when some radius from an anchor is Inf or NaN. Such points
+  /// violate FittingFunction::PlanActivation's precondition, which
+  /// debug builds check (and abort on) in both paths alike.
+  bool finite = true;
+};
+
+// Inputs chosen to hit IEEE corner cases on every run type of the batched
+// path (absorb, seek, inactive extend): exact zeros of both signs,
+// denormals, overflow, NaN/Inf, and long runs that cross chunk edges.
+
+AdversarialInput CollinearInput() {
+  // Collinear runs with a back-step: every offset is a signed zero.
+  std::vector<std::pair<double, double>> xy;
+  for (int i = 0; i < 300; ++i) {
+    xy.push_back({i % 50 == 49 ? i * 3.0 - 40.0 : i * 3.0, 0.0});
+  }
+  return {"collinear", MakeTrajectory(xy)};
+}
+
+AdversarialInput DuplicatesInput() {
+  // Every point repeated, so each new anchor has duplicates at radius 0.
+  std::vector<std::pair<double, double>> xy;
+  const traj::Trajectory walk = RandomWalk(80, 5, 12.0);
+  for (const geo::Point& p : walk) {
+    for (int k = 0; k < 4; ++k) xy.push_back({p.x, p.y});
+  }
+  return {"duplicates", MakeTrajectory(xy)};
+}
+
+AdversarialInput SignedZerosInput() {
+  // +0 / -0 coordinates around the anchor, then a zero-mixed walk.
+  std::vector<std::pair<double, double>> xy;
+  for (int i = 0; i < 40; ++i) {
+    xy.push_back({i % 2 == 0 ? 0.0 : -0.0, i % 3 == 0 ? -0.0 : 0.0});
+  }
+  for (int i = 1; i < 200; ++i) {
+    const double x = (i / 20) * 30.0;
+    xy.push_back({i % 4 == 0 ? -0.0 : x, i % 5 == 0 ? -0.0 : (i % 7) * 2.0});
+  }
+  return {"signed_zeros", MakeTrajectory(xy)};
+}
+
+AdversarialInput DenormalsInput() {
+  // Denormal coordinates and offsets on and off a straight run.
+  std::vector<std::pair<double, double>> xy;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (int i = 0; i < 60; ++i) xy.push_back({i * 1e-310, (i % 3) * tiny});
+  for (int i = 0; i < 200; ++i) {
+    xy.push_back({i * 4.0, (i % 2 == 0 ? 1.0 : -1.0) * (i % 5) * 1e-312});
+  }
+  return {"denormals", MakeTrajectory(xy)};
+}
+
+AdversarialInput OverflowInput() {
+  // 1e306 steps: coordinates overflow to Inf part-way through.
+  std::vector<std::pair<double, double>> xy;
+  for (int i = 0; i < 40; ++i) xy.push_back({i * 2.0, i * 0.5});
+  for (int i = 1; i < 260; ++i) {
+    xy.push_back({i * 1e306, (i % 3) * 1e306});
+  }
+  return {"overflow", MakeTrajectory(xy), /*finite=*/false};
+}
+
+AdversarialInput NearZeroDirectionInput() {
+  // Near-zero directions: runs of 1e-300 steps between real moves.
+  std::vector<std::pair<double, double>> xy;
+  geo::Vec2 pos{0.0, 0.0};
+  for (int i = 0; i < 300; ++i) {
+    if (i % 10 == 9) {
+      pos.x += 25.0;
+      pos.y += (i % 20 == 9) ? 6.0 : -6.0;
+    } else {
+      pos.x += 1e-300;
+      pos.y -= 1e-300;
+    }
+    xy.push_back({pos.x, pos.y});
+  }
+  return {"near_zero_direction", MakeTrajectory(xy)};
+}
+
+AdversarialInput NanInfMidstreamInput() {
+  // A NaN point and an Inf point in the middle of a road profile.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  traj::Trajectory base = Generated(datagen::DatasetKind::kSerCar, 400, 11);
+  std::vector<std::pair<double, double>> xy;
+  for (const geo::Point& p : base) xy.push_back({p.x, p.y});
+  xy[130].first = nan;
+  xy[131].second = nan;
+  xy[260].first = inf;
+  xy[261] = {-inf, -inf};
+  return {"nan_inf_midstream", MakeTrajectory(xy), /*finite=*/false};
+}
+
+AdversarialInput NanInExtendRunInput(std::size_t bad) {
+  // A straight run whose offsets from L alternate +0 / -0, with one NaN
+  // offset planted at `bad` inside an inactive extend run.
+  std::vector<std::pair<double, double>> xy;
+  for (int i = 0; i < 160; ++i) {
+    xy.push_back({i * 0.25, i % 2 == 0 ? 0.0 : -0.0});
+  }
+  xy[bad].second = std::numeric_limits<double>::quiet_NaN();
+  return {"nan_in_extend_run_" + std::to_string(bad), MakeTrajectory(xy),
+          /*finite=*/false};
+}
+
+AdversarialInput FullDistanceBudgetInput(int pad, double side) {
+  // At zeta 10, (12, 0) is the first active point and L runs along the x
+  // axis. The inactive run after it holds `pad` on-line points, then
+  // offsets of exactly 5 on both sides, which fill the distance budget
+  // (d+max + d-max == zeta, |offset| == zeta / 2); the next point is just
+  // past it, so a run that starts there must accept nothing. `side`
+  // mirrors the motif. Axis-aligned geometry keeps the offsets exact.
+  std::vector<std::pair<double, double>> xy = {{0, 0}, {12, 0}};
+  for (int j = 0; j < pad; ++j) xy.push_back({11.9 - 0.1 * j, 0});
+  const std::pair<double, double> tail[] = {
+      {11, 5 * side},    {11, -5 * side}, {10.5, 5.000001 * side},
+      {10.5, -5 * side}, {10, 0},         {60, 0},
+      {60, 40}};
+  xy.insert(xy.end(), std::begin(tail), std::end(tail));
+  return {"full_distance_budget_pad" + std::to_string(pad) +
+              (side > 0 ? "_plus" : "_minus"),
+          MakeTrajectory(xy)};
+}
+
+AdversarialInput ExactThresholdsInput() {
+  // Distances of exactly zeta (10) from R_a and from an absorbing
+  // segment, then just past it: axis-aligned geometry keeps them free
+  // of rounding.
+  std::vector<std::pair<double, double>> xy = {
+      {0, 0},     {5, 0},      {100, 0},   {100, 10},
+      {101, 10},  {102, 10},   {101.5, 10}, {101, 0},
+      {102, -10}, {103, 10},   {104, -10}, {105, 10},
+      {106, -10}, {107, 10.000000001},     {106, 50},
+      {200, 50},  {200, 60},   {201, 60.000000001}, {150, 0}};
+  for (const geo::Point& p : RandomWalk(200, 9, 12.0)) {
+    xy.push_back({p.x + 150.0, p.y});
+  }
+  return {"exact_thresholds", MakeTrajectory(xy)};
+}
+
+AdversarialInput GeoLifeDenseInput() {
+  // Dense high-rate walking: long inactive runs across chunk edges.
+  datagen::DatasetProfile dense =
+      datagen::DatasetProfile::For(datagen::DatasetKind::kGeoLife);
+  dense.sampling_min_s = 0.2;
+  dense.sampling_max_s = 0.4;
+  datagen::Rng rng(301);
+  return {"GeoLife_dense", datagen::GenerateTrajectory(dense, 3000, &rng)};
+}
+
+std::vector<std::pair<std::string, OperbOptions>> AdversarialOptions() {
+  const double zeta = 10.0;
+  std::vector<std::pair<std::string, OperbOptions>> out;
+  out.emplace_back("raw", OperbOptions::Raw(zeta));
+  out.emplace_back("optimized", OperbOptions::Optimized(zeta));
+  OperbOptions o = OperbOptions::Optimized(zeta);
+  o.strict_bound_guard = false;
+  out.emplace_back("guard_off", o);
+  o = OperbOptions::Optimized(zeta);
+  o.opt_absorb = false;
+  out.emplace_back("absorb_off", o);
+  o = OperbOptions::Optimized(zeta);
+  o.opt_adjusted_distance = false;
+  out.emplace_back("adjusted_distance_off", o);
+  out.emplace_back("zeta40", OperbOptions::Optimized(40.0));
+  o = OperbOptions::Optimized(zeta);
+  o.max_points_per_segment = 7;  // cap breaks land inside batched runs
+  out.emplace_back("cap7", o);
+  return out;
+}
+
+/// Push(span) at chunk sizes 1, 2, 3, 7, 63, 64, 65 and the whole span
+/// must emit the same segment bytes, state and stats as point-wise Push,
+/// under every option set of AdversarialOptions().
+void ExpectSpanMatchesPointwise(const AdversarialInput& input) {
+#ifdef NDEBUG
+  constexpr bool kDebugChecks = false;
+#else
+  constexpr bool kDebugChecks = true;
+#endif
+  if (kDebugChecks && !input.finite) return;
+  const traj::Trajectory& t = input.points;
+  std::vector<std::size_t> sizes = {1, 2, 3, 7, 63, 64, 65};
+  sizes.push_back(t.size());  // the whole span at once
+  for (const auto& [opts_name, opts] : AdversarialOptions()) {
+    const StreamOutput want = RunStream(t, opts, 0);
+    for (std::size_t chunk : sizes) {
+      SCOPED_TRACE(input.name + " / " + opts_name + " / chunk " +
+                   std::to_string(chunk));
+      const StreamOutput got = RunStream(t, opts, chunk);
+      EXPECT_EQ(got.segments, want.segments);
+      EXPECT_EQ(got.state, want.state);
+      EXPECT_EQ(got.stats.points_processed, want.stats.points_processed);
+      EXPECT_EQ(got.stats.segments_emitted, want.stats.segments_emitted);
+      EXPECT_EQ(got.stats.points_absorbed, want.stats.points_absorbed);
+      EXPECT_EQ(got.stats.cap_breaks, want.stats.cap_breaks);
+    }
+  }
+}
+
+// One case per IEEE corner case. The suite is named for the vector
+// kernels these cases first covered; it now holds the scalar batched
+// runs (AbsorbRun, SeekRun, ExtendRun) to ProcessPoint's output.
+
+TEST(SimdKernelAdversarialTest, CollinearRunProducesIdenticalSignedZeros) {
+  ExpectSpanMatchesPointwise(CollinearInput());
+}
+
+TEST(SimdKernelAdversarialTest, DuplicatePointsAtTheAnchor) {
+  ExpectSpanMatchesPointwise(DuplicatesInput());
+}
+
+TEST(SimdKernelAdversarialTest, NegativeZeroCoordinates) {
+  ExpectSpanMatchesPointwise(SignedZerosInput());
+}
+
+TEST(SimdKernelAdversarialTest, NearZeroAnchorDirection) {
+  ExpectSpanMatchesPointwise(NearZeroDirectionInput());
+}
+
+TEST(SimdKernelAdversarialTest, DenormalCoordinates) {
+  ExpectSpanMatchesPointwise(DenormalsInput());
+}
+
+TEST(SimdKernelAdversarialTest, HugeCoordinatesOverflowingToInf) {
+  ExpectSpanMatchesPointwise(OverflowInput());
+}
+
+TEST(SimdKernelAdversarialTest, NanAndInfRejectionParity) {
+  ExpectSpanMatchesPointwise(NanInfMidstreamInput());
+}
+
+TEST(SimdKernelAdversarialTest, ExtendAcceptNanLanesAndSignedZeroOffsets) {
+  // The NaN lands on each side of the 63/64/65 chunk edges in turn.
+  for (std::size_t bad = 60; bad <= 66; ++bad) {
+    ExpectSpanMatchesPointwise(NanInExtendRunInput(bad));
+  }
+}
+
+TEST(SimdKernelAdversarialTest, ExtendAcceptSumNotOkShortCircuits) {
+  for (int pad = 0; pad < 8; ++pad) {
+    for (double side : {1.0, -1.0}) {
+      ExpectSpanMatchesPointwise(FullDistanceBudgetInput(pad, side));
+    }
+  }
+}
+
+TEST(OperbSpanTest, SpanPushMatchesPointwiseOnThresholdsAndProfiles) {
+  ExpectSpanMatchesPointwise(ExactThresholdsInput());
+  ExpectSpanMatchesPointwise(GeoLifeDenseInput());
+  for (datagen::DatasetKind kind : datagen::AllDatasetKinds()) {
+    ExpectSpanMatchesPointwise({std::string(datagen::DatasetName(kind)),
+                                Generated(kind, 2000, 17)});
+  }
 }
 
 }  // namespace
