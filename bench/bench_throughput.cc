@@ -29,8 +29,6 @@
 //                        MaxGauge::Observe, one histogram Record per
 //                        pass); the run FAILS if live metrics cost the
 //                        hot loop more than 3% over the plain loop
-//                        (which is what an OPERB_NO_METRICS build
-//                        compiles the instrumentation down to)
 //   store              — the sharded trajectory store (src/store): write
 //                        a spatially spread fleet's segments into a
 //                        manifest-driven shard directory (write
@@ -54,7 +52,7 @@
 //
 // Every simplifier-bearing record carries the resolved canonical spec
 // string of what ran; the header records the machine (nproc, CPU model,
-// compiler) the numbers came from (schema version 10).
+// compiler) the numbers came from (schema version 11).
 //
 // `--smoke` shrinks every dataset to a single fast pass (for CI), `--out
 // PATH` overrides the default ./BENCH_throughput.json. Later PRs
@@ -656,9 +654,8 @@ int main(int argc, char** argv) {
   // Metrics overhead: the obs instruments are amortized in the engine
   // (one batched Counter::Add + MaxGauge::Observe per ~64-point stride,
   // one LatencyHistogram::Record per flush) — so live metrics must cost
-  // the steady-state sink loop at most 3%. An OPERB_NO_METRICS build
-  // compiles the instrumented loop down to the plain one; this gate
-  // keeps the metrics-on default honest against it.
+  // the steady-state sink loop at most 3%. Metrics are always compiled
+  // in, so this gate is what keeps their cost honest.
   // ------------------------------------------------------------------
   std::vector<JsonRecord> metrics_records;
   {
@@ -724,7 +721,6 @@ int main(int argc, char** argv) {
     rec.Str("spec", "OPERB:zeta=40,fidelity=paper");
     rec.Str("profile", "SerCar");
     rec.Int("points", static_cast<long long>(total));
-    rec.Int("metrics_compiled_in", obs::kMetricsEnabled ? 1 : 0);
     rec.Num("plain_points_per_sec", static_cast<double>(total) / plain_s);
     rec.Num("instrumented_points_per_sec",
             static_cast<double>(total) / instrumented_s);
@@ -1386,7 +1382,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"operb-bench-throughput\",\n"
-               "  \"schema_version\": 10,\n"
+               "  \"schema_version\": 11,\n"
                "  \"smoke\": %s,\n"
                "  \"unix_time\": %lld,\n"
                "  \"zeta\": %g,\n"

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates BENCH_throughput.json against the operb-bench-throughput
-schema (version 10). Stdlib-only so CI needs no extra packages.
+schema (version 11). Stdlib-only so CI needs no extra packages.
 
 Beyond shape checks, the store section carries semantic gates: the
 R-tree index must never skip fewer blocks than the flat footer scan, the
@@ -21,7 +21,9 @@ OPERB's point-wise Push against its batched span Push: every row's
 output hash pair must match (bit-identity is non-negotiable in smoke and
 full mode alike), and in full mode the dense-profile row must show at
 least a 2x pointwise->batched speedup. Since v10 the header also records
-the machine the numbers came from (nproc, CPU model, compiler).
+the machine the numbers came from (nproc, CPU model, compiler). v11
+drops metrics_overhead.metrics_compiled_in: metrics are always compiled
+in, so the field could only ever read 1.
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -122,7 +124,6 @@ SECTION_FIELDS = {
         "spec": str,
         "profile": str,
         "points": int,
-        "metrics_compiled_in": int,
         "plain_points_per_sec": NUMBER,
         "instrumented_points_per_sec": NUMBER,
         "overhead_pct": NUMBER,
@@ -224,7 +225,7 @@ def main():
             fail(f"top-level key '{key}' has wrong type")
     if doc["schema"] != "operb-bench-throughput":
         fail(f"unexpected schema '{doc['schema']}'")
-    if doc["schema_version"] != 10:
+    if doc["schema_version"] != 11:
         fail(f"unexpected schema_version {doc['schema_version']}")
 
     for section, fields in SECTION_FIELDS.items():
@@ -271,8 +272,6 @@ def main():
                         or entry["plain_points_per_sec"] <= 0
                         or entry["instrumented_points_per_sec"] <= 0):
                     fail(f"{section}[{i}] has non-positive throughput")
-                if entry["metrics_compiled_in"] not in (0, 1):
-                    fail(f"{section}[{i}].metrics_compiled_in must be 0/1")
                 if not doc["smoke"] and entry["overhead_pct"] > 3.0:
                     fail(f"{section}[{i}] metrics overhead "
                          f"{entry['overhead_pct']:.1f}% exceeds the 3% "
@@ -422,7 +421,7 @@ def main():
             if not entry["spec"].startswith(entry["algorithm"] + ":"):
                 fail(f"{section}[{i}].spec '{entry['spec']}' does not "
                      f"resolve to algorithm '{entry['algorithm']}'")
-    print(f"{sys.argv[1]}: valid operb-bench-throughput v10 "
+    print(f"{sys.argv[1]}: valid operb-bench-throughput v11 "
           f"({len(doc['steady_state'])} steady-state entries, "
           f"{len(doc['batched_vs_pointwise'])} batched-vs-pointwise "
           "entries, "

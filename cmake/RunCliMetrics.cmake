@@ -17,11 +17,7 @@ endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # Checks one snapshot file: parses as JSON, carries the schema header,
-# and the named counter is present with a positive value. An
-# OPERB_NO_METRICS build compiles recording out but still writes the
-# snapshot — an entirely empty counters object is accepted as that
-# case (a partially wired build would still carry other counters and
-# fail the named lookup).
+# and the named counter is present with a positive value.
 function(check_snapshot path want_counter)
   if(NOT EXISTS "${path}")
     message(FATAL_ERROR "metrics snapshot ${path} was not written")
@@ -43,13 +39,6 @@ function(check_snapshot path want_counter)
       message(FATAL_ERROR "${path}: missing section '${section}': ${err}")
     endif()
   endforeach()
-  string(JSON counter_count ERROR_VARIABLE err LENGTH "${doc}" counters)
-  if(err)
-    message(FATAL_ERROR "${path}: counters is not an object: ${err}")
-  endif()
-  if(counter_count EQUAL 0)
-    return()  # metrics compiled out (OPERB_NO_METRICS)
-  endif()
   string(JSON value ERROR_VARIABLE err GET "${doc}" counters
          "${want_counter}")
   if(err)

@@ -24,6 +24,9 @@ set(cases
   "malformed_spec|--spec OPERB:zeta"
   "bad_fidelity|--fidelity fast"
   "zero_threads|--group-by-id --threads 0"
+  "threads_without_group_by_id|--threads 8 --generate Taxi:300"
+  "shards_without_group_by_id|--shards 3 --generate Taxi:300"
+  "objects_without_group_by_id|--objects 5 --generate Taxi:300"
   "unknown_flag|--wibble"
   "bad_generate|--generate Nowhere:100"
   "query_without_shape|--query nowhere.store"

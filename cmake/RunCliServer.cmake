@@ -237,6 +237,48 @@ if(NOT result EQUAL 2)
     "${result}\n${stderr}")
 endif()
 
+# operb_server's own flags: a bad value, an unknown flag, a trailing
+# --store without its value and a missing --store each exit 2 with a
+# diagnostic before any daemon starts. The timeout turns a wrongly
+# accepted value into a failure instead of a hang.
+function(expect_server_usage label)
+  execute_process(
+    COMMAND "${OPERB_SERVER}" ${ARGN}
+    RESULT_VARIABLE result
+    OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+    TIMEOUT 10)
+  if(NOT result EQUAL 2 OR stderr STREQUAL "")
+    message(FATAL_ERROR
+      "operb_server ${label}: expected exit 2 and a diagnostic, got "
+      "'${result}'\n${stdout}\n${stderr}")
+  endif()
+endfunction()
+set(store --store "${WORK_DIR}/negative.store")
+expect_server_usage("--port 70000" ${store} --port 70000)
+expect_server_usage("--threads 0" ${store} --threads 0)
+expect_server_usage("--ring-capacity 0" ${store} --ring-capacity 0)
+expect_server_usage("--store-shards 70000" ${store} --store-shards 70000)
+expect_server_usage("--seal-interval -1" ${store} --seal-interval -1)
+expect_server_usage("--seal-interval nan" ${store} --seal-interval nan)
+expect_server_usage("--seal-interval 1x" ${store} --seal-interval 1x)
+expect_server_usage("--wibble" ${store} --wibble)
+expect_server_usage("trailing --store" --port 0 --store)
+expect_server_usage("missing --store" --port 0)
+
+# --help prints the usage and exits 0, for both tools.
+foreach(tool "${OPERB_CLI}" "${OPERB_SERVER}")
+  execute_process(
+    COMMAND "${tool}" --help
+    RESULT_VARIABLE result
+    OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+    TIMEOUT 10)
+  if(NOT result EQUAL 0 OR NOT stdout MATCHES "this text")
+    message(FATAL_ERROR
+      "${tool} --help: expected exit 0 and the usage, got "
+      "'${result}'\n${stdout}\n${stderr}")
+  endif()
+endforeach()
+
 message(STATUS
   "operb_server smoke passed (4 profiles x {live,sealed,post-shutdown} "
-  "byte-identity + SIGTERM reopen + 3 exit-code negatives)")
+  "byte-identity + SIGTERM reopen + 13 exit-code negatives + 2 --help)")

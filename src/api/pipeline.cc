@@ -107,15 +107,11 @@ void WriteMetricsSnapshot(const std::string& path, store::Env* env,
   const Status s = obs::WriteSnapshotJson(path, {}, std::move(write));
   if (s.ok()) {
     ++report->snapshots_written;
-    if constexpr (obs::kMetricsEnabled) {
-      GetPipelineMetrics().snapshots_written->Increment();
-    }
+    GetPipelineMetrics().snapshots_written->Increment();
     return;
   }
   ++report->snapshot_failures;
-  if constexpr (obs::kMetricsEnabled) {
-    GetPipelineMetrics().snapshot_failures->Increment();
-  }
+  GetPipelineMetrics().snapshot_failures->Increment();
   std::fprintf(stderr, "operb: metrics snapshot to %s failed: %s\n",
                path.c_str(), s.ToString().c_str());
 }
@@ -123,13 +119,11 @@ void WriteMetricsSnapshot(const std::string& path, store::Env* env,
 /// Folds the run's headline counters into the registry once the report
 /// is final.
 void FoldRunCounters(const PipelineReport& report) {
-  if constexpr (obs::kMetricsEnabled) {
-    PipelineMetrics& m = GetPipelineMetrics();
-    m.runs->Increment();
-    m.points_in->Add(report.points_in);
-    m.points_kept->Add(report.points_kept);
-    m.segments_out->Add(report.segments);
-  }
+  PipelineMetrics& m = GetPipelineMetrics();
+  m.runs->Increment();
+  m.points_in->Add(report.points_in);
+  m.points_kept->Add(report.points_kept);
+  m.segments_out->Add(report.segments);
 }
 
 }  // namespace
@@ -355,8 +349,7 @@ Result<PipelineReport> Pipeline::RunSingle() {
   std::vector<geo::Point> raw;
   traj::Trajectory input;
   {
-    obs::ScopedTimer ingest_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().ingest_ns : nullptr);
+    obs::ScopedTimer ingest_timer(GetPipelineMetrics().ingest_ns);
     switch (cfg.source_) {
       case Builder::Source::kTrajectory:
         input = std::move(cfg.trajectory_);
@@ -397,8 +390,7 @@ Result<PipelineReport> Pipeline::RunSingle() {
 
   traj::Trajectory cleaned;
   if (cfg.clean_) {
-    obs::ScopedTimer clean_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().clean_ns : nullptr);
+    obs::ScopedTimer clean_timer(GetPipelineMetrics().clean_ns);
     if (raw.empty()) raw = input.points();  // trajectory / PLT sources
     report.points_in = raw.size();
     traj::StreamCleaner cleaner(cfg.cleaner_options_);
@@ -452,8 +444,7 @@ Result<PipelineReport> Pipeline::RunSingle() {
   Stopwatch watch;
   {
     obs::TraceSpan span("pipeline.simplify");
-    obs::ScopedTimer simplify_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().simplify_ns : nullptr);
+    obs::ScopedTimer simplify_timer(GetPipelineMetrics().simplify_ns);
     if (cleaned.size() >= 2) {
       simplifier->Push(std::span<const geo::Point>(cleaned.points()));
       simplifier->Finish();
@@ -462,9 +453,7 @@ Result<PipelineReport> Pipeline::RunSingle() {
   report.simplify_seconds = watch.ElapsedSeconds();
 
   if (store_writer != nullptr) {
-    obs::ScopedTimer close_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().store_close_ns
-                             : nullptr);
+    obs::ScopedTimer close_timer(GetPipelineMetrics().store_close_ns);
     OPERB_RETURN_IF_ERROR(store_writer->Close());
     report.store_ran = true;
     report.store_path = cfg.store_path_;
@@ -472,8 +461,7 @@ Result<PipelineReport> Pipeline::RunSingle() {
   }
 
   if (cfg.verify_) {
-    obs::ScopedTimer verify_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().verify_ns : nullptr);
+    obs::ScopedTimer verify_timer(GetPipelineMetrics().verify_ns);
     report.verify_ran = true;
     const eval::VerificationResult verdict = eval::VerifyErrorBound(
         cleaned, rep, cfg.spec_.zeta, cfg.verify_slack_);
@@ -483,8 +471,7 @@ Result<PipelineReport> Pipeline::RunSingle() {
   }
 
   if (cfg.delta_) {
-    obs::ScopedTimer delta_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().delta_ns : nullptr);
+    obs::ScopedTimer delta_timer(GetPipelineMetrics().delta_ns);
     report.delta_bytes =
         codec::DeltaEncode(cleaned, cfg.delta_options_).size();
     report.delta_ratio =
@@ -508,8 +495,7 @@ Result<PipelineReport> Pipeline::RunEngine() {
   Builder& cfg = config_;
   std::vector<traj::ObjectUpdate> updates;
   {
-    obs::ScopedTimer ingest_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().ingest_ns : nullptr);
+    obs::ScopedTimer ingest_timer(GetPipelineMetrics().ingest_ns);
     switch (cfg.source_) {
       case Builder::Source::kUpdates:
         updates = std::move(cfg.updates_);
@@ -551,8 +537,7 @@ Result<PipelineReport> Pipeline::RunEngine() {
   report.points_in = updates.size();
 
   if (cfg.clean_) {
-    obs::ScopedTimer clean_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().clean_ns : nullptr);
+    obs::ScopedTimer clean_timer(GetPipelineMetrics().clean_ns);
     // Cleaning is a per-stream repair: one cleaner per object id.
     std::unordered_map<traj::ObjectId, traj::StreamCleaner> cleaners;
     std::vector<traj::ObjectUpdate> kept;
@@ -644,8 +629,7 @@ Result<PipelineReport> Pipeline::RunEngine() {
   Stopwatch watch;
   {
     obs::TraceSpan span("pipeline.simplify");
-    obs::ScopedTimer simplify_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().simplify_ns : nullptr);
+    obs::ScopedTimer simplify_timer(GetPipelineMetrics().simplify_ns);
     const bool do_checkpoint = !cfg.checkpoint_path_.empty();
     const std::size_t snap_every = cfg.metrics_ ? cfg.metrics_every_ : 0;
     if (do_checkpoint || snap_every > 0) {
@@ -701,9 +685,7 @@ Result<PipelineReport> Pipeline::RunEngine() {
   report.segments = static_cast<std::size_t>(report.engine_stats.segments);
 
   if (store_writer != nullptr) {
-    obs::ScopedTimer close_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().store_close_ns
-                             : nullptr);
+    obs::ScopedTimer close_timer(GetPipelineMetrics().store_close_ns);
     OPERB_RETURN_IF_ERROR(store_writer->Close());
     report.store_ran = true;
     report.store_path = cfg.store_path_;
@@ -721,8 +703,7 @@ Result<PipelineReport> Pipeline::RunEngine() {
   }
 
   if (cfg.verify_) {
-    obs::ScopedTimer verify_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().verify_ns : nullptr);
+    obs::ScopedTimer verify_timer(GetPipelineMetrics().verify_ns);
     report.verify_ran = true;
     report.verified = true;
     // `collected` is sorted by id: walk each object's contiguous run.
@@ -757,8 +738,7 @@ Result<PipelineReport> Pipeline::RunEngine() {
   }
 
   if (cfg.delta_) {
-    obs::ScopedTimer delta_timer(
-        obs::kMetricsEnabled ? GetPipelineMetrics().delta_ns : nullptr);
+    obs::ScopedTimer delta_timer(GetPipelineMetrics().delta_ns);
     for (const traj::ObjectTrajectory& obj : grouped) {
       report.delta_bytes +=
           codec::DeltaEncode(obj.trajectory, cfg.delta_options_).size();

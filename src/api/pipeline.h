@@ -30,9 +30,7 @@ namespace operb::api {
 /// The counters and stage timings here are the *per-run view* of the
 /// `pipeline.*` instruments in obs::MetricsRegistry::Global()
 /// (DESIGN.md §10): every run folds the same numbers into the registry,
-/// so a metrics snapshot shows them accumulated across runs. The report
-/// keeps working unchanged with OPERB_NO_METRICS (only the fold
-/// compiles out).
+/// so a metrics snapshot shows them accumulated across runs.
 struct PipelineReport {
   /// Resolved canonical spec string of the simplifier that ran.
   std::string spec;

@@ -351,11 +351,9 @@ class StreamEngine::Shard {
       (*req.visitor)(s->id, std::span<const traj::TimedSegment>(
                                 snapshot_tail_));
     }
-    if constexpr (obs::kMetricsEnabled) {
-      EngineMetrics& m = GetEngineMetrics();
-      m.tails_cloned->Add(visit_.size());
-      m.tails_skipped->Add(skipped);
-    }
+    EngineMetrics& m = GetEngineMetrics();
+    m.tails_cloned->Add(visit_.size());
+    m.tails_skipped->Add(skipped);
   }
 
   /// Appends this shard's checkpoint section: live objects in ascending
@@ -611,11 +609,9 @@ class StreamEngine::Shard {
     live_census_->fetch_sub(1, std::memory_order_relaxed);
     ++objects_finished_;
     if (idle) ++idle_evictions_;
-    if constexpr (obs::kMetricsEnabled) {
-      EngineMetrics& m = GetEngineMetrics();
-      m.objects_finished->Increment();
-      if (idle) m.states_evicted->Increment();
-    }
+    EngineMetrics& m = GetEngineMetrics();
+    m.objects_finished->Increment();
+    if (idle) m.states_evicted->Increment();
   }
 
   /// Timestamps of one object's points since its last emitted segment
@@ -776,9 +772,7 @@ Status StreamEngine::Checkpoint(const std::string& path, store::Env* env) {
   if (closed()) {
     return Status::InvalidArgument("checkpoint of a closed engine");
   }
-  obs::ScopedTimer write_timer(
-      obs::kMetricsEnabled ? GetEngineMetrics().checkpoint_write_ns
-                           : nullptr);
+  obs::ScopedTimer write_timer(GetEngineMetrics().checkpoint_write_ns);
   obs::TraceSpan span("engine.checkpoint");
   // Drain barrier: hand every staged update to the rings, then wait for
   // each shard's processed count (released by the worker after the
@@ -833,9 +827,7 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(
     const std::string& path, const StreamEngineOptions& options,
     TaggedSegmentSink sink) {
   OPERB_RETURN_IF_ERROR(options.Validate());
-  obs::ScopedTimer restore_timer(
-      obs::kMetricsEnabled ? GetEngineMetrics().checkpoint_restore_ns
-                           : nullptr);
+  obs::ScopedTimer restore_timer(GetEngineMetrics().checkpoint_restore_ns);
   obs::TraceSpan span("engine.restore");
 
   // Reads go through stdio like every store read path; the Env seam
@@ -933,10 +925,8 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(
   // exceeded the checkpointed peak mid-rebuild — it cannot (the peak
   // covered these very objects), so re-assert the checkpointed value.
   engine->peak_live_.store(peak, std::memory_order_relaxed);
-  if constexpr (obs::kMetricsEnabled) {
-    GetEngineMetrics().states_restored->Add(
-        engine->live_objects_.load(std::memory_order_relaxed));
-  }
+  GetEngineMetrics().states_restored->Add(
+      engine->live_objects_.load(std::memory_order_relaxed));
   engine->StartWorkers();
   return engine;
 }
@@ -1019,23 +1009,19 @@ void StreamEngine::FlushShard(std::size_t shard) {
       // Ring full: backpressure. The consumer is guaranteed to make
       // progress, so yielding (not dropping, not growing) is sound.
       ++stats_.ring_full_stalls;
-      if constexpr (obs::kMetricsEnabled) {
-        GetEngineMetrics().backpressure_yields->Increment();
-      }
+      GetEngineMetrics().backpressure_yields->Increment();
       std::this_thread::yield();
     }
   }
   pushed_[shard].fetch_add(batch.size(), std::memory_order_relaxed);
-  if constexpr (obs::kMetricsEnabled) {
-    EngineMetrics& m = GetEngineMetrics();
-    m.points_routed->Add(batch.size());
-    // In-flight updates in this shard's ring right now; sampled per
-    // producer batch, so the high-water is a lower bound on the true
-    // instantaneous peak.
-    m.ring_occupancy_hwm->Observe(static_cast<std::int64_t>(
-        pushed_[shard].load(std::memory_order_relaxed) -
-        shards_[shard]->processed.load(std::memory_order_relaxed)));
-  }
+  EngineMetrics& m = GetEngineMetrics();
+  m.points_routed->Add(batch.size());
+  // In-flight updates in this shard's ring right now; sampled per
+  // producer batch, so the high-water is a lower bound on the true
+  // instantaneous peak.
+  m.ring_occupancy_hwm->Observe(static_cast<std::int64_t>(
+      pushed_[shard].load(std::memory_order_relaxed) -
+      shards_[shard]->processed.load(std::memory_order_relaxed)));
   batch.clear();
 }
 
@@ -1061,9 +1047,7 @@ void StreamEngine::Tick(double watermark) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     while (shards_[s]->ring.TryPush(&tick, 1) == 0) {
       ++stats_.ring_full_stalls;
-      if constexpr (obs::kMetricsEnabled) {
-        GetEngineMetrics().backpressure_yields->Increment();
-      }
+      GetEngineMetrics().backpressure_yields->Increment();
       std::this_thread::yield();
     }
     pushed_[s].fetch_add(1, std::memory_order_relaxed);
@@ -1189,9 +1173,7 @@ void StreamEngine::Close() {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     while (shards_[s]->ring.TryPush(&close_all, 1) == 0) {
       ++stats_.ring_full_stalls;
-      if constexpr (obs::kMetricsEnabled) {
-        GetEngineMetrics().backpressure_yields->Increment();
-      }
+      GetEngineMetrics().backpressure_yields->Increment();
       std::this_thread::yield();
     }
     pushed_[s].fetch_add(1, std::memory_order_relaxed);

@@ -24,20 +24,8 @@
 /// across cache-line-padded slots). Reads aggregate the slots; a
 /// snapshot is therefore per-instrument atomic but not mutually
 /// consistent across instruments (see the DESIGN.md caveat).
-///
-/// `OPERB_NO_METRICS` does NOT change this header's behavior — the
-/// library is always fully functional so obs_test passes in every
-/// config. The macro only flips `kMetricsEnabled`, which the
-/// engine/store/pipeline call sites use to compile their
-/// instrumentation out (`if constexpr (obs::kMetricsEnabled)`).
 
 namespace operb::obs {
-
-#ifdef OPERB_NO_METRICS
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
 
 /// Slots per striped instrument. Threads are assigned round-robin, so
 /// up to 16 writers never share a cache line; more wrap around.

@@ -225,9 +225,7 @@ Result<bool> TrajectoryServer::Ingest(
     if (touched[s] &&
         static_cast<double>(engine_->RingOccupancy(s)) > busy_at) {
       backpressure_rejects_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (obs::kMetricsEnabled) {
-        GetServerMetrics().backpressure_rejects->Increment();
-      }
+      GetServerMetrics().backpressure_rejects->Increment();
       return false;
     }
   }
@@ -240,9 +238,7 @@ Result<bool> TrajectoryServer::Ingest(
     engine_->Flush();
   }
   ingest_points_.fetch_add(updates.size(), std::memory_order_relaxed);
-  if constexpr (obs::kMetricsEnabled) {
-    GetServerMetrics().ingest_points->Add(updates.size());
-  }
+  GetServerMetrics().ingest_points->Add(updates.size());
   return true;
 }
 
@@ -520,7 +516,7 @@ void TrajectoryServer::SealerLoop() {
 
 void TrajectoryServer::ServeConnection(Connection* conn) {
   connections_open_.fetch_add(1, std::memory_order_relaxed);
-  if constexpr (obs::kMetricsEnabled) GetServerMetrics().connections->Add(1);
+  GetServerMetrics().connections->Add(1);
   for (;;) {
     std::uint8_t tag = 0;
     std::vector<std::uint8_t> body;
@@ -528,7 +524,7 @@ void TrajectoryServer::ServeConnection(Connection* conn) {
     if (!Dispatch(conn, static_cast<Verb>(tag), body)) break;
   }
   connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  if constexpr (obs::kMetricsEnabled) GetServerMetrics().connections->Sub(1);
+  GetServerMetrics().connections->Sub(1);
   // The socket stays open (not Close()d) until ReapConnections joins
   // and destroys us: Stop()'s ShutdownBoth may race this exit, and
   // shutdown(2) on a still-open descriptor is safe where close is not.
@@ -537,7 +533,7 @@ void TrajectoryServer::ServeConnection(Connection* conn) {
 
 bool TrajectoryServer::Dispatch(Connection* conn, Verb verb,
                                 std::span<const std::uint8_t> body) {
-  if constexpr (obs::kMetricsEnabled) GetServerMetrics().requests->Increment();
+  GetServerMetrics().requests->Increment();
   std::size_t pos = 0;
   const auto malformed = [&]() {
     return SendError(conn->sock,
@@ -588,9 +584,7 @@ bool TrajectoryServer::Dispatch(Connection* conn, Verb verb,
         return malformed();
       }
       Result<std::vector<traj::TimedSegment>> r = [&] {
-        obs::ScopedTimer timer(obs::kMetricsEnabled
-                                   ? GetServerMetrics().query_ns
-                                   : nullptr);
+        obs::ScopedTimer timer(GetServerMetrics().query_ns);
         return QueryObject(id, t_min, t_max);
       }();
       if (!r.ok()) return SendError(conn->sock, r.status()).ok();
@@ -611,9 +605,7 @@ bool TrajectoryServer::Dispatch(Connection* conn, Verb verb,
         return malformed();
       }
       Result<std::vector<traj::TimedSegment>> r = [&] {
-        obs::ScopedTimer timer(obs::kMetricsEnabled
-                                   ? GetServerMetrics().query_ns
-                                   : nullptr);
+        obs::ScopedTimer timer(GetServerMetrics().query_ns);
         return QueryWindow(window, t_min, t_max, flat != 0);
       }();
       if (!r.ok()) return SendError(conn->sock, r.status()).ok();
@@ -627,9 +619,7 @@ bool TrajectoryServer::Dispatch(Connection* conn, Verb verb,
         return malformed();
       }
       Result<geo::Point> r = [&] {
-        obs::ScopedTimer timer(obs::kMetricsEnabled
-                                   ? GetServerMetrics().query_ns
-                                   : nullptr);
+        obs::ScopedTimer timer(GetServerMetrics().query_ns);
         return PositionAt(id, t);
       }();
       if (!r.ok()) return SendError(conn->sock, r.status()).ok();

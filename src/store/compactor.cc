@@ -36,15 +36,13 @@ std::string CompactionTempName(std::uint32_t shard,
 /// Folds a finished pass's stats into the registry — the cumulative
 /// counterpart of the CompactionStats the caller gets back.
 void FoldCompactionStats(const CompactionStats& s) {
-  if constexpr (obs::kMetricsEnabled) {
-    StoreWriteMetrics& m = GetStoreWriteMetrics();
-    m.compaction_passes->Increment();
-    m.compaction_bytes_read->Add(s.bytes_read);
-    m.compaction_bytes_written->Add(s.bytes_written);
-    m.compaction_segments_rewritten->Add(s.segments_rewritten);
-    m.compaction_write_amp_milli->Observe(
-        static_cast<std::int64_t>(s.write_amplification * 1000.0));
-  }
+  StoreWriteMetrics& m = GetStoreWriteMetrics();
+  m.compaction_passes->Increment();
+  m.compaction_bytes_read->Add(s.bytes_read);
+  m.compaction_bytes_written->Add(s.bytes_written);
+  m.compaction_segments_rewritten->Add(s.segments_rewritten);
+  m.compaction_write_amp_milli->Observe(
+      static_cast<std::int64_t>(s.write_amplification * 1000.0));
 }
 
 }  // namespace
@@ -257,9 +255,7 @@ Status Compactor::CompactShardPass(std::uint32_t shard, bool force,
 }
 
 Result<CompactionStats> Compactor::Run() {
-  obs::ScopedTimer pass_timer(obs::kMetricsEnabled
-                                  ? GetStoreWriteMetrics().compaction_pass_ns
-                                  : nullptr);
+  obs::ScopedTimer pass_timer(GetStoreWriteMetrics().compaction_pass_ns);
   obs::TraceSpan span("store.compaction.run");
   CompactionStats stats;
   std::uint32_t num_shards = 0;

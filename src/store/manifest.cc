@@ -196,12 +196,10 @@ Status WriteManifest(const std::string& dir, const Manifest& manifest,
     (void)env->Remove(tmp);
     return renamed;
   }
-  if constexpr (obs::kMetricsEnabled) {
-    StoreWriteMetrics& m = GetStoreWriteMetrics();
-    m.manifest_commits->Increment();
-    m.file_flushes->Increment();
-    m.bytes_written->Add(bytes.size());
-  }
+  StoreWriteMetrics& m = GetStoreWriteMetrics();
+  m.manifest_commits->Increment();
+  m.file_flushes->Increment();
+  m.bytes_written->Add(bytes.size());
   return Status::OK();
 }
 

@@ -54,14 +54,12 @@ ReaderMetrics& GetReaderMetrics() {
 
 /// The per-query half of the fold (open_retries folds at Open time).
 void FoldQueryStats(const StoreQueryStats& s) {
-  if constexpr (obs::kMetricsEnabled) {
-    ReaderMetrics& m = GetReaderMetrics();
-    m.blocks_scanned->Add(s.blocks_scanned);
-    m.blocks_skipped->Add(s.blocks_skipped);
-    m.segments_scanned->Add(s.segments_scanned);
-    m.segments_matched->Add(s.segments_matched);
-    m.index_nodes_visited->Add(s.index_nodes_visited);
-  }
+  ReaderMetrics& m = GetReaderMetrics();
+  m.blocks_scanned->Add(s.blocks_scanned);
+  m.blocks_skipped->Add(s.blocks_skipped);
+  m.segments_scanned->Add(s.segments_scanned);
+  m.segments_matched->Add(s.segments_matched);
+  m.index_nodes_visited->Add(s.index_nodes_visited);
 }
 
 /// Backoff schedule of Open()'s manifest-swap retry: first wait, the
@@ -101,8 +99,7 @@ void StoreReader::SetRetrySleepHookForTest(
 Result<std::unique_ptr<StoreReader>> StoreReader::Open(
     const std::string& path) {
   namespace fs = std::filesystem;
-  obs::ScopedTimer open_timer(
-      obs::kMetricsEnabled ? GetReaderMetrics().open_ns : nullptr);
+  obs::ScopedTimer open_timer(GetReaderMetrics().open_ns);
   std::unique_ptr<StoreReader> reader(new StoreReader());
 
   std::error_code ec;
@@ -132,9 +129,7 @@ Result<std::unique_ptr<StoreReader>> StoreReader::Open(
   }
   OPERB_RETURN_IF_ERROR(open);
   reader->open_info_.open_retries = retries;
-  if constexpr (obs::kMetricsEnabled) {
-    GetReaderMetrics().open_retries->Add(retries);
-  }
+  GetReaderMetrics().open_retries->Add(retries);
 
   // Bulk-load the hierarchical index from the footers just scanned.
   std::vector<BlockIndexEntry> entries;
@@ -152,7 +147,7 @@ Result<std::unique_ptr<StoreReader>> StoreReader::Open(
     entries.push_back(e);
   }
   reader->index_.Build(std::move(entries));
-  if constexpr (obs::kMetricsEnabled) GetReaderMetrics().opens->Increment();
+  GetReaderMetrics().opens->Increment();
   return reader;
 }
 
@@ -201,8 +196,7 @@ Result<std::vector<traj::TimedSegment>> StoreReader::ReadBlock(
 Result<std::vector<traj::TimedSegment>> StoreReader::ReconstructObject(
     traj::ObjectId object_id, double t_min, double t_max,
     StoreQueryStats* stats) const {
-  obs::ScopedTimer timer(
-      obs::kMetricsEnabled ? GetReaderMetrics().reconstruct_ns : nullptr);
+  obs::ScopedTimer timer(GetReaderMetrics().reconstruct_ns);
   StoreQueryStats local;
   local.blocks_total = blocks_.size();
   local.open_retries = open_info_.open_retries;
@@ -239,8 +233,7 @@ Result<std::vector<traj::TimedSegment>> StoreReader::ReconstructObject(
 Result<std::vector<traj::TimedSegment>> StoreReader::QueryWindow(
     const geo::BoundingBox& window, double t_min, double t_max,
     StoreQueryStats* stats, ScanMode mode) const {
-  obs::ScopedTimer timer(
-      obs::kMetricsEnabled ? GetReaderMetrics().window_query_ns : nullptr);
+  obs::ScopedTimer timer(GetReaderMetrics().window_query_ns);
   StoreQueryStats local;
   local.blocks_total = blocks_.size();
   local.open_retries = open_info_.open_retries;
@@ -307,8 +300,7 @@ Result<std::vector<traj::TimedSegment>> StoreReader::QueryWindow(
 Result<geo::Point> StoreReader::PositionAt(traj::ObjectId object_id,
                                            double t,
                                            StoreQueryStats* stats) const {
-  obs::ScopedTimer timer(
-      obs::kMetricsEnabled ? GetReaderMetrics().position_at_ns : nullptr);
+  obs::ScopedTimer timer(GetReaderMetrics().position_at_ns);
   OPERB_ASSIGN_OR_RETURN(const std::vector<traj::TimedSegment> covering,
                          ReconstructObject(object_id, t, t, stats));
   for (const traj::TimedSegment& s : covering) {

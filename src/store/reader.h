@@ -57,9 +57,7 @@ enum class ScanMode {
 /// This struct is the per-call view of the `store.query.*` registry
 /// instruments (DESIGN.md §10): every query folds the same increments
 /// into `obs::MetricsRegistry::Global()`, so a metrics snapshot shows
-/// these numbers accumulated across all queries. Per-call values keep
-/// working unchanged with OPERB_NO_METRICS (only the fold compiles
-/// out).
+/// these numbers accumulated across all queries.
 struct StoreQueryStats {
   std::uint64_t blocks_total = 0;
   std::uint64_t blocks_skipped = 0;

@@ -228,12 +228,10 @@ Status SegmentFileWriter::WriteBlockLocked(
   ++stats_.blocks;
   stats_.payload_bytes += payload.size();
   stats_.file_bytes += frame.size();
-  if constexpr (obs::kMetricsEnabled) {
-    StoreWriteMetrics& m = GetStoreWriteMetrics();
-    m.blocks_sealed->Increment();
-    m.file_flushes->Increment();
-    m.bytes_written->Add(frame.size());
-  }
+  StoreWriteMetrics& m = GetStoreWriteMetrics();
+  m.blocks_sealed->Increment();
+  m.file_flushes->Increment();
+  m.bytes_written->Add(frame.size());
   return Status::OK();
 }
 

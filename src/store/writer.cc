@@ -142,9 +142,7 @@ Status StoreWriter::Append(const traj::TimedSegment& segment) {
   }
   const std::size_t shard =
       traj::ShardOfObject(segment.object_id, shards_.size());
-  if constexpr (obs::kMetricsEnabled) {
-    GetStoreWriteMetrics().segments_appended->Increment();
-  }
+  GetStoreWriteMetrics().segments_appended->Increment();
   return shards_[shard]->Append(segment);
 }
 

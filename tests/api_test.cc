@@ -613,13 +613,9 @@ TEST(PipelineTest, MetricsSnapshotsWritePeriodicallyAndParseBack) {
   const auto parsed = obs::ParseSnapshotJson(buffer.str());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->schema_version, obs::kSnapshotSchemaVersion);
-  // An OPERB_NO_METRICS build still writes (empty) snapshots; the
-  // instrument values exist only when recording is compiled in.
-  if (obs::kMetricsEnabled) {
-    EXPECT_GE(parsed->counters.at("pipeline.points_in"), run->points_in);
-    EXPECT_GE(parsed->counters.at("engine.points_routed"), run->points_in);
-    EXPECT_GE(parsed->counters.at("pipeline.snapshots_written"), 1u);
-  }
+  EXPECT_GE(parsed->counters.at("pipeline.points_in"), run->points_in);
+  EXPECT_GE(parsed->counters.at("engine.points_routed"), run->points_in);
+  EXPECT_GE(parsed->counters.at("pipeline.snapshots_written"), 1u);
 }
 
 TEST(PipelineTest, MetricsSnapshotFaultsNeverAbortIngest) {

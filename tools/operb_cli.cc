@@ -46,9 +46,9 @@
 // (or: --at time not covered by the store), 2 usage error, 3 I/O error.
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -71,6 +71,8 @@
 #include "traj/io.h"
 #include "traj/multi_object.h"
 #include "traj/trajectory.h"
+
+#include "flags.h"
 
 namespace {
 
@@ -115,16 +117,13 @@ struct CliOptions {
   // Query mode (--query PATH): serves an existing store instead of
   // simplifying. Parsed into an api::StoreQuery, validated there.
   api::StoreQuery query;
-  bool query_mode = false;
 
   // Admin mode (--compact PATH): compacts an existing store in place.
-  bool compact_mode = false;
   std::string compact_path;
 
   // Server client mode (--connect HOST:PORT): speaks the daemon
   // protocol instead of touching local stores. Reuses the input flags
   // for ingest and the query flags (without --query) for queries.
-  bool connect_mode = false;
   std::string connect_spec;  ///< HOST:PORT
   bool finish_objects = false;      ///< FINISH every ingested object
   bool server_stats = false;        ///< print the daemon's STATS reply
@@ -134,166 +133,354 @@ struct CliOptions {
   std::string server_metrics_path;     ///< server-side metrics snapshot
 };
 
-void PrintUsage(std::FILE* out) {
+// Flag groups: the bits of the mask flags::Parse() fills in, which the
+// mode dispatch and the cross-flag rules below are written against.
+enum Group : unsigned {
+  kCsv = 1u << 0,
+  kPlt = 1u << 1,
+  kGenerate = 1u << 2,
+  kSpec = 1u << 3,  ///< --spec/--algorithm/--zeta/--fidelity
+  kGroupById = 1u << 4,
+  kEngine = 1u << 5,  ///< --threads/--shards
+  kObjects = 1u << 6,
+  kStoreOut = 1u << 7,
+  kStoreShards = 1u << 8,
+  kCheckpointOut = 1u << 9,
+  kCheckpointEvery = 1u << 10,
+  kResume = 1u << 11,
+  kMetricsOut = 1u << 12,
+  kMetricsEvery = 1u << 13,
+  kOutput = 1u << 14,
+  kSaveInput = 1u << 15,
+  kClean = 1u << 16,
+  kNoVerify = 1u << 17,
+  kQuery = 1u << 18,
+  kQueryShape = 1u << 19,  ///< --from/--to/--window/--flat-scan
+  kObject = 1u << 20,
+  kAt = 1u << 21,
+  kCompact = 1u << 22,
+  kConnect = 1u << 23,
+  kServerVerb = 1u << 24,  ///< the --connect-only companions
+  kFinishObjects = 1u << 25,
+};
+constexpr unsigned kInputs = kCsv | kPlt | kGenerate;
+constexpr unsigned kCheckpoint = kCheckpointOut | kCheckpointEvery | kResume;
+constexpr unsigned kQueryFlags = kQueryShape | kObject | kAt;
+
+/// The flag table: one row per flag, applied in argv order, so --spec
+/// followed by --zeta still edits the spec.
+std::vector<flags::Flag> CliFlags(CliOptions* o) {
+  using flags::Finite;
+  using flags::Heading;
+  using flags::Integer;
+  using flags::String;
+  using flags::Switch;
   std::string algorithms;
   for (const std::string& name : api::AlgorithmRegistry::Global().Names()) {
     if (!algorithms.empty()) algorithms += " | ";
     algorithms += name;
   }
-  std::fprintf(out,
-               "operb_cli — one-pass error-bounded trajectory simplification "
-               "(OPERB, PVLDB 2017)\n"
-               "\n"
-               "Input (choose one; default --generate SerCar:2000:1):\n"
-               "  --input PATH          plain CSV trajectory: x,y,t rows in "
-               "projected meters\n"
-               "  --plt PATH            GeoLife .plt trajectory "
-               "(lat/lon, projected to local meters)\n"
-               "  --generate SPEC       synthetic profile KIND[:POINTS[:SEED]]"
-               ", KIND one of\n"
-               "                        Taxi | Truck | SerCar | GeoLife\n"
-               "\n"
-               "Simplification (see README.md \"Public API\" for the spec "
-               "grammar):\n"
-               "  --spec SPEC           ALGORITHM[:key=value,...], e.g. "
-               "'operb-a:zeta=30'\n"
-               "                        or 'OPERB:zeta=5,fidelity=paper' "
-               "(default OPERB:zeta=40)\n"
-               "  --algorithm NAME      shorthand: sets the spec's algorithm."
-               " Registered:\n"
-               "                        %s\n"
-               "  --zeta METERS         shorthand: sets the spec's error "
-               "bound (> 0)\n"
-               "  --fidelity MODE       shorthand: guarded | paper — how the "
-               "OPERB family\n"
-               "                        treats the heuristic optimizations' "
-               "bound (see DESIGN.md)\n"
-               "\n"
-               "Multi-object engine mode:\n"
-               "  --group-by-id         treat the input as an interleaved "
-               "id,t,x,y stream and\n"
-               "                        simplify every object concurrently "
-               "(StreamEngine)\n"
-               "  --threads N           engine worker threads (default 1)\n"
-               "  --shards N            engine state-table shards (default "
-               "4 * threads)\n"
-               "  --objects K           with --generate: synthesize K "
-               "objects, round-robin\n"
-               "                        interleaved (default 8)\n"
-               "\n"
-               "Checkpoint/restore (engine mode, requires --group-by-id):\n"
-               "  --checkpoint-out PATH snapshot the engine's complete "
-               "streaming state to\n"
-               "                        PATH (atomic temp-file + rename) "
-               "after the last\n"
-               "                        update — or repeatedly, with "
-               "--checkpoint-every\n"
-               "  --checkpoint-every N  rewrite the checkpoint after every N "
-               "ingested\n"
-               "                        updates (requires --checkpoint-out)\n"
-               "  --resume PATH         restore the engine from a checkpoint "
-               "and feed it the\n"
-               "                        stream's *remainder*; the emitted "
-               "segments are\n"
-               "                        bit-identical to the uninterrupted "
-               "run's tail. The\n"
-               "                        spec and shard count must match the "
-               "checkpoint.\n"
-               "                        Implies --no-verify (verification "
-               "needs the full\n"
-               "                        stream); excludes --clean and "
-               "--store-out\n"
-               "\n"
-               "Store (write side):\n"
-               "  --store-out PATH      additionally persist the simplified "
-               "segments into a\n"
-               "                        sharded queryable store directory "
-               "(both modes;\n"
-               "                        single-trajectory input is stored as "
-               "object 0)\n"
-               "  --store-shards N      partition the store into N shards by "
-               "object-id hash\n"
-               "                        (1..65536, default 1; requires "
-               "--store-out)\n"
-               "\n"
-               "Store (query mode; excludes every simplification flag):\n"
-               "  --query PATH          serve an existing store instead of "
-               "simplifying\n"
-               "  --object ID           reconstruct one object's segments\n"
-               "  --from T / --to T     restrict to a time range (seconds)\n"
-               "  --at T                with --object: interpolated position "
-               "at time T\n"
-               "  --window X0,Y0,X1,Y1  spatio-temporal window query "
-               "(meters; the window\n"
-               "                        is inflated by the store's zeta so "
-               "no original\n"
-               "                        sample inside it can be missed)\n"
-               "  --flat-scan           answer --window with the linear "
-               "footer scan instead\n"
-               "                        of the R-tree index (the verify "
-               "oracle; results are\n"
-               "                        identical, only pruning work "
-               "differs)\n"
-               "\n"
-               "Store (admin mode; excludes every other flag):\n"
-               "  --compact PATH        merge each shard's segment files "
-               "into one file\n"
-               "                        of id-ordered seals, one manifest "
-               "generation per\n"
-               "                        shard; queries return byte-identical "
-               "results\n"
-               "\n"
-               "Output:\n"
-               "  --output PATH         write the piecewise representation as "
-               "CSV (with\n"
-               "                        --group-by-id or --query: id-tagged "
-               "segment rows)\n"
-               "  --save-input PATH     write the (parsed or generated) input "
-               "trajectory as CSV\n"
-               "  --clean               repair raw streams before simplifying "
-               "(drop duplicate and\n"
-               "                        out-of-order samples; per object with "
-               "--group-by-id)\n"
-               "  --no-verify           skip the independent error-bound "
-               "check\n"
-               "\n"
-               "Observability (see DESIGN.md \"Metrics and tracing\"):\n"
-               "  --metrics-out PATH    export a metrics snapshot (every "
-               "engine/store/pipeline\n"
-               "                        registry instrument, versioned JSON, "
-               "atomic temp-file +\n"
-               "                        rename) to PATH after the run; also "
-               "works with --query\n"
-               "  --metrics-every N     additionally rewrite the snapshot "
-               "after every N ingested\n"
-               "                        updates (requires --metrics-out and "
-               "--group-by-id; a\n"
-               "                        failed periodic write is logged and "
-               "counted, never fatal)\n"
-               "\n"
-               "Server client mode (speaks to a running operb_server):\n"
-               "  --connect HOST:PORT   connect to a daemon instead of "
-               "touching local stores.\n"
-               "                        --input/--generate/--objects then "
-               "ingest over the\n"
-               "                        connection; --object/--from/--to/"
-               "--at/--window/\n"
-               "                        --flat-scan/--output query it (the "
-               "answer merges the\n"
-               "                        sealed store with in-flight "
-               "trajectory tails)\n"
-               "  --finish-objects      declare end-of-stream for every "
-               "ingested object\n"
-               "  --server-seal         force the daemon to seal the "
-               "overlay to its store\n"
-               "  --server-checkpoint PATH  daemon writes an engine "
-               "checkpoint to PATH\n"
-               "  --server-metrics PATH daemon writes a metrics snapshot "
-               "to PATH\n"
-               "  --stats               print the daemon's counters\n"
-               "  --shutdown            ask the daemon to stop gracefully\n"
-               "  --help                this text\n",
-               algorithms.c_str());
+  return {
+      Heading("Input (choose one; default --generate SerCar:2000:1):"),
+      {"--input", "PATH", "plain CSV trajectory: x,y,t rows in projected "
+       "meters", kCsv, String(&o->csv_path)},
+      {"--plt", "PATH", "GeoLife .plt trajectory (lat/lon, projected to "
+       "local meters)", kPlt, String(&o->plt_path)},
+      {"--generate", "SPEC", "synthetic profile KIND[:POINTS[:SEED]], KIND "
+       "one of\nTaxi | Truck | SerCar | GeoLife", kGenerate,
+       String(&o->generate_spec)},
+
+      Heading("Simplification (see README.md \"Public API\" for the spec "
+              "grammar):"),
+      {"--spec", "SPEC", "ALGORITHM[:key=value,...], e.g. "
+       "'operb-a:zeta=30'\nor 'OPERB:zeta=5,fidelity=paper' (default "
+       "OPERB:zeta=40)", kSpec, flags::Spec(&o->spec)},
+      {"--algorithm", "NAME", "shorthand: sets the spec's algorithm. "
+       "Registered:\n" + algorithms, kSpec, String(&o->spec.algorithm)},
+      {"--zeta", "METERS", "shorthand: sets the spec's error bound (> 0)",
+       kSpec, Finite(&o->spec.zeta, "a number")},
+      {"--fidelity", "MODE", "shorthand: guarded | paper — how the OPERB "
+       "family\ntreats the heuristic optimizations' bound (see DESIGN.md)",
+       kSpec,
+       [o](std::string_view flag, const char* value) -> std::string {
+         const std::string_view mode = value;
+         if (mode == "guarded") {
+           o->spec.fidelity = baselines::OperbFidelity::kGuarded;
+         } else if (mode == "paper") {
+           o->spec.fidelity = baselines::OperbFidelity::kPaperFaithful;
+         } else {
+           return flags::MustBe(flag, "'guarded' or 'paper'", value);
+         }
+         return {};
+       }},
+
+      // Tight ceilings on the engine knobs, so a typo fails as a usage
+      // error, not as a massive allocation or thread spawn (every shard
+      // owns a pre-sized ring; every thread is a real std::thread).
+      Heading("Multi-object engine mode:"),
+      {"--group-by-id", "", "treat the input as an interleaved id,t,x,y "
+       "stream and\nsimplify every object concurrently (StreamEngine)",
+       kGroupById, Switch(&o->group_by_id)},
+      {"--threads", "N", "engine worker threads (default 1; requires\n"
+       "--group-by-id)", kEngine, Integer(&o->threads, 1, 1024)},
+      {"--shards", "N", "engine state-table shards (default 4 * threads;\n"
+       "requires --group-by-id)", kEngine, Integer(&o->shards, 0, 65536)},
+      {"--objects", "K", "with --generate: synthesize K objects, "
+       "round-robin\ninterleaved (default 8; requires --group-by-id or\n"
+       "--connect)", kObjects, Integer(&o->objects, 1, 10'000'000)},
+
+      // Same typo ceiling on both cadences: a wrapped or absurd cadence
+      // fails as a usage error.
+      Heading("Checkpoint/restore (engine mode, requires --group-by-id):"),
+      {"--checkpoint-out", "PATH", "snapshot the engine's complete "
+       "streaming state to\nPATH (atomic temp-file + rename) after the "
+       "last\nupdate — or repeatedly, with --checkpoint-every",
+       kCheckpointOut, String(&o->checkpoint_out_path)},
+      {"--checkpoint-every", "N", "rewrite the checkpoint after every N "
+       "ingested\nupdates (requires --checkpoint-out)", kCheckpointEvery,
+       Integer(&o->checkpoint_every, 1, 1'000'000'000)},
+      {"--resume", "PATH", "restore the engine from a checkpoint and feed "
+       "it the\nstream's *remainder*; the emitted segments are\n"
+       "bit-identical to the uninterrupted run's tail. The\nspec and shard "
+       "count must match the checkpoint.\nImplies --no-verify "
+       "(verification needs the full\nstream); excludes --clean and "
+       "--store-out", kResume, String(&o->resume_path)},
+
+      Heading("Store (write side):"),
+      {"--store-out", "PATH", "additionally persist the simplified "
+       "segments into a\nsharded queryable store directory (both modes;\n"
+       "single-trajectory input is stored as object 0)", kStoreOut,
+       String(&o->store_out_path)},
+      // Same ceiling as the writer's own StoreWriterOptions::Validate();
+      // rejecting here keeps the error a one-line usage message.
+      {"--store-shards", "N", "partition the store into N shards by "
+       "object-id hash\n(1..65536, default 1; requires --store-out)",
+       kStoreShards, Integer(&o->store_shards, 1, 65536)},
+
+      Heading("Store (query mode; excludes every simplification flag):"),
+      {"--query", "PATH", "serve an existing store instead of simplifying",
+       kQuery, String(&o->query.store_path)},
+      {"--object", "ID", "reconstruct one object's segments", kObject,
+       Integer(&o->query.object_id, 0,
+               std::numeric_limits<std::uint64_t>::max(), "an unsigned id")},
+      {"--from", "T", "start of the time range (seconds)",
+       kQueryShape, Finite(&o->query.t_min, "a finite timestamp")},
+      {"--to", "T", "end of the time range (seconds)",
+       kQueryShape, Finite(&o->query.t_max, "a finite timestamp")},
+      {"--at", "T", "with --object: interpolated position at time T", kAt,
+       Finite(&o->query.at_time, "a finite timestamp")},
+      {"--window", "X0,Y0,X1,Y1", "spatio-temporal window query (meters; "
+       "the window\nis inflated by the store's zeta so no original\nsample "
+       "inside it can be missed)", kQueryShape,
+       [o](std::string_view flag, const char* value) -> std::string {
+         const std::string text = value;
+         double c[4] = {};
+         std::size_t start = 0;
+         for (int k = 0; k < 4; ++k) {
+           const std::size_t end =
+               k == 3 ? text.size() : text.find(',', start);
+           if (end == std::string::npos ||
+               !flags::ParseFinite(text.substr(start, end - start).c_str(),
+                                   &c[k])) {
+             return flags::MustBe(
+                 flag, "X0,Y0,X1,Y1 (four comma-separated meters)", value);
+           }
+           start = end + 1;
+         }
+         // Corner order is free; the box normalizes it.
+         o->query.has_window = true;
+         o->query.window = {};
+         o->query.window.Extend(geo::Vec2{c[0], c[1]});
+         o->query.window.Extend(geo::Vec2{c[2], c[3]});
+         return {};
+       }},
+      {"--flat-scan", "", "answer --window with the linear footer scan "
+       "instead\nof the R-tree index (the verify oracle; results are\n"
+       "identical, only pruning work differs)", kQueryShape,
+       Switch(&o->query.use_flat_scan)},
+
+      Heading("Store (admin mode; excludes every other flag):"),
+      {"--compact", "PATH", "merge each shard's segment files into one "
+       "file\nof id-ordered seals, one manifest generation per\nshard; "
+       "queries return byte-identical results", kCompact,
+       String(&o->compact_path)},
+
+      Heading("Output:"),
+      {"--output", "PATH", "write the piecewise representation as CSV "
+       "(with\n--group-by-id or --query: id-tagged segment rows)", kOutput,
+       String(&o->output_path)},
+      {"--save-input", "PATH", "write the (parsed or generated) input "
+       "trajectory as CSV", kSaveInput, String(&o->save_input_path)},
+      {"--clean", "", "repair raw streams before simplifying (drop "
+       "duplicate and\nout-of-order samples; per object with "
+       "--group-by-id)", kClean, Switch(&o->clean)},
+      {"--no-verify", "", "skip the independent error-bound check",
+       kNoVerify, Switch(&o->verify, false)},
+
+      Heading("Observability (see DESIGN.md \"Metrics and tracing\"):"),
+      {"--metrics-out", "PATH", "export a metrics snapshot (every "
+       "engine/store/pipeline\nregistry instrument, versioned JSON, atomic "
+       "temp-file +\nrename) to PATH after the run; also works with "
+       "--query", kMetricsOut, String(&o->metrics_out_path)},
+      {"--metrics-every", "N", "additionally rewrite the snapshot after "
+       "every N ingested\nupdates (requires --metrics-out and "
+       "--group-by-id; a\nfailed periodic write is logged and counted, "
+       "never fatal)", kMetricsEvery,
+       Integer(&o->metrics_every, 1, 1'000'000'000)},
+
+      Heading("Server client mode (speaks to a running operb_server):"),
+      {"--connect", "HOST:PORT", "connect to a daemon instead of touching "
+       "local stores.\n--input/--generate/--objects then ingest over the\n"
+       "connection; --object/--from/--to/--at/--window/\n--flat-scan/"
+       "--output query it (the answer merges the\nsealed store with "
+       "in-flight trajectory tails)", kConnect, String(&o->connect_spec)},
+      {"--finish-objects", "", "declare end-of-stream for every ingested "
+       "object", kServerVerb | kFinishObjects, Switch(&o->finish_objects)},
+      {"--server-seal", "", "force the daemon to seal the overlay to its "
+       "store", kServerVerb, Switch(&o->server_seal)},
+      {"--server-checkpoint", "PATH", "daemon writes an engine checkpoint "
+       "to PATH", kServerVerb, String(&o->server_checkpoint_path)},
+      {"--server-metrics", "PATH", "daemon writes a metrics snapshot to "
+       "PATH", kServerVerb, String(&o->server_metrics_path)},
+      {"--stats", "", "print the daemon's counters", kServerVerb,
+       Switch(&o->server_stats)},
+      {"--shutdown", "", "ask the daemon to stop gracefully", kServerVerb,
+       Switch(&o->server_shutdown)},
+  };
+}
+
+void PrintUsage(std::FILE* out) {
+  CliOptions unused;
+  flags::PrintUsage(out,
+                    "operb_cli — one-pass error-bounded trajectory "
+                    "simplification (OPERB, PVLDB 2017)",
+                    CliFlags(&unused));
+}
+
+/// A cross-flag rule: once any `when` group is seen, no `forbids` group
+/// may be, and at least one `needs` group must be (when `needs` is set).
+struct Rule {
+  unsigned when;
+  unsigned forbids;
+  unsigned needs;
+  const char* message;
+};
+
+constexpr Rule kRules[] = {
+    // Client mode talks to a daemon, which owns the spec, the engine and
+    // the store. Ingest input and query flags pass through.
+    {kConnect,
+     kCompact | kQuery | kStoreOut | kStoreShards | kGroupById | kClean |
+         kSpec | kEngine | kNoVerify | kCheckpoint | kMetricsEvery | kPlt |
+         kSaveInput,
+     0,
+     "--connect speaks to a running operb_server and cannot be combined "
+     "with local store, simplification or engine flags"},
+    {kServerVerb, 0, kConnect,
+     "--finish-objects/--stats/--shutdown/--server-seal/--server-checkpoint"
+     "/--server-metrics require --connect HOST:PORT"},
+    {kFinishObjects, 0, kCsv | kGenerate,
+     "--finish-objects finishes the objects this invocation ingests; give "
+     "--input or --generate"},
+    // Admin verb: it rewrites an existing store in place.
+    {kCompact, ~unsigned{kCompact}, 0,
+     "--compact is an exclusive admin verb and cannot be combined with any "
+     "other flag"},
+    // Query mode serves an existing store: nothing is ingested, simplified
+    // or verified, so every write-side flag is a contradiction, not a
+    // no-op. (--metrics-out stays legal: the snapshot then carries the
+    // store.query.* instruments this query just exercised.)
+    {kQuery,
+     kInputs | kStoreOut | kStoreShards | kGroupById | kClean | kSpec |
+         kEngine | kObjects | kNoVerify | kCheckpoint | kMetricsEvery |
+         kSaveInput,
+     0,
+     "--query serves an existing store and cannot be combined with input, "
+     "simplification, engine or --store-out flags"},
+    {kQueryFlags, 0, kQuery | kConnect,
+     "--object/--from/--to/--at/--window/--flat-scan require --query PATH"},
+    {kStoreShards, 0, kStoreOut,
+     "--store-shards shards a store written by --store-out PATH"},
+    // The checkpoint is of StreamEngine shard state; the single-trajectory
+    // flow never constructs an engine.
+    {kCheckpoint, 0, kGroupById,
+     "--checkpoint-out/--checkpoint-every/--resume snapshot the streaming "
+     "engine and require --group-by-id"},
+    {kCheckpointEvery, 0, kCheckpointOut,
+     "--checkpoint-every sets the cadence of --checkpoint-out PATH"},
+    {kMetricsEvery, 0, kMetricsOut,
+     "--metrics-every sets the cadence of --metrics-out PATH"},
+    // Periodic snapshots ride the engine path's chunked ingest loop; the
+    // single-trajectory flow pushes everything at once.
+    {kMetricsEvery, 0, kGroupById,
+     "--metrics-every requires --group-by-id (the final --metrics-out "
+     "snapshot works in every mode)"},
+    {kEngine, 0, kGroupById,
+     "--threads/--shards configure the streaming engine and require "
+     "--group-by-id"},
+    {kObjects, 0, kGroupById | kConnect,
+     "--objects sets how many objects --generate synthesizes and requires "
+     "--group-by-id or --connect"},
+    {kResume, kClean | kStoreOut, 0,
+     "--resume feeds the engine a stream tail and cannot be combined with "
+     "--clean or --store-out (both need the full original stream)"},
+    {kGroupById, kPlt, 0,
+     "--plt is single-trajectory; --group-by-id needs --input (id,t,x,y "
+     "CSV) or --generate"},
+};
+
+/// Parses argv into `options` and the mask of groups `seen`, then checks
+/// the cross-flag rules. Prints one line to stderr on a usage error.
+flags::Outcome ParseArgs(int argc, char** argv, CliOptions* options,
+                         unsigned* seen) {
+  const flags::Outcome outcome =
+      flags::Parse("operb_cli", CliFlags(options), argc, argv, seen);
+  if (outcome != flags::Outcome::kRun) return outcome;
+  const auto fail = [](const char* message) {
+    std::fprintf(stderr, "operb_cli: %s\n", message);
+    return flags::Outcome::kUsageError;
+  };
+  for (const Rule& rule : kRules) {
+    if ((*seen & rule.when) != 0 &&
+        ((*seen & rule.forbids) != 0 ||
+         (rule.needs != 0 && (*seen & rule.needs) == 0))) {
+      return fail(rule.message);
+    }
+  }
+  api::StoreQuery& query = options->query;
+  query.has_object = (*seen & kObject) != 0;
+  query.has_at = (*seen & kAt) != 0;
+  if (*seen & kConnect) {
+    // Same shape rules api::StoreQuery::Validate enforces offline, so
+    // the two paths share one usage contract (and exit code).
+    if (query.has_at && !query.has_object) {
+      return fail("--at needs --object (position-at-time)");
+    }
+    if (query.has_object && query.has_window) {
+      return fail("--object and --window are separate queries; issue two");
+    }
+    if (query.t_min > query.t_max) return fail("--from is later than --to");
+    return flags::Outcome::kRun;
+  }
+  // The query shape itself is validated by api::StoreQuery.
+  if (*seen & (kCompact | kQuery)) return flags::Outcome::kRun;
+
+  // Verification needs the full original stream; a resumed run only has
+  // the tail, so the check is skipped rather than mis-run.
+  if (*seen & kResume) options->verify = false;
+  const int inputs = (options->csv_path.empty() ? 0 : 1) +
+                     (options->plt_path.empty() ? 0 : 1) +
+                     (options->generate_spec.empty() ? 0 : 1);
+  if (inputs > 1) {
+    return fail("--input, --plt and --generate are mutually exclusive");
+  }
+  if (inputs == 0) options->generate_spec = "SerCar:2000:1";
+  // The boundary validation: unknown algorithms, non-positive zeta and
+  // out-of-range algorithm options all surface here as one Status line.
+  if (const Status s = options->spec.Validate(); !s.ok()) {
+    return fail(s.ToString().c_str());
+  }
+  return flags::Outcome::kRun;
 }
 
 std::optional<datagen::DatasetKind> ParseDatasetKind(std::string_view name) {
@@ -301,18 +488,6 @@ std::optional<datagen::DatasetKind> ParseDatasetKind(std::string_view name) {
     if (name == datagen::DatasetName(kind)) return kind;
   }
   return std::nullopt;
-}
-
-/// Strict decimal parse: digits only (no sign, no ERANGE saturation, no
-/// trailing junk). strtoull alone would silently wrap "-5" to 2^64 - 5.
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
 }
 
 /// Parsed form of a --generate KIND[:POINTS[:SEED]] spec.
@@ -339,7 +514,7 @@ std::optional<GenerateSpec> ParseGenerateSpec(const std::string& spec) {
     const std::size_t colon2 = rest.find(':');
     const std::string points_str =
         colon2 == std::string::npos ? rest : rest.substr(0, colon2);
-    if (!ParseU64(points_str, &out.points) || out.points < 2 ||
+    if (!flags::ParseDecimal(points_str, &out.points) || out.points < 2 ||
         out.points > kMaxGeneratedPoints) {
       std::fprintf(stderr,
                    "operb_cli: bad point count in --generate '%s' (need "
@@ -349,7 +524,7 @@ std::optional<GenerateSpec> ParseGenerateSpec(const std::string& spec) {
       return std::nullopt;
     }
     if (colon2 != std::string::npos) {
-      if (!ParseU64(rest.substr(colon2 + 1), &out.seed)) {
+      if (!flags::ParseDecimal(rest.substr(colon2 + 1), &out.seed)) {
         std::fprintf(stderr, "operb_cli: bad seed in --generate '%s'\n",
                      spec.c_str());
         return std::nullopt;
@@ -375,457 +550,6 @@ std::optional<traj::Trajectory> GenerateFromSpec(const std::string& spec) {
   datagen::Rng rng(parsed->seed);
   return datagen::GenerateTrajectory(datagen::DatasetProfile::For(parsed->kind),
                                      parsed->points, &rng);
-}
-
-/// Strict finite-double parse (no trailing junk, no inf/nan).
-bool ParseFiniteDouble(const char* value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value, &end);
-  return end != nullptr && end != value && *end == '\0' &&
-         std::isfinite(*out);
-}
-
-/// Parses argv into `options`; returns false (after printing a message) on
-/// malformed input. `--help` sets `wants_help` instead.
-bool ParseArgs(int argc, char** argv, CliOptions* options, bool* wants_help) {
-  auto need_value = [&](int i, std::string_view flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "operb_cli: %.*s requires a value\n",
-                   static_cast<int>(flag.size()), flag.data());
-      return nullptr;
-    }
-    return argv[i + 1];
-  };
-
-  bool spec_flag_seen = false;    // --spec/--algorithm/--zeta/--fidelity
-  bool query_flag_seen = false;   // --object/--from/.../--window/--flat-scan
-  bool engine_flag_seen = false;  // --threads/--shards/--objects
-  bool no_verify_seen = false;
-  bool store_shards_seen = false;
-  bool checkpoint_flag_seen = false;  // --checkpoint-out/-every/--resume
-  bool checkpoint_every_seen = false;
-  bool metrics_every_seen = false;
-  bool thread_flags_seen = false;  // --threads/--shards (not --objects)
-  bool server_flag_seen = false;   // the --connect-only companions
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      *wants_help = true;
-      return true;
-    } else if (arg == "--input" || arg == "--plt" || arg == "--generate" ||
-               arg == "--spec" || arg == "--algorithm" || arg == "--zeta" ||
-               arg == "--fidelity" || arg == "--output" ||
-               arg == "--save-input" || arg == "--threads" ||
-               arg == "--shards" || arg == "--objects" ||
-               arg == "--store-out" || arg == "--store-shards" ||
-               arg == "--checkpoint-out" || arg == "--checkpoint-every" ||
-               arg == "--resume" ||
-               arg == "--metrics-out" || arg == "--metrics-every" ||
-               arg == "--query" || arg == "--compact" ||
-               arg == "--connect" || arg == "--server-checkpoint" ||
-               arg == "--server-metrics" ||
-               arg == "--object" || arg == "--from" || arg == "--to" ||
-               arg == "--at" || arg == "--window") {
-      const char* value = need_value(i, arg);
-      if (value == nullptr) return false;
-      ++i;
-      if (arg == "--input") {
-        options->csv_path = value;
-      } else if (arg == "--plt") {
-        options->plt_path = value;
-      } else if (arg == "--generate") {
-        options->generate_spec = value;
-      } else if (arg == "--spec") {
-        // Whole-spec replacement; later --algorithm/--zeta/--fidelity
-        // flags still edit the result (flags apply in order).
-        spec_flag_seen = true;
-        Result<api::SimplifierSpec> parsed = api::SimplifierSpec::Parse(value);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "operb_cli: %s\n",
-                       parsed.status().ToString().c_str());
-          return false;
-        }
-        options->spec = std::move(parsed).value();
-      } else if (arg == "--algorithm") {
-        spec_flag_seen = true;
-        options->spec.algorithm = value;
-      } else if (arg == "--zeta") {
-        spec_flag_seen = true;
-        char* end = nullptr;
-        options->spec.zeta = std::strtod(value, &end);
-        if (end == nullptr || *end != '\0' ||
-            !std::isfinite(options->spec.zeta)) {
-          std::fprintf(stderr,
-                       "operb_cli: --zeta must be a number, got '%s'\n",
-                       value);
-          return false;
-        }
-      } else if (arg == "--fidelity") {
-        spec_flag_seen = true;
-        const std::string_view mode = value;
-        if (mode == "guarded") {
-          options->spec.fidelity = baselines::OperbFidelity::kGuarded;
-        } else if (mode == "paper") {
-          options->spec.fidelity = baselines::OperbFidelity::kPaperFaithful;
-        } else {
-          std::fprintf(stderr,
-                       "operb_cli: --fidelity must be 'guarded' or 'paper', "
-                       "got '%s'\n",
-                       value);
-          return false;
-        }
-      } else if (arg == "--output") {
-        options->output_path = value;
-      } else if (arg == "--save-input") {
-        options->save_input_path = value;
-      } else if (arg == "--store-out") {
-        options->store_out_path = value;
-      } else if (arg == "--store-shards") {
-        store_shards_seen = true;
-        // Same ceiling as the writer's own StoreWriterOptions::Validate();
-        // rejecting here keeps the error a one-line usage message.
-        constexpr std::uint64_t kMaxStoreShards = 65536;
-        if (!ParseU64(value, &options->store_shards) ||
-            options->store_shards == 0 ||
-            options->store_shards > kMaxStoreShards) {
-          std::fprintf(stderr,
-                       "operb_cli: --store-shards must be an integer in "
-                       "1..%llu, got '%s'\n",
-                       static_cast<unsigned long long>(kMaxStoreShards),
-                       value);
-          return false;
-        }
-      } else if (arg == "--checkpoint-out") {
-        checkpoint_flag_seen = true;
-        options->checkpoint_out_path = value;
-      } else if (arg == "--checkpoint-every") {
-        checkpoint_flag_seen = true;
-        checkpoint_every_seen = true;
-        // Same typo ceiling as the generation flags: a wrapped or absurd
-        // cadence fails as a usage error.
-        constexpr std::uint64_t kMaxCheckpointEvery = 1'000'000'000;
-        if (!ParseU64(value, &options->checkpoint_every) ||
-            options->checkpoint_every == 0 ||
-            options->checkpoint_every > kMaxCheckpointEvery) {
-          std::fprintf(stderr,
-                       "operb_cli: --checkpoint-every must be an integer in "
-                       "1..%llu, got '%s'\n",
-                       static_cast<unsigned long long>(kMaxCheckpointEvery),
-                       value);
-          return false;
-        }
-      } else if (arg == "--resume") {
-        checkpoint_flag_seen = true;
-        options->resume_path = value;
-      } else if (arg == "--metrics-out") {
-        options->metrics_out_path = value;
-      } else if (arg == "--metrics-every") {
-        metrics_every_seen = true;
-        // Same typo ceiling as --checkpoint-every.
-        constexpr std::uint64_t kMaxMetricsEvery = 1'000'000'000;
-        if (!ParseU64(value, &options->metrics_every) ||
-            options->metrics_every == 0 ||
-            options->metrics_every > kMaxMetricsEvery) {
-          std::fprintf(stderr,
-                       "operb_cli: --metrics-every must be an integer in "
-                       "1..%llu, got '%s'\n",
-                       static_cast<unsigned long long>(kMaxMetricsEvery),
-                       value);
-          return false;
-        }
-      } else if (arg == "--query") {
-        options->query_mode = true;
-        options->query.store_path = value;
-      } else if (arg == "--compact") {
-        options->compact_mode = true;
-        options->compact_path = value;
-      } else if (arg == "--connect") {
-        options->connect_mode = true;
-        options->connect_spec = value;
-      } else if (arg == "--server-checkpoint") {
-        server_flag_seen = true;
-        options->server_checkpoint_path = value;
-      } else if (arg == "--server-metrics") {
-        server_flag_seen = true;
-        options->server_metrics_path = value;
-      } else if (arg == "--object") {
-        query_flag_seen = true;
-        std::uint64_t id = 0;
-        if (!ParseU64(value, &id)) {
-          std::fprintf(stderr,
-                       "operb_cli: --object must be an unsigned id, got "
-                       "'%s'\n",
-                       value);
-          return false;
-        }
-        options->query.has_object = true;
-        options->query.object_id = id;
-      } else if (arg == "--from" || arg == "--to" || arg == "--at") {
-        query_flag_seen = true;
-        double v = 0.0;
-        if (!ParseFiniteDouble(value, &v)) {
-          std::fprintf(stderr,
-                       "operb_cli: %.*s must be a finite timestamp, got "
-                       "'%s'\n",
-                       static_cast<int>(arg.size()), arg.data(), value);
-          return false;
-        }
-        if (arg == "--from") {
-          options->query.t_min = v;
-        } else if (arg == "--to") {
-          options->query.t_max = v;
-        } else {
-          options->query.has_at = true;
-          options->query.at_time = v;
-        }
-      } else if (arg == "--window") {
-        query_flag_seen = true;
-        double c[4];
-        const char* p = value;
-        bool ok = true;
-        for (int k = 0; k < 4 && ok; ++k) {
-          char* end = nullptr;
-          c[k] = std::strtod(p, &end);
-          ok = end != p && std::isfinite(c[k]) &&
-               (k == 3 ? *end == '\0' : *end == ',');
-          p = end + 1;
-        }
-        if (!ok) {
-          std::fprintf(stderr,
-                       "operb_cli: --window must be X0,Y0,X1,Y1 (four "
-                       "comma-separated meters), got '%s'\n",
-                       value);
-          return false;
-        }
-        // Corner order is free; the box normalizes it.
-        options->query.has_window = true;
-        options->query.window = {};
-        options->query.window.Extend(geo::Vec2{c[0], c[1]});
-        options->query.window.Extend(geo::Vec2{c[2], c[3]});
-      } else if (arg == "--threads" || arg == "--shards" ||
-                 arg == "--objects") {
-        engine_flag_seen = true;
-        if (arg != "--objects") thread_flags_seen = true;
-        // Tight per-flag ceilings so a typo fails as a usage error, not
-        // as a massive allocation or thread spawn (every shard owns a
-        // pre-sized ring; every thread is a real std::thread).
-        const bool zero_ok = arg == "--shards";  // 0 = auto
-        const std::uint64_t max = arg == "--threads"   ? 1024
-                                  : arg == "--shards"  ? 65536
-                                                       : 10'000'000;
-        std::uint64_t n = 0;
-        if (!ParseU64(value, &n) || (!zero_ok && n == 0) || n > max) {
-          std::fprintf(stderr,
-                       "operb_cli: %.*s must be an integer in %c..%llu, got "
-                       "'%s'\n",
-                       static_cast<int>(arg.size()), arg.data(),
-                       zero_ok ? '0' : '1',
-                       static_cast<unsigned long long>(max), value);
-          return false;
-        }
-        if (arg == "--threads") {
-          options->threads = n;
-        } else if (arg == "--shards") {
-          options->shards = n;
-        } else {
-          options->objects = n;
-        }
-      } else {
-        // Unreachable while the membership list above and this chain
-        // agree; catches a flag added to one but not the other.
-        std::fprintf(stderr, "operb_cli: internal error: unhandled flag "
-                             "'%s'\n",
-                     std::string(arg).c_str());
-        return false;
-      }
-    } else if (arg == "--flat-scan") {
-      query_flag_seen = true;
-      options->query.use_flat_scan = true;
-    } else if (arg == "--finish-objects") {
-      server_flag_seen = true;
-      options->finish_objects = true;
-    } else if (arg == "--stats") {
-      server_flag_seen = true;
-      options->server_stats = true;
-    } else if (arg == "--shutdown") {
-      server_flag_seen = true;
-      options->server_shutdown = true;
-    } else if (arg == "--server-seal") {
-      server_flag_seen = true;
-      options->server_seal = true;
-    } else if (arg == "--clean") {
-      options->clean = true;
-    } else if (arg == "--no-verify") {
-      options->verify = false;
-      no_verify_seen = true;
-    } else if (arg == "--group-by-id") {
-      options->group_by_id = true;
-    } else {
-      std::fprintf(stderr, "operb_cli: unknown argument '%s'\n",
-                   std::string(arg).c_str());
-      return false;
-    }
-  }
-
-  const int inputs = (options->csv_path.empty() ? 0 : 1) +
-                     (options->plt_path.empty() ? 0 : 1) +
-                     (options->generate_spec.empty() ? 0 : 1);
-  if (options->connect_mode) {
-    // Client mode talks to a daemon: every local-store, simplification
-    // and engine flag is a contradiction (the server owns the spec, the
-    // engine and the store). Ingest input and query flags pass through.
-    if (options->compact_mode || options->query_mode ||
-        !options->store_out_path.empty() || store_shards_seen ||
-        options->group_by_id || options->clean || spec_flag_seen ||
-        thread_flags_seen || no_verify_seen || checkpoint_flag_seen ||
-        metrics_every_seen || !options->plt_path.empty() ||
-        !options->save_input_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --connect speaks to a running operb_server "
-                   "and cannot be combined with local store, "
-                   "simplification or engine flags\n");
-      return false;
-    }
-    // Same shape rules api::StoreQuery::Validate enforces offline, so
-    // the two paths share one usage contract (and exit code).
-    if (options->query.has_at && !options->query.has_object) {
-      std::fprintf(stderr,
-                   "operb_cli: --at needs --object (position-at-time)\n");
-      return false;
-    }
-    if (options->query.has_object && options->query.has_window) {
-      std::fprintf(stderr,
-                   "operb_cli: --object and --window are separate queries; "
-                   "issue two\n");
-      return false;
-    }
-    if (options->query.t_min > options->query.t_max) {
-      std::fprintf(stderr, "operb_cli: --from is later than --to\n");
-      return false;
-    }
-    if (options->finish_objects && inputs == 0) {
-      std::fprintf(stderr,
-                   "operb_cli: --finish-objects finishes the objects this "
-                   "invocation ingests; give --input or --generate\n");
-      return false;
-    }
-    return true;
-  }
-  if (server_flag_seen) {
-    std::fprintf(stderr,
-                 "operb_cli: --finish-objects/--stats/--shutdown/"
-                 "--server-seal/--server-checkpoint/--server-metrics "
-                 "require --connect HOST:PORT\n");
-    return false;
-  }
-  if (options->compact_mode) {
-    // Admin verb: it rewrites an existing store in place; combining it
-    // with any other mode or flag is a contradiction.
-    if (inputs > 0 || options->query_mode || query_flag_seen ||
-        !options->store_out_path.empty() || store_shards_seen ||
-        options->group_by_id || options->clean || spec_flag_seen ||
-        engine_flag_seen || no_verify_seen || checkpoint_flag_seen ||
-        !options->metrics_out_path.empty() || metrics_every_seen ||
-        !options->output_path.empty() ||
-        !options->save_input_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --compact is an exclusive admin verb and "
-                   "cannot be combined with any other flag\n");
-      return false;
-    }
-    return true;
-  }
-  if (options->query_mode) {
-    // Query mode serves an existing store: nothing is ingested,
-    // simplified or verified, so every write-side flag — including the
-    // engine knobs and --no-verify — is a contradiction, not a no-op.
-    // (--metrics-out stays legal: the snapshot then carries the
-    // store.query.* instruments this query just exercised.)
-    if (inputs > 0 || !options->store_out_path.empty() ||
-        store_shards_seen || options->group_by_id || options->clean ||
-        spec_flag_seen || engine_flag_seen || no_verify_seen ||
-        checkpoint_flag_seen || metrics_every_seen ||
-        !options->save_input_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --query serves an existing store and cannot "
-                   "be combined with input, simplification, engine or "
-                   "--store-out flags\n");
-      return false;
-    }
-    return true;  // query shape itself is validated by api::StoreQuery
-  }
-  if (query_flag_seen) {
-    std::fprintf(stderr,
-                 "operb_cli: --object/--from/--to/--at/--window/--flat-scan "
-                 "require --query PATH\n");
-    return false;
-  }
-  if (store_shards_seen && options->store_out_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --store-shards shards a store written by "
-                 "--store-out PATH\n");
-    return false;
-  }
-  if (checkpoint_flag_seen && !options->group_by_id) {
-    // The checkpoint is of StreamEngine shard state; the single-
-    // trajectory flow never constructs an engine.
-    std::fprintf(stderr,
-                 "operb_cli: --checkpoint-out/--checkpoint-every/--resume "
-                 "snapshot the streaming engine and require --group-by-id\n");
-    return false;
-  }
-  if (checkpoint_every_seen && options->checkpoint_out_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --checkpoint-every sets the cadence of "
-                 "--checkpoint-out PATH\n");
-    return false;
-  }
-  if (metrics_every_seen && options->metrics_out_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --metrics-every sets the cadence of "
-                 "--metrics-out PATH\n");
-    return false;
-  }
-  if (metrics_every_seen && !options->group_by_id) {
-    // Periodic snapshots ride the engine path's chunked ingest loop;
-    // the single-trajectory flow pushes everything at once.
-    std::fprintf(stderr,
-                 "operb_cli: --metrics-every requires --group-by-id (the "
-                 "final --metrics-out snapshot works in every mode)\n");
-    return false;
-  }
-  if (!options->resume_path.empty()) {
-    if (options->clean || !options->store_out_path.empty()) {
-      std::fprintf(stderr,
-                   "operb_cli: --resume feeds the engine a stream tail and "
-                   "cannot be combined with --clean or --store-out (both "
-                   "need the full original stream)\n");
-      return false;
-    }
-    // Verification needs the full original stream too; a resumed run
-    // only has the tail, so the check is skipped rather than mis-run.
-    options->verify = false;
-  }
-  if (inputs > 1) {
-    std::fprintf(stderr,
-                 "operb_cli: --input, --plt and --generate are mutually "
-                 "exclusive\n");
-    return false;
-  }
-  if (inputs == 0) options->generate_spec = "SerCar:2000:1";
-  if (options->group_by_id && !options->plt_path.empty()) {
-    std::fprintf(stderr,
-                 "operb_cli: --plt is single-trajectory; --group-by-id "
-                 "needs --input (id,t,x,y CSV) or --generate\n");
-    return false;
-  }
-  // The boundary validation: unknown algorithms, non-positive zeta and
-  // out-of-range algorithm options all surface here as one Status line.
-  if (const Status s = options->spec.Validate(); !s.ok()) {
-    std::fprintf(stderr, "operb_cli: %s\n", s.ToString().c_str());
-    return false;
-  }
-  return true;
 }
 
 /// Loads or synthesizes the interleaved multi-object update stream.
@@ -1002,8 +726,8 @@ int RunConnect(const CliOptions& options) {
   const std::size_t colon = options.connect_spec.rfind(':');
   std::uint64_t port = 0;
   if (colon == std::string::npos || colon == 0 ||
-      !ParseU64(options.connect_spec.substr(colon + 1), &port) || port == 0 ||
-      port > 65535) {
+      !flags::ParseDecimal(options.connect_spec.substr(colon + 1), &port) ||
+      port == 0 || port > 65535) {
     std::fprintf(stderr,
                  "operb_cli: --connect expects HOST:PORT, got '%s'\n",
                  options.connect_spec.c_str());
@@ -1476,14 +1200,16 @@ int RunSingle(const CliOptions& options) {
 
 int main(int argc, char** argv) {
   CliOptions options;
-  bool wants_help = false;
-  if (!ParseArgs(argc, argv, &options, &wants_help)) {
-    std::fprintf(stderr, "Run 'operb_cli --help' for usage.\n");
-    return kExitUsage;
-  }
-  if (wants_help) {
-    PrintUsage(stdout);
-    return kExitOk;
+  unsigned seen = 0;
+  switch (ParseArgs(argc, argv, &options, &seen)) {
+    case flags::Outcome::kHelp:
+      PrintUsage(stdout);
+      return kExitOk;
+    case flags::Outcome::kUsageError:
+      std::fprintf(stderr, "Run 'operb_cli --help' for usage.\n");
+      return kExitUsage;
+    case flags::Outcome::kRun:
+      break;
   }
   if (!options.metrics_out_path.empty()) {
     // Pre-flight: snapshots are written late in the run (and periodic
@@ -1498,11 +1224,11 @@ int main(int argc, char** argv) {
     }
     std::fclose(probe);
   }
-  if (options.connect_mode) {
+  if (seen & kConnect) {
     return WriteFinalMetricsSnapshot(options, RunConnect(options));
   }
-  if (options.compact_mode) return RunCompact(options);
-  if (options.query_mode) {
+  if (seen & kCompact) return RunCompact(options);
+  if (seen & kQuery) {
     return WriteFinalMetricsSnapshot(options, RunQuery(options));
   }
   return options.group_by_id ? RunGroupById(options) : RunSingle(options);

@@ -17,18 +17,20 @@
 // Exit codes: 0 clean shutdown, 2 usage error, 3 startup or shutdown
 // I/O failure.
 
-#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/spec.h"
 #include "server/server.h"
+
+#include "flags.h"
 
 namespace {
 
@@ -42,53 +44,53 @@ volatile std::sig_atomic_t g_signal = 0;
 
 void OnSignal(int sig) { g_signal = sig; }
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "operb_server — concurrent ingest+query trajectory daemon "
-      "(loopback TCP)\n"
-      "\n"
-      "Required:\n"
-      "  --store PATH          store directory the daemon owns (created "
-      "fresh)\n"
-      "\n"
-      "Optional:\n"
-      "  --port N              TCP port on 127.0.0.1 (default 0 = "
-      "ephemeral)\n"
-      "  --port-file PATH      write the bound port to PATH (atomic "
-      "temp+rename;\n"
-      "                        how scripts find an ephemeral port)\n"
-      "  --spec SPEC           simplifier spec, ALGORITHM[:key=value,...] "
-      "(default\n"
-      "                        OPERB:zeta=40; the spec's zeta is the "
-      "store's zeta)\n"
-      "  --threads N           engine worker threads (default 2)\n"
-      "  --shards N            engine state-table shards (default 4 * "
-      "threads)\n"
-      "  --store-shards N      store shard count (default 4)\n"
-      "  --ring-capacity N     per-shard ring capacity (default 8192); "
-      "the BUSY\n"
-      "                        flow-control threshold is 75%% of it\n"
-      "  --seal-interval SEC   background seal period (default 0.5; 0 "
-      "seals only\n"
-      "                        on demand and at shutdown)\n"
-      "  --checkpoint-out PATH write a final engine checkpoint at "
-      "shutdown\n"
-      "  --metrics-out PATH    write a final metrics snapshot at "
-      "shutdown\n"
-      "  --help                this text\n");
-}
+/// The daemon's options: the server's own, plus where to listen.
+struct DaemonOptions {
+  server::ServerOptions server = [] {
+    server::ServerOptions o;
+    o.engine.num_threads = 2;
+    o.engine.num_shards = 0;  // 0 = auto (4 * threads), resolved in main
+    return o;
+  }();
+  std::uint64_t port = 0;
+  std::string port_file;
+};
 
-bool ParseU64Flag(const char* value, std::uint64_t max, std::uint64_t* out) {
-  if (value == nullptr || *value == '\0' ||
-      std::string(value).find_first_not_of("0123456789") !=
-          std::string::npos) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(value, &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0' && *out <= max;
+std::vector<flags::Flag> DaemonFlags(DaemonOptions* d) {
+  using flags::Integer;
+  using flags::String;
+  server::ServerOptions* o = &d->server;
+  return {
+      flags::Heading("Required:"),
+      {"--store", "PATH", "store directory the daemon owns (created fresh)",
+       0, String(&o->store_path)},
+      flags::Heading("Optional:"),
+      {"--port", "N", "TCP port on 127.0.0.1 (default 0 = ephemeral)", 0,
+       Integer(&d->port, 0, 65535)},
+      {"--port-file", "PATH", "write the bound port to PATH (atomic "
+       "temp+rename;\nhow scripts find an ephemeral port)", 0,
+       String(&d->port_file)},
+      {"--spec", "SPEC", "simplifier spec, ALGORITHM[:key=value,...] "
+       "(default\nOPERB:zeta=40; the spec's zeta is the store's zeta)", 0,
+       flags::Spec(&o->engine.spec)},
+      {"--threads", "N", "engine worker threads (default 2)", 0,
+       Integer(&o->engine.num_threads, 1, 1024)},
+      {"--shards", "N", "engine state-table shards (default 4 * threads)", 0,
+       Integer(&o->engine.num_shards, 0, 65536)},
+      {"--store-shards", "N", "store shard count (default 4)", 0,
+       Integer(&o->store_shards, 1, 65536)},
+      {"--ring-capacity", "N", "per-shard ring capacity (default 8192); the "
+       "BUSY\nflow-control threshold is 75% of it", 0,
+       Integer(&o->engine.ring_capacity, 1, 1u << 24)},
+      {"--seal-interval", "SEC", "background seal period (default 0.5; 0 "
+       "seals only\non demand and at shutdown)", 0,
+       flags::Finite(&o->seal_interval_seconds,
+                     "a non-negative number of seconds", 0.0)},
+      {"--checkpoint-out", "PATH", "write a final engine checkpoint at "
+       "shutdown", 0, String(&o->final_checkpoint_path)},
+      {"--metrics-out", "PATH", "write a final metrics snapshot at shutdown",
+       0, String(&o->final_metrics_path)},
+  };
 }
 
 /// Atomic write of the bound port — readers either see nothing or a
@@ -112,100 +114,22 @@ bool WritePortFile(const std::string& path, std::uint16_t port) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  server::ServerOptions options;
-  options.engine.num_threads = 2;
-  options.engine.num_shards = 0;  // 0 = auto (4 * threads), resolved below
-  std::uint64_t port = 0;
-  std::string port_file;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "operb_server: %s requires a value\n",
-                     arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
+  DaemonOptions daemon_options;
+  server::ServerOptions& options = daemon_options.server;
+  unsigned seen = 0;
+  switch (flags::Parse("operb_server", DaemonFlags(&daemon_options), argc,
+                       argv, &seen)) {
+    case flags::Outcome::kHelp:
+      flags::PrintUsage(stdout,
+                        "operb_server — concurrent ingest+query trajectory "
+                        "daemon (loopback TCP)",
+                        DaemonFlags(&daemon_options));
       return kExitOk;
-    } else if (arg == "--store") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      options.store_path = v;
-    } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr || !ParseU64Flag(v, 65535, &port)) {
-        std::fprintf(stderr, "operb_server: --port must be 0..65535\n");
-        return kExitUsage;
-      }
-    } else if (arg == "--port-file") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      port_file = v;
-    } else if (arg == "--spec") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      Result<api::SimplifierSpec> spec = api::SimplifierSpec::Parse(v);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "operb_server: %s\n",
-                     spec.status().ToString().c_str());
-        return kExitUsage;
-      }
-      options.engine.spec = std::move(spec).value();
-    } else if (arg == "--threads" || arg == "--shards" ||
-               arg == "--store-shards" || arg == "--ring-capacity") {
-      const char* v = value();
-      std::uint64_t n = 0;
-      const std::uint64_t max = arg == "--threads"        ? 1024
-                                : arg == "--shards"       ? 65536
-                                : arg == "--store-shards" ? 65536
-                                                          : (1u << 24);
-      const bool zero_ok = arg == "--shards";  // 0 = auto
-      if (v == nullptr || !ParseU64Flag(v, max, &n) || (!zero_ok && n == 0)) {
-        std::fprintf(stderr,
-                     "operb_server: %s must be an integer in %c..%llu\n",
-                     arg.c_str(), zero_ok ? '0' : '1',
-                     static_cast<unsigned long long>(max));
-        return kExitUsage;
-      }
-      if (arg == "--threads") {
-        options.engine.num_threads = n;
-      } else if (arg == "--shards") {
-        options.engine.num_shards = n;
-      } else if (arg == "--store-shards") {
-        options.store_shards = n;
-      } else {
-        options.engine.ring_capacity = n;
-      }
-    } else if (arg == "--seal-interval") {
-      const char* v = value();
-      char* end = nullptr;
-      options.seal_interval_seconds =
-          v == nullptr ? -1.0 : std::strtod(v, &end);
-      if (v == nullptr || end == v || *end != '\0' ||
-          options.seal_interval_seconds < 0.0) {
-        std::fprintf(stderr,
-                     "operb_server: --seal-interval must be a "
-                     "non-negative number of seconds\n");
-        return kExitUsage;
-      }
-    } else if (arg == "--checkpoint-out") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      options.final_checkpoint_path = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return kExitUsage;
-      options.final_metrics_path = v;
-    } else {
-      std::fprintf(stderr, "operb_server: unknown argument '%s'\n",
-                   arg.c_str());
+    case flags::Outcome::kUsageError:
       std::fprintf(stderr, "Run 'operb_server --help' for usage.\n");
       return kExitUsage;
-    }
+    case flags::Outcome::kRun:
+      break;
   }
   if (options.store_path.empty()) {
     std::fprintf(stderr, "operb_server: --store PATH is required\n");
@@ -216,8 +140,8 @@ int main(int argc, char** argv) {
   }
 
   Result<std::unique_ptr<server::TrajectoryServer>> started =
-      server::TrajectoryServer::Start(options,
-                                      static_cast<std::uint16_t>(port));
+      server::TrajectoryServer::Start(
+          options, static_cast<std::uint16_t>(daemon_options.port));
   if (!started.ok()) {
     std::fprintf(stderr, "operb_server: %s\n",
                  started.status().ToString().c_str());
@@ -227,6 +151,7 @@ int main(int argc, char** argv) {
   }
   server::TrajectoryServer& daemon = **started;
 
+  const std::string& port_file = daemon_options.port_file;
   if (!port_file.empty() && !WritePortFile(port_file, daemon.port())) {
     std::fprintf(stderr, "operb_server: cannot write --port-file %s\n",
                  port_file.c_str());
