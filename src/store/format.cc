@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/serial.h"
 
@@ -10,21 +9,8 @@ namespace operb::store {
 
 namespace {
 
-void PutU32(std::uint32_t v, std::vector<std::uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::uint64_t v, std::vector<std::uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutF64(double v, std::vector<std::uint8_t>* out) {
-  PutU64(std::bit_cast<std::uint64_t>(v), out);
-}
+/// Footer bytes before the two checksum fields.
+constexpr std::size_t kFooterBodyBytes = kBlockFooterBytes - 16;
 
 std::uint32_t GetU32(std::span<const std::uint8_t> data, std::size_t pos) {
   std::uint32_t v = 0;
@@ -46,35 +32,41 @@ double GetF64(std::span<const std::uint8_t> data, std::size_t pos) {
   return std::bit_cast<double>(GetU64(data, pos));
 }
 
-/// Serializes the footer body (everything before the checksum fields).
-void EncodeFooterBody(const BlockFooter& footer,
-                      std::vector<std::uint8_t>* out) {
-  PutU32(kFooterMagic, out);
-  PutU32(footer.segment_count, out);
-  PutU64(footer.object_min, out);
-  PutU64(footer.object_max, out);
-  PutF64(footer.t_min, out);
-  PutF64(footer.t_max, out);
-  PutF64(footer.min_x, out);
-  PutF64(footer.min_y, out);
-  PutF64(footer.max_x, out);
-  PutF64(footer.max_y, out);
-  PutU32(footer.payload_bytes, out);
+/// The serialized footer, checksums included, built on the stack so that
+/// checksumming a footer on every block read allocates nothing.
+std::array<std::uint8_t, kBlockFooterBytes> FooterBytes(
+    const BlockFooter& footer) {
+  std::array<std::uint8_t, kBlockFooterBytes> out{};
+  std::size_t pos = 0;
+  auto put = [&](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      out[pos++] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  put(kFooterMagic, 4);
+  put(footer.segment_count, 4);
+  put(footer.object_min, 8);
+  put(footer.object_max, 8);
+  put(std::bit_cast<std::uint64_t>(footer.t_min), 8);
+  put(std::bit_cast<std::uint64_t>(footer.t_max), 8);
+  put(std::bit_cast<std::uint64_t>(footer.min_x), 8);
+  put(std::bit_cast<std::uint64_t>(footer.min_y), 8);
+  put(std::bit_cast<std::uint64_t>(footer.max_x), 8);
+  put(std::bit_cast<std::uint64_t>(footer.max_y), 8);
+  put(footer.payload_bytes, 4);
+  put(footer.checksum, 8);
+  put(footer.footer_checksum, 8);
+  return out;
 }
 
 }  // namespace
 
-std::uint64_t Fnv1a64(std::span<const std::uint8_t> data,
-                      std::uint64_t seed) {
-  return serial::Fnv1a64(data, seed);
-}
-
 void EncodeFileHeader(double zeta, std::vector<std::uint8_t>* out) {
   out->insert(out->end(), kFileMagicPrefix.begin(), kFileMagicPrefix.end());
   out->push_back(static_cast<std::uint8_t>('0' + kFormatVersion));
-  PutU32(kFormatVersion, out);
-  PutU32(0, out);  // reserved
-  PutF64(zeta, out);
+  serial::PutU32(kFormatVersion, out);
+  serial::PutU32(0, out);  // reserved
+  serial::PutF64(zeta, out);
 }
 
 Result<double> DecodeFileHeader(std::span<const std::uint8_t> data) {
@@ -132,9 +124,8 @@ BlockFooter MakeFooter(std::span<const traj::TimedSegment> segments,
 
 void EncodeFooter(const BlockFooter& footer,
                   std::vector<std::uint8_t>* out) {
-  EncodeFooterBody(footer, out);
-  PutU64(footer.checksum, out);
-  PutU64(footer.footer_checksum, out);
+  const auto bytes = FooterBytes(footer);
+  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 Result<BlockFooter> DecodeFooter(std::span<const std::uint8_t> data) {
@@ -182,21 +173,14 @@ Status ValidateFooterRanges(const BlockFooter& footer) {
 
 std::uint64_t BlockChecksum(std::span<const std::uint8_t> payload,
                             const BlockFooter& footer) {
-  std::vector<std::uint8_t> body;
-  body.reserve(kBlockFooterBytes - 16);
-  EncodeFooterBody(footer, &body);
-  return Fnv1a64(body, Fnv1a64(payload));
+  const auto bytes = FooterBytes(footer);
+  return serial::Xxh64(std::span(bytes).first(kFooterBodyBytes),
+                       serial::Xxh64(payload));
 }
 
 std::uint64_t FooterChecksum(const BlockFooter& footer) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kBlockFooterBytes - 8);
-  EncodeFooterBody(footer, &bytes);
-  std::uint64_t checksum = footer.checksum;
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
-  }
-  return Fnv1a64(bytes);
+  const auto bytes = FooterBytes(footer);
+  return serial::Xxh64(std::span(bytes).first(kBlockFooterBytes - 8));
 }
 
 }  // namespace operb::store

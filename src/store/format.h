@@ -44,7 +44,7 @@ inline constexpr std::array<std::uint8_t, 7> kFileMagicPrefix = {
 /// Format version written into segment files, and the only one the
 /// reader accepts. Versioning rules (when to bump, what may change
 /// without a bump) are specified in docs/ARCHITECTURE.md.
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Marker leading every block footer, used to cross-check the payload
 /// length prefix before trusting the rest of the footer.
@@ -74,8 +74,8 @@ struct BlockFooter {
   double t_min = 0.0;            ///< earliest t_start in the block
   double t_max = 0.0;            ///< latest t_end in the block
   double min_x = 0.0, min_y = 0.0, max_x = 0.0, max_y = 0.0;  ///< geometry
-  std::uint64_t checksum = 0;  ///< FNV-1a over payload || footer body
-  /// FNV-1a over the serialized footer up to (and including) `checksum`.
+  std::uint64_t checksum = 0;  ///< XXH64 over payload, then footer body
+  /// XXH64 over the serialized footer up to (and including) `checksum`.
   /// This is what lets the open scan detect a flipped bit in any footer
   /// field without reading the payload.
   std::uint64_t footer_checksum = 0;
@@ -91,18 +91,12 @@ struct BlockFooter {
   }
 };
 
-/// 64-bit FNV-1a — the store's checksum. Not cryptographic; it exists to
-/// detect torn writes and bit rot, and its incremental form lets the
-/// writer fold the footer body into the payload hash.
-std::uint64_t Fnv1a64(std::span<const std::uint8_t> data,
-                      std::uint64_t seed = 0xCBF2'9CE4'8422'2325ULL);
-
 /// Serializes a file header (magic, version, reserved, zeta).
 void EncodeFileHeader(double zeta, std::vector<std::uint8_t>* out);
 
 /// Parses and validates a file header and returns the zeta it records.
-/// Corruption on bad magic, a version other than kFormatVersion or a
-/// truncated header.
+/// Corruption on bad magic, a version other than kFormatVersion (the
+/// message names the version found) or a truncated header.
 Result<double> DecodeFileHeader(std::span<const std::uint8_t> data);
 
 /// Computes footer metadata over `segments` (which must be the block's
@@ -128,13 +122,15 @@ Result<BlockFooter> DecodeFooter(std::span<const std::uint8_t> data);
 Status ValidateFooterRanges(const BlockFooter& footer);
 
 /// The payload checksum a block with this payload and footer body must
-/// carry: FNV-1a over the payload, continued over the serialized footer
-/// body (everything before the two checksum fields).
+/// carry: XXH64 of the serialized footer body (everything before the two
+/// checksum fields), seeded with XXH64 of the payload. Not
+/// cryptographic; it detects torn writes and bit rot. Allocation-free:
+/// it runs on every block read.
 std::uint64_t BlockChecksum(std::span<const std::uint8_t> payload,
                             const BlockFooter& footer);
 
-/// The footer self-checksum: FNV-1a over the serialized footer up to
-/// and including the payload checksum field.
+/// The footer self-checksum: XXH64 over the serialized footer up to and
+/// including the payload checksum field. Allocation-free.
 std::uint64_t FooterChecksum(const BlockFooter& footer);
 
 }  // namespace operb::store

@@ -9,48 +9,17 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "store/format.h"
+#include "common/serial.h"
 #include "store/store_metrics.h"
 
 namespace operb::store {
 
 namespace {
 
-void PutU32(std::uint32_t v, std::vector<std::uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::uint64_t v, std::vector<std::uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool GetU32(std::span<const std::uint8_t> data, std::size_t* pos,
-            std::uint32_t* out) {
-  if (*pos + 4 > data.size()) return false;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data[*pos + i]) << (8 * i);
-  }
-  *pos += 4;
-  *out = v;
-  return true;
-}
-
-bool GetU64(std::span<const std::uint8_t> data, std::size_t* pos,
-            std::uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data[*pos + i]) << (8 * i);
-  }
-  *pos += 8;
-  *out = v;
-  return true;
-}
+using serial::GetU32;
+using serial::GetU64;
+using serial::PutU32;
+using serial::PutU64;
 
 }  // namespace
 
@@ -109,7 +78,7 @@ void EncodeManifest(const Manifest& manifest,
     PutU32(static_cast<std::uint32_t>(f.name.size()), out);
     out->insert(out->end(), f.name.begin(), f.name.end());
   }
-  PutU64(Fnv1a64(*out), out);
+  PutU64(serial::Fnv1a64(*out), out);
 }
 
 Result<Manifest> DecodeManifest(std::span<const std::uint8_t> data) {
@@ -127,7 +96,7 @@ Result<Manifest> DecodeManifest(std::span<const std::uint8_t> data) {
     std::size_t pos = tail;
     GetU64(data, &pos, &stored);
   }
-  if (Fnv1a64(data.first(tail)) != stored) {
+  if (serial::Fnv1a64(data.first(tail)) != stored) {
     return Status::Corruption("store manifest checksum mismatch");
   }
 

@@ -76,7 +76,7 @@ struct SegmentFileStats {
 class SegmentFileWriter {
  public:
   /// Opens `path` for writing (truncating any existing file) through
-  /// `env` (nullptr: the real filesystem) and writes the v2 file header.
+  /// `env` (nullptr: the real filesystem) and writes the file header.
   /// IOError when the file cannot be created. `block_budget_bytes` must
   /// already be validated by the caller (StoreWriterOptions::Validate).
   static Result<std::unique_ptr<SegmentFileWriter>> Create(
@@ -90,9 +90,11 @@ class SegmentFileWriter {
   SegmentFileWriter& operator=(const SegmentFileWriter&) = delete;
 
   /// Blocks' worth of segments one seal buffers before it orders and
-  /// cuts them. More blocks per seal cluster more objects by place, at
-  /// the cost of a larger buffer per open writer.
-  static constexpr std::size_t kBlocksPerSeal = 8;
+  /// cuts them, so an open writer holds kBlocksPerSeal x the block
+  /// budget (64 KiB at the default 2 KiB). The seal size fixes how many
+  /// nearby objects are clustered together; the block count fixes how
+  /// finely that place is cut (DESIGN.md §8).
+  static constexpr std::size_t kBlocksPerSeal = 32;
 
   /// Buffers one segment; seals kBlocksPerSeal blocks when the buffer
   /// fills.
@@ -141,7 +143,7 @@ class SegmentFileWriter {
 /// only, payloads stay on disk — applying the valid-prefix rule: an
 /// *incomplete* final frame is a torn tail and is dropped (reported via
 /// open_info()), but a size-complete frame that fails validation (bad
-/// footer magic, v2 footer-checksum mismatch, length-prefix/footer
+/// footer magic, footer-checksum mismatch, length-prefix/footer
 /// disagreement, inverted ranges) is Corruption — dropping it would
 /// silently lose committed data. Payload checksums are verified by
 /// ReadBlock(), on every read.

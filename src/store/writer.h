@@ -33,7 +33,7 @@ struct StoreWriterOptions {
   /// them by place and cuts them into blocks of about this size, so
   /// block count scales with data volume and every block's footer prunes
   /// a bounded byte range of nearby objects. Must be >= 1024.
-  std::size_t block_budget_bytes = 8 * 1024;
+  std::size_t block_budget_bytes = 2 * 1024;
 
   /// Shards the store's objects are partitioned into, by
   /// traj::ShardOfObject — the same hash the StreamEngine routes with,

@@ -19,6 +19,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "baselines/streaming.h"
 #include "codec/segment_codec.h"
 #include "codec/varint.h"
+#include "common/serial.h"
 #include "datagen/rng.h"
 #include "eval/verifier.h"
 #include "geo/bbox.h"
@@ -618,6 +620,106 @@ TEST(StoreTest, OpenRejectsForeignAndTruncatedHeaders) {
     EXPECT_EQ(store::StoreReader::Open(dir).status().code(),
               StatusCode::kCorruption);
   }
+}
+
+TEST(StoreChecksumTest, Xxh64MatchesReferenceVectors) {
+  auto xxh64 = [](std::string_view s, std::uint64_t seed = 0) {
+    return serial::Xxh64(
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(s.data()), s.size()),
+        seed);
+  };
+  EXPECT_EQ(xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(xxh64("abc"), 0x44BC2CF5AD770999ULL);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(xxh64("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+  EXPECT_EQ(xxh64("xxhash"), 0x32DD38952C4BC720ULL);
+  EXPECT_EQ(xxh64("xxhash", 20141025), 0xB559B98D844E0635ULL);
+}
+
+TEST(StoreTest, OpenRefusesAVersion2SegmentFile) {
+  // Rewrite a freshly written file into the exact bytes the version-2
+  // writer produced: header version 2 and FNV-1a64 block checksums.
+  const std::string dir = TempPath("store_version2.store");
+  {
+    WriteAndOpen(dir, SimplifyTimed(testutil::ZigZag(200),
+                                    baselines::Algorithm::kOPERB, 3),
+                 /*block_budget=*/1024);
+  }
+  const std::string segment = OnlySegmentFile(dir);
+  std::string bytes = ReadFileBytes(segment);
+  {
+    const auto file = store::SegmentFileReader::Open(segment);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_GT(file.value()->blocks().size(), 1u);
+    auto* raw = reinterpret_cast<std::uint8_t*>(bytes.data());
+    for (const store::BlockRef& b : file.value()->blocks()) {
+      const std::span<const std::uint8_t> payload(raw + b.payload_offset,
+                                                  b.footer.payload_bytes);
+      std::vector<std::uint8_t> footer;
+      store::EncodeFooter(b.footer, &footer);
+      const std::uint64_t checksum = serial::Fnv1a64(
+          std::span<const std::uint8_t>(footer).first(
+              store::kBlockFooterBytes - 16),
+          serial::Fnv1a64(payload));
+      footer.resize(store::kBlockFooterBytes - 16);
+      serial::PutU64(checksum, &footer);
+      serial::PutU64(serial::Fnv1a64(footer), &footer);
+      std::copy(footer.begin(), footer.end(),
+                raw + b.payload_offset + b.footer.payload_bytes);
+    }
+  }
+  bytes[7] = '2';
+  bytes[8] = 2;
+  WriteFileBytes(segment, bytes);
+
+  const Status opened = store::StoreReader::Open(dir).status();
+  EXPECT_EQ(opened.code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.ToString().find("unsupported store format version 2"),
+            std::string::npos)
+      << opened.ToString();
+}
+
+TEST(StoreTest, EverySingleBitFlipInASealedBlockIsCaughtOnRead) {
+  // One small block: flip each bit of its payload and footer in turn.
+  // A footer flip fails the footer-only open scan; a payload flip
+  // passes it and fails the payload checksum on read. Both are
+  // Corruption.
+  const std::string dir = TempPath("store_bitflips.store");
+  {
+    WriteAndOpen(dir, SimplifyTimed(testutil::ZigZag(40),
+                                    baselines::Algorithm::kOPERB, 3));
+  }
+  const std::string segment = OnlySegmentFile(dir);
+  const std::string original = ReadFileBytes(segment);
+  const std::size_t payload_at = store::kFileHeaderBytes + 4;
+  ASSERT_GT(original.size(), payload_at + store::kBlockFooterBytes);
+  {
+    const auto file = store::SegmentFileReader::Open(segment);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_EQ(file.value()->blocks().size(), 1u);
+    ASSERT_TRUE(file.value()->ReadBlock(0).ok());
+  }
+
+  std::size_t caught_at_open = 0;
+  for (std::size_t byte = payload_at; byte < original.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = original;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      WriteFileBytes(segment, flipped);
+      const auto file = store::SegmentFileReader::Open(segment);
+      const Status read =
+          file.ok() ? file.value()->ReadBlock(0).status() : file.status();
+      caught_at_open += file.ok() ? 0 : 1;
+      ASSERT_EQ(read.code(), StatusCode::kCorruption)
+          << "byte " << byte << " bit " << bit << ": " << read.ToString();
+    }
+  }
+  // Exactly the footer's bits fail the open scan.
+  EXPECT_EQ(caught_at_open, 8 * store::kBlockFooterBytes);
+  WriteFileBytes(segment, original);
 }
 
 TEST(StoreTest, WriterRejectsBadOptionsAndLateAppends) {
@@ -1778,8 +1880,10 @@ TEST(StoreLayoutTest, FleetAnswersMatchBruteForceAndBlocksClusterByPlace) {
   ASSERT_GE(reader.value()->block_count(), 16u)
       << "fixture too small to form many blocks per shard";
 
-  // The pruning guard: each block covers a small part of its shard.
-  EXPECT_LE(MedianFooterAreaShare(path), 0.25);
+  // The pruning guard: each block covers a small part of its shard. A
+  // seal cuts its extent into kBlocksPerSeal = 32 places (ideal share
+  // 1/32); this fixture measures a median of 0.029.
+  EXPECT_LE(MedianFooterAreaShare(path), 1.0 / 16);
 
   for (traj::ObjectId id = 0; id < 600; ++id) {
     const auto got = reader.value()->ReconstructObject(id);
@@ -1943,8 +2047,11 @@ TEST(StoreLayoutTest, NonFiniteStartPointsNeitherCrashNorReorder) {
 
 TEST(StoreLayoutTest, CloseSealsAPartialBuffer) {
   // Less than one seal's worth, then several seals' worth whose last
-  // seal is partial: Close() writes the partial seal either way.
-  const std::vector<traj::TimedSegment> feed = FleetFeed(30, 40, 77);
+  // seal is partial: Close() writes the partial seal either way. The
+  // feed grows with kBlocksPerSeal so that it always spans more than two
+  // seals at the minimum budget.
+  const std::vector<traj::TimedSegment> feed =
+      FleetFeed(30, 5 * store::SegmentFileWriter::kBlocksPerSeal, 77);
   std::uint64_t seal_blocks = 0;
   for (const std::size_t take : {std::size_t{40}, feed.size()}) {
     const std::string path =
@@ -1989,7 +2096,7 @@ TEST(StoreLayoutTest, CloseSealsAPartialBuffer) {
 TEST(StoreLayoutTest, SmallBlocksCompactToLargerBudgetIdentically) {
   const std::string path = TempPath("store_layout_compact.store");
   const std::vector<traj::TimedSegment> feed = FleetFeed(200, 40, 13);
-  WriteFeed(path, feed, /*num_shards=*/2);  // default 8 KiB blocks
+  WriteFeed(path, feed, /*num_shards=*/2);  // default 2 KiB blocks
   ASSERT_FALSE(HasFatalFailure());
 
   datagen::Rng rng(3);
