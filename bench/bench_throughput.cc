@@ -557,7 +557,7 @@ int main(int argc, char** argv) {
       eopts.num_shards = 4 * threads;
       std::uint64_t segments = 0;
       const Timing tm = TimeLoop([&] {
-        engine::StreamEngine eng(eopts, engine::TaggedSegmentSink{});
+        engine::StreamEngine eng(eopts, engine::TimedSegmentSink{});
         eng.Push(std::span<const traj::ObjectUpdate>(updates));
         eng.Close();
         segments = eng.stats().segments;
@@ -1053,9 +1053,9 @@ int main(int argc, char** argv) {
     const auto hashing_sink = [&segment_hash](
                                   std::atomic<std::uint64_t>* sum,
                                   std::atomic<std::uint64_t>* count) {
-      return [&segment_hash, sum, count](
-                 traj::ObjectId id, const traj::RepresentedSegment& s) {
-        sum->fetch_add(segment_hash(id, s), std::memory_order_relaxed);
+      return [&segment_hash, sum, count](const traj::TimedSegment& s) {
+        sum->fetch_add(segment_hash(s.object_id, s.segment),
+                       std::memory_order_relaxed);
         count->fetch_add(1, std::memory_order_relaxed);
       };
     };

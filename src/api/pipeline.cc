@@ -230,7 +230,7 @@ Pipeline::Builder& Pipeline::Builder::Engine(
   return *this;
 }
 
-Pipeline::Builder& Pipeline::Builder::ToSink(engine::TaggedSegmentSink sink) {
+Pipeline::Builder& Pipeline::Builder::ToSink(PipelineSink sink) {
   sink_ = std::move(sink);
   return *this;
 }
@@ -304,12 +304,6 @@ Result<Pipeline> Pipeline::Builder::Build() {
       return Status::InvalidArgument(
           "ResumeFrom cannot be combined with Verify: verification needs "
           "the full original stream, a resumed run only has its tail");
-    }
-    if (write_store_) {
-      return Status::InvalidArgument(
-          "ResumeFrom cannot be combined with WriteStore: stored time "
-          "annotations index into the full original stream, a resumed run "
-          "only has its tail");
     }
   }
   if (verify_ && !(verify_slack_ >= 0.0)) {
@@ -566,53 +560,27 @@ Result<PipelineReport> Pipeline::RunEngine() {
           std::span<const traj::ObjectUpdate>(updates)));
   report.objects = grouped.size();
 
-  // Store stage: writer created up front so segments stream into it from
-  // the worker threads (Append is thread-safe; per-object order is the
-  // engine's determinism contract). Times come from the grouped
-  // originals, which the sink reads concurrently but never mutates.
+  // Store stage: segments stream into the writer from the worker threads
+  // (Append is thread-safe; per-object order is the engine's determinism
+  // contract). The engine stamps each segment's times, so a resumed run
+  // stores correctly timed segments too. The writer is created once the
+  // engine exists, before the first Push, so a refused checkpoint leaves
+  // no store behind.
   std::unique_ptr<store::StoreWriter> store_writer;
-  std::unordered_map<traj::ObjectId, const traj::Trajectory*> originals;
-  if (cfg.write_store_) {
-    OPERB_ASSIGN_OR_RETURN(
-        store_writer,
-        store::StoreWriter::Create(cfg.store_path_, cfg.store_options_));
-    originals.reserve(grouped.size());
-    for (const traj::ObjectTrajectory& obj : grouped) {
-      originals.emplace(obj.object_id, &obj.trajectory);
-    }
-  }
 
   // Collect when the report keeps the segments or verification needs
   // them; forward to the user sink either way.
   const bool collect = !cfg.sink_ || cfg.verify_;
   std::mutex mu;
   std::vector<traj::TaggedSegment> collected;
-  engine::TaggedSegmentSink engine_sink;
-  if (collect && cfg.sink_) {
-    engine_sink = [&](traj::ObjectId id, const traj::RepresentedSegment& s) {
-      cfg.sink_(id, s);
+  engine::TimedSegmentSink engine_sink = [&](const traj::TimedSegment& s) {
+    if (store_writer != nullptr) store_writer->Append(s);
+    if (cfg.sink_) cfg.sink_(s.object_id, s.segment);
+    if (collect) {
       const std::lock_guard<std::mutex> lock(mu);
-      collected.push_back({id, s});
-    };
-  } else if (collect) {
-    engine_sink = [&](traj::ObjectId id, const traj::RepresentedSegment& s) {
-      const std::lock_guard<std::mutex> lock(mu);
-      collected.push_back({id, s});
-    };
-  } else {
-    engine_sink = cfg.sink_;
-  }
-  if (store_writer != nullptr) {
-    engine_sink = [&originals, &store_writer,
-                   inner = std::move(engine_sink)](
-                      traj::ObjectId id,
-                      const traj::RepresentedSegment& s) {
-      const traj::Trajectory& original = *originals.at(id);
-      store_writer->Append(
-          {id, s, original[s.first_index].t, original[s.last_index].t});
-      if (inner) inner(id, s);
-    };
-  }
+      collected.push_back({s.object_id, s.segment});
+    }
+  };
 
   std::unique_ptr<engine::StreamEngine> eng;
   if (!cfg.resume_path_.empty()) {
@@ -625,6 +593,11 @@ Result<PipelineReport> Pipeline::RunEngine() {
     OPERB_ASSIGN_OR_RETURN(eng,
                            engine::StreamEngine::Create(
                                cfg.engine_options_, std::move(engine_sink)));
+  }
+  if (cfg.write_store_) {
+    OPERB_ASSIGN_OR_RETURN(
+        store_writer,
+        store::StoreWriter::Create(cfg.store_path_, cfg.store_options_));
   }
   Stopwatch watch;
   {

@@ -6,6 +6,7 @@
 /// simplify, verify, delta-encode, write-store, sink.
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,6 +25,13 @@
 #include "traj/trajectory.h"
 
 namespace operb::api {
+
+/// Output callback of a Pipeline (Builder::ToSink): one segment of one
+/// object, without its times. On the engine path it runs on worker
+/// threads under the engine sink's contract (engine::TimedSegmentSink);
+/// on the single path it runs inline, with object id 0.
+using PipelineSink =
+    std::function<void(traj::ObjectId, const traj::RepresentedSegment&)>;
 
 /// Everything one Pipeline::Run() produced and measured.
 ///
@@ -167,10 +175,8 @@ class Pipeline {
     /// without this call (with default knobs).
     Builder& Engine(engine::StreamEngineOptions options);
     /// Deliver segments to `sink` instead of collecting them into the
-    /// report. Engine path: called from worker threads (see
-    /// TaggedSegmentSink's contract); single path: called inline, with
-    /// object id 0.
-    Builder& ToSink(engine::TaggedSegmentSink sink);
+    /// report (see PipelineSink for the threading contract).
+    Builder& ToSink(PipelineSink sink);
     /// Periodically snapshot the engine's complete streaming state to
     /// `path` (engine::StreamEngine::Checkpoint: drain barrier, temp
     /// file + rename, DESIGN.md §9). With every_n_points > 0 a
@@ -197,10 +203,12 @@ class Pipeline {
     /// source must then supply exactly the stream's *remainder* (the
     /// updates after the cut), and the run emits the segments the
     /// uninterrupted run would have emitted from that point on,
-    /// bit-identically. Implies the engine path. Incompatible with
-    /// Clean(), Verify() and WriteStore() — those stages need the full
-    /// original stream, which a resumed run by definition does not have
-    /// (Build() rejects the combination).
+    /// bit-identically. Implies the engine path. Composes with
+    /// WriteStore(): the store receives the post-cut segments, their
+    /// times stamped by the restored engine. Incompatible with Clean()
+    /// and Verify() — those stages need the full original stream, which
+    /// a resumed run by definition does not have (Build() rejects the
+    /// combination).
     Builder& ResumeFrom(std::string path);
 
     /// Validates the configuration (source present, spec parses and
@@ -242,7 +250,7 @@ class Pipeline {
     store::StoreWriterOptions store_options_;
     bool use_engine_ = false;
     engine::StreamEngineOptions engine_options_;
-    engine::TaggedSegmentSink sink_;
+    PipelineSink sink_;
     std::string checkpoint_path_;
     std::size_t checkpoint_every_ = 0;
     store::Env* checkpoint_env_ = nullptr;

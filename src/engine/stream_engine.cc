@@ -32,14 +32,13 @@ constexpr std::chrono::microseconds kDrainPoll{50};
 
 /// Engine checkpoint file framing (DESIGN.md §9): 8-byte magic, version
 /// byte, embedded spec string and shard count (the compatibility keys),
-/// engine counters, per-shard state sections, trailing FNV-1a64.
-/// Version 1 is the plain engine; version 2 appends each live object's
-/// tail clock (track_segment_times on) so a restored engine keeps
-/// emitting correctly timed segments.
+/// engine counters, per-shard state sections, trailing FNV-1a64. Each
+/// live object's record carries its tail clock, so a restored engine
+/// keeps emitting correctly timed segments. Version 1, which had no
+/// clocks, is refused.
 constexpr std::uint8_t kCheckpointMagic[8] = {'O', 'P', 'R', 'B',
                                               'C', 'K', 'P', '1'};
-constexpr std::uint8_t kCheckpointVersionPlain = 1;
-constexpr std::uint8_t kCheckpointVersionTimed = 2;
+constexpr std::uint8_t kCheckpointVersion = 2;
 
 /// Caller-side wait inside a tail snapshot: spin first (the worker
 /// usually answers within microseconds), then sleep-poll.
@@ -116,10 +115,9 @@ std::string StreamEngineOptions::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "StreamEngineOptions{%s shards=%zu threads=%zu "
-                "ring=%zu batch=%zu idle_timeout=%gs%s}",
+                "ring=%zu batch=%zu idle_timeout=%gs}",
                 spec.ToString().c_str(), num_shards, num_threads,
-                ring_capacity, producer_batch, idle_timeout_seconds,
-                track_segment_times ? " timed" : "");
+                ring_capacity, producer_batch, idle_timeout_seconds);
   return buf;
 }
 
@@ -149,13 +147,12 @@ class StreamEngine::Shard {
  public:
   Shard(const StreamEngineOptions& options,
         const api::AlgorithmRegistry::Entry* algorithm,
-        const TaggedSegmentSink* sink, const TimedSegmentSink* timed_sink,
-        std::atomic<std::uint64_t>* live, std::atomic<std::uint64_t>* peak)
+        const TimedSegmentSink* sink, std::atomic<std::uint64_t>* live,
+        std::atomic<std::uint64_t>* peak)
       : ring(options.ring_capacity),
         options_(options),
         algorithm_(algorithm),
         sink_(sink),
-        timed_sink_(timed_sink),
         live_census_(live),
         peak_census_(peak),
         slots_(kInitialSlots) {
@@ -213,9 +210,7 @@ class StreamEngine::Shard {
         current_state_ = s.state;
         // The clock entry must exist before Push: the state may emit a
         // segment ending at this very point.
-        if (options_.track_segment_times) {
-          clocks_[s.state].Append(u.point.t);
-        }
+        clocks_[s.state].Append(u.point.t);
         states_[s.state]->Push(u.point);
         s.last_time = u.point.t;
         break;
@@ -257,10 +252,8 @@ class StreamEngine::Shard {
     Slot& s = FindOrCreate(id);
     current_id_ = id;
     current_state_ = s.state;
-    if (options_.track_segment_times) {
-      TailClock& clock = clocks_[s.state];
-      for (std::size_t k = 0; k < n; ++k) clock.Append(pts[k].t);
-    }
+    TailClock& clock = clocks_[s.state];
+    for (std::size_t k = 0; k < n; ++k) clock.Append(pts[k].t);
     states_[s.state]->Push(std::span<const geo::Point>(pts, n));
     s.last_time = pts[n - 1].t;
   }
@@ -359,7 +352,8 @@ class StreamEngine::Shard {
   /// Appends this shard's checkpoint section: live objects in ascending
   /// id order (canonical, so equal engine states serialize to equal
   /// bytes regardless of table history), each as id + last event time +
-  /// length-prefixed simplifier state blob, then the shard counters.
+  /// length-prefixed simplifier state blob + tail clock, then the shard
+  /// counters.
   /// Caller must hold the drain barrier (Checkpoint() does) — the
   /// owning worker is then provably idle.
   void SerializeState(std::vector<std::uint8_t>* out) const {
@@ -379,16 +373,14 @@ class StreamEngine::Shard {
       states_[s->state]->Serialize(&blob);
       serial::PutU32(static_cast<std::uint32_t>(blob.size()), out);
       out->insert(out->end(), blob.begin(), blob.end());
-      if (options_.track_segment_times) {
-        // Version-2 extra: the object's tail clock, logically (base
-        // index, window) — physical compaction offsets never leak into
-        // the bytes, keeping equal states byte-equal.
-        const TailClock& clock = clocks_[s->state];
-        serial::PutU64(clock.base, out);
-        serial::PutU64(clock.size(), out);
-        for (std::size_t i = 0; i < clock.size(); ++i) {
-          serial::PutF64(clock.At(clock.base + i), out);
-        }
+      // The tail clock, logically (base index, window) — physical
+      // compaction offsets never leak into the bytes, keeping equal
+      // states byte-equal.
+      const TailClock& clock = clocks_[s->state];
+      serial::PutU64(clock.base, out);
+      serial::PutU64(clock.size(), out);
+      for (std::size_t i = 0; i < clock.size(); ++i) {
+        serial::PutF64(clock.At(clock.base + i), out);
       }
     }
     serial::PutU64(segments_, out);
@@ -397,15 +389,20 @@ class StreamEngine::Shard {
     serial::PutU64(idle_evictions_, out);
   }
 
-  /// Rebuilds the shard from its checkpoint section (before the workers
-  /// start; thread creation publishes the restored state to the owning
-  /// worker). Each blob is handed to a freshly pooled state's
-  /// Deserialize, which enforces the blob's own magic/version/zeta
-  /// framing; counters are then overwritten with the checkpointed
-  /// values so a resumed run's totals match the uninterrupted run.
-  Status RestoreState(std::span<const std::uint8_t> in, std::size_t* pos) {
+  /// Rebuilds shard `shard` from its checkpoint section (before the
+  /// workers start; thread creation publishes the restored state to the
+  /// owning worker). Ids must rise strictly and belong to this shard, as
+  /// the writer emits them: anything else is Corruption, never a second
+  /// state for one object. Each blob is handed to a freshly pooled
+  /// state's Deserialize, which enforces the blob's own
+  /// magic/version/zeta framing; counters are then overwritten with the
+  /// checkpointed values so a resumed run's totals match the
+  /// uninterrupted run.
+  Status RestoreState(std::size_t shard, std::span<const std::uint8_t> in,
+                      std::size_t* pos) {
     std::uint64_t count = 0;
     if (!serial::GetU64(in, pos, &count)) return TruncatedCheckpoint();
+    traj::ObjectId previous_id = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       std::uint64_t id = 0;
       double last_time = 0.0;
@@ -416,6 +413,18 @@ class StreamEngine::Shard {
         return TruncatedCheckpoint();
       }
       if (in.size() - *pos < blob_len) return TruncatedCheckpoint();
+      if (traj::ShardOfObject(id, options_.num_shards) != shard) {
+        return Status::Corruption("engine checkpoint puts object " +
+                                  std::to_string(id) + " in shard " +
+                                  std::to_string(shard) +
+                                  ", which does not own it");
+      }
+      if (i > 0 && id <= previous_id) {
+        return Status::Corruption(
+            "engine checkpoint object ids do not rise strictly in shard " +
+            std::to_string(shard));
+      }
+      previous_id = id;
       Slot& s = FindOrCreate(id);
       s.last_time = last_time;
       // Bound the blob's span to its declared length so a state that
@@ -429,19 +438,17 @@ class StreamEngine::Shard {
             "checkpoint state blob length disagrees with its contents");
       }
       *pos += blob_len;
-      if (options_.track_segment_times) {
-        TailClock& clock = clocks_[s.state];
-        clock.Clear();
-        std::uint64_t times = 0;
-        if (!serial::GetU64(in, pos, &clock.base) ||
-            !serial::GetU64(in, pos, &times)) {
-          return TruncatedCheckpoint();
-        }
-        for (std::uint64_t t = 0; t < times; ++t) {
-          double value = 0.0;
-          if (!serial::GetF64(in, pos, &value)) return TruncatedCheckpoint();
-          clock.Append(value);
-        }
+      TailClock& clock = clocks_[s.state];
+      clock.Clear();
+      std::uint64_t times = 0;
+      if (!serial::GetU64(in, pos, &clock.base) ||
+          !serial::GetU64(in, pos, &times)) {
+        return TruncatedCheckpoint();
+      }
+      for (std::uint64_t t = 0; t < times; ++t) {
+        double value = 0.0;
+        if (!serial::GetF64(in, pos, &value)) return TruncatedCheckpoint();
+        clock.Append(value);
       }
     }
     if (!serial::GetU64(in, pos, &segments_) ||
@@ -574,21 +581,18 @@ class StreamEngine::Shard {
         algorithm_->streaming(options_.spec);
     OPERB_CHECK_MSG(state != nullptr, "streaming factory returned null");
     states_.push_back(std::move(state));
-    if (options_.track_segment_times) clocks_.emplace_back();
+    clocks_.emplace_back();
     states_.back()->SetSink([this](const traj::RepresentedSegment& seg) {
       ++segments_;
-      if (options_.track_segment_times) {
-        TailClock& clock = clocks_[current_state_];
-        if (timed_sink_ != nullptr && *timed_sink_) {
-          (*timed_sink_)(traj::TimedSegment{current_id_, seg,
-                                            clock.At(seg.first_index),
-                                            clock.At(seg.last_index)});
-        }
-        // The next segment starts at this one's last index; everything
-        // before it can never be referenced again.
-        clock.DropBefore(seg.last_index);
+      TailClock& clock = clocks_[current_state_];
+      if (*sink_) {
+        (*sink_)(traj::TimedSegment{current_id_, seg,
+                                    clock.At(seg.first_index),
+                                    clock.At(seg.last_index)});
       }
-      if (*sink_) (*sink_)(current_id_, seg);
+      // The next segment starts at this one's last index; everything
+      // before it can never be referenced again.
+      clock.DropBefore(seg.last_index);
     });
     return idx;
   }
@@ -599,7 +603,7 @@ class StreamEngine::Shard {
     baselines::StreamingSimplifier& state = *states_[s.state];
     state.Finish();
     state.Reset();
-    if (options_.track_segment_times) clocks_[s.state].Clear();
+    clocks_[s.state].Clear();
     // The pooled state's next object restarts its clock at index 0, so
     // an old summary could look current again: drop it here.
     if (s.state < summaries_.size()) summaries_[s.state].end = kNoSummary;
@@ -718,8 +722,7 @@ class StreamEngine::Shard {
 
   const StreamEngineOptions& options_;
   const api::AlgorithmRegistry::Entry* algorithm_;
-  const TaggedSegmentSink* sink_;
-  const TimedSegmentSink* timed_sink_;
+  const TimedSegmentSink* sink_;
   std::atomic<std::uint64_t>* live_census_;
   std::atomic<std::uint64_t>* peak_census_;
 
@@ -727,7 +730,7 @@ class StreamEngine::Shard {
   std::size_t live_ = 0;
   std::size_t used_ = 0;  ///< occupied + tombstone slots
   std::vector<std::unique_ptr<baselines::StreamingSimplifier>> states_;
-  /// Parallel to states_ when track_segment_times is on (else empty).
+  /// Parallel to states_.
   std::vector<TailClock> clocks_;
   std::vector<std::uint32_t> free_states_;
   /// Contiguous staging for ProcessBatch's same-id point runs (ring
@@ -763,7 +766,7 @@ class StreamEngine::Shard {
 };
 
 Result<std::unique_ptr<StreamEngine>> StreamEngine::Create(
-    const StreamEngineOptions& options, TaggedSegmentSink sink) {
+    const StreamEngineOptions& options, TimedSegmentSink sink) {
   OPERB_RETURN_IF_ERROR(options.Validate());
   return std::make_unique<StreamEngine>(options, std::move(sink));
 }
@@ -786,9 +789,7 @@ Status StreamEngine::Checkpoint(const std::string& path, store::Env* env) {
   // Byte-wise append: vector::insert from a constexpr array trips
   // GCC 12's -Wstringop-overflow false positive under -fsanitize=thread.
   for (const std::uint8_t b : kCheckpointMagic) buf.push_back(b);
-  serial::PutU8(options_.track_segment_times ? kCheckpointVersionTimed
-                                             : kCheckpointVersionPlain,
-                &buf);
+  serial::PutU8(kCheckpointVersion, &buf);
   const std::string spec = options_.spec.ToString();
   serial::PutU32(static_cast<std::uint32_t>(spec.size()), &buf);
   buf.insert(buf.end(), spec.begin(), spec.end());
@@ -825,7 +826,7 @@ Status StreamEngine::Checkpoint(const std::string& path, store::Env* env) {
 
 Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(
     const std::string& path, const StreamEngineOptions& options,
-    TaggedSegmentSink sink) {
+    TimedSegmentSink sink) {
   OPERB_RETURN_IF_ERROR(options.Validate());
   obs::ScopedTimer restore_timer(GetEngineMetrics().checkpoint_restore_ns);
   obs::TraceSpan span("engine.restore");
@@ -869,19 +870,9 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(
   std::size_t pos = sizeof(kCheckpointMagic);
   std::uint8_t version = 0;
   if (!serial::GetU8(body, &pos, &version)) return TruncatedCheckpoint();
-  if (version != kCheckpointVersionPlain &&
-      version != kCheckpointVersionTimed) {
+  if (version != kCheckpointVersion) {
     return Status::InvalidArgument("unsupported engine checkpoint version " +
                                    std::to_string(version));
-  }
-  const std::uint8_t expected = options.track_segment_times
-                                    ? kCheckpointVersionTimed
-                                    : kCheckpointVersionPlain;
-  if (version != expected) {
-    return Status::InvalidArgument(
-        "checkpoint version " + std::to_string(version) +
-        " disagrees with options.track_segment_times (tail clocks are " +
-        (version == kCheckpointVersionTimed ? "present" : "absent") + ")");
   }
   std::uint32_t spec_len = 0;
   if (!serial::GetU32(body, &pos, &spec_len) ||
@@ -915,8 +906,8 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(
     return TruncatedCheckpoint();
   }
   engine->peak_live_.store(peak, std::memory_order_relaxed);
-  for (const auto& shard : engine->shards_) {
-    OPERB_RETURN_IF_ERROR(shard->RestoreState(body, &pos));
+  for (std::size_t s = 0; s < engine->shards_.size(); ++s) {
+    OPERB_RETURN_IF_ERROR(engine->shards_[s]->RestoreState(s, body, &pos));
   }
   if (pos != body.size()) {
     return Status::Corruption("engine checkpoint has trailing bytes");
@@ -932,13 +923,13 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::CreateFromCheckpoint(
 }
 
 StreamEngine::StreamEngine(const StreamEngineOptions& options,
-                           TaggedSegmentSink sink)
+                           TimedSegmentSink sink)
     : StreamEngine(options, std::move(sink), DeferWorkersTag{}) {
   StartWorkers();
 }
 
 StreamEngine::StreamEngine(const StreamEngineOptions& options,
-                           TaggedSegmentSink sink, DeferWorkersTag)
+                           TimedSegmentSink sink, DeferWorkersTag)
     : options_(options), sink_(std::move(sink)) {
   OPERB_CHECK_MSG(options_.Validate().ok(), "invalid StreamEngineOptions");
   options_.num_threads = std::min(options_.num_threads, options_.num_shards);
@@ -951,8 +942,7 @@ StreamEngine::StreamEngine(const StreamEngineOptions& options,
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_, algorithm, &sink_,
-                                              &timed_sink_, &live_objects_,
-                                              &peak_live_));
+                                              &live_objects_, &peak_live_));
   }
   staging_.resize(options_.num_shards);
   for (auto& batch : staging_) batch.reserve(options_.producer_batch);
@@ -960,8 +950,6 @@ StreamEngine::StreamEngine(const StreamEngineOptions& options,
 }
 
 void StreamEngine::SetTimedSink(TimedSegmentSink sink) {
-  OPERB_CHECK_MSG(options_.track_segment_times,
-                  "SetTimedSink requires track_segment_times");
   // "Before the first Push" means no update has been staged or handed
   // to a ring in THIS process — a checkpoint-restored engine carries
   // the prefix's stats_.points but is still safely sink-less until its
@@ -974,7 +962,7 @@ void StreamEngine::SetTimedSink(TimedSegmentSink sink) {
   }
   OPERB_CHECK_MSG(!pushed_any && !closed(),
                   "SetTimedSink after the first Push");
-  timed_sink_ = std::move(sink);
+  sink_ = std::move(sink);
 }
 
 void StreamEngine::StartWorkers() {
@@ -1102,10 +1090,6 @@ Status StreamEngine::SnapshotWindowTails(const TailSummaryFilter& may_match,
 Status StreamEngine::CheckSnapshot(const TailSnapshotVisitor& visitor) const {
   if (closed()) {
     return Status::InvalidArgument("tail snapshot of a closed engine");
-  }
-  if (!options_.track_segment_times) {
-    return Status::InvalidArgument(
-        "tail snapshots require track_segment_times");
   }
   if (!visitor) {
     return Status::InvalidArgument("tail snapshot visitor must be callable");

@@ -26,20 +26,13 @@
 
 namespace operb::engine {
 
-/// Output callback of the engine: one determined segment of one object.
-/// Invoked from worker threads — concurrently for objects on different
-/// shards, serially (and in emission order) for any single object. The
-/// callback must therefore be thread-safe across objects; per-object it
-/// sees exactly the segment sequence the single-stream sink path emits.
-using TaggedSegmentSink =
-    std::function<void(traj::ObjectId, const traj::RepresentedSegment&)>;
-
-/// Time-annotated output callback, available when
-/// StreamEngineOptions::track_segment_times is on: the same segment
-/// stream as TaggedSegmentSink, each segment carrying the timestamps of
-/// the original points at its first/last index — i.e. exactly what a
-/// store::StoreWriter::Append wants. Same threading contract as
-/// TaggedSegmentSink.
+/// Output callback of the engine: one determined segment of one object,
+/// carrying the timestamps of the original points at its first and last
+/// index — exactly what a store::StoreWriter::Append wants. Invoked from
+/// worker threads — concurrently for objects on different shards,
+/// serially (and in emission order) for any single object. The callback
+/// must therefore be thread-safe across objects; per-object it sees
+/// exactly the segment sequence the single-stream sink path emits.
 using TimedSegmentSink = std::function<void(const traj::TimedSegment&)>;
 
 /// Callback of the tail-snapshot seam (SnapshotWindowTails /
@@ -110,14 +103,8 @@ struct StreamEngineOptions {
   /// pool. 0 disables idle eviction (Tick becomes a no-op).
   double idle_timeout_seconds = 0.0;
 
-  /// Track, per live object, the timestamps of the points since its
-  /// last emitted segment boundary (consumer-side, lock-free). This
-  /// enables the TimedSegmentSink and the tail-snapshot seam
-  /// (SnapshotWindowTails, SnapshotObjectTail) — the features the server's read-your-writes
-  /// merge is built on — at the cost of O(open-tail length) doubles per
-  /// live object. Checkpoints of a tracking engine are written as
-  /// format version 2 (the tail clocks are part of the state) and can
-  /// only be restored into a tracking engine, and vice versa.
+  /// Ignored and read nowhere: every engine stamps segment times. Kept
+  /// only so callers that still set it compile.
   bool track_segment_times = false;
 
   /// Validates parameter ranges and resolves the spec against the
@@ -156,7 +143,7 @@ struct StreamEngineStats {
 ///   Push/Tick (producer thread)
 ///     └─ per-shard staging batch ──SPSC ring──► worker thread
 ///          └─ shard: open-addressing table object_id → pooled
-///             StreamingSimplifier state ──► TaggedSegmentSink
+///             StreamingSimplifier state + tail clock ──► TimedSegmentSink
 ///
 /// Determinism contract: for every object, the emitted segment sequence
 /// is bit-identical to running the single-stream sink path over that
@@ -167,6 +154,11 @@ struct StreamEngineStats {
 /// is exactly the single-stream simplifier (see DESIGN.md "Sharded
 /// multi-object streaming engine").
 ///
+/// Each live object keeps a tail clock: the timestamps of its points
+/// since its last emitted segment boundary, O(open-tail length) doubles.
+/// The clock stamps t_start/t_end on every emitted segment and on the
+/// tails the snapshot seam clones, and it is part of the checkpoint.
+///
 /// Threading contract: Push/FinishObject/Tick/Flush/Checkpoint/Close
 /// must be called from one producer thread (or externally serialized).
 /// The tail snapshots and the read-only accessors are safe from any
@@ -175,8 +167,8 @@ struct StreamEngineStats {
 ///
 /// Steady-state cost: after warm-up (state pool and table grown to the
 /// live-object working set), a point update performs no heap allocation
-/// for the one-pass algorithms — the ring slots, the table and the
-/// pooled states are all reused.
+/// for the one-pass algorithms — the ring slots, the table, the pooled
+/// states and their tail clocks are all reused (allocation_test).
 class StreamEngine {
  public:
   /// Status-returning construction for untrusted configuration: validates
@@ -184,7 +176,7 @@ class StreamEngine {
   /// InvalidArgument/NotFound instead of aborting. The boundary entry
   /// point used by api::Pipeline and operb_cli.
   static Result<std::unique_ptr<StreamEngine>> Create(
-      const StreamEngineOptions& options, TaggedSegmentSink sink);
+      const StreamEngineOptions& options, TimedSegmentSink sink);
 
   /// Reconstructs an engine mid-stream from a file Checkpoint() wrote.
   /// `options` must describe the same engine: the simplifier spec and
@@ -193,20 +185,20 @@ class StreamEngine {
   /// timeout may differ — they never affect per-object output, see the
   /// determinism contract). Corruption on a damaged, truncated or
   /// foreign file; InvalidArgument on an unsupported checkpoint
-  /// version. Worker threads start only after every per-object state is
+  /// version (only version 2 is read). Worker threads start only after every per-object state is
   /// rebuilt, so the first post-restore Push() continues each
   /// trajectory exactly where the checkpoint cut it: replaying the
   /// stream's remainder emits bit-identical segments to the
   /// uninterrupted run.
   static Result<std::unique_ptr<StreamEngine>> CreateFromCheckpoint(
       const std::string& path, const StreamEngineOptions& options,
-      TaggedSegmentSink sink);
+      TimedSegmentSink sink);
 
   /// Precondition: options.Validate().ok() (checked — use Create() when
   /// the options come from user input). The engine starts its worker
   /// threads immediately; `sink` may be empty (segments are then only
   /// counted).
-  StreamEngine(const StreamEngineOptions& options, TaggedSegmentSink sink);
+  StreamEngine(const StreamEngineOptions& options, TimedSegmentSink sink);
 
   /// Implicitly Close()s if the caller has not.
   ~StreamEngine();
@@ -214,11 +206,11 @@ class StreamEngine {
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
-  /// Installs the time-annotated sink. Requires
-  /// options.track_segment_times (checked) and must be called before
-  /// the first Push — the workers only read it after popping an update
-  /// handed off later, which is what makes the unsynchronized install
-  /// safe. May be empty (timed emission is then skipped).
+  /// Replaces the sink given at construction. Must be called before the
+  /// first Push (checked) — the workers only read the sink after popping
+  /// an update handed off later, which is what makes the unsynchronized
+  /// replacement safe. May be empty (segments are then only counted).
+  /// Prefer passing the sink to Create.
   void SetTimedSink(TimedSegmentSink sink);
 
   /// Feeds one update. Timestamps must be strictly increasing per object.
@@ -280,8 +272,8 @@ class StreamEngine {
   /// without a clone. Every other live object is cloned and visited, and
   /// its summary refreshed. `on_shard` and `visitor` run concurrently
   /// across shards. InvalidArgument on a closed engine (including a
-  /// request still pending when Close() joins the workers), an empty
-  /// callable, or when options.track_segment_times is off.
+  /// request still pending when Close() joins the workers) or an empty
+  /// callable.
   Status SnapshotWindowTails(const TailSummaryFilter& may_match,
                              const ShardSnapshotHook& on_shard,
                              const TailSnapshotVisitor& visitor);
@@ -341,7 +333,7 @@ class StreamEngine {
   /// members are built but no worker thread runs until StartWorkers(),
   /// so restore can write shard state without synchronization.
   struct DeferWorkersTag {};
-  StreamEngine(const StreamEngineOptions& options, TaggedSegmentSink sink,
+  StreamEngine(const StreamEngineOptions& options, TimedSegmentSink sink,
                DeferWorkersTag);
   void StartWorkers();
 
@@ -362,8 +354,7 @@ class StreamEngine {
   Status RunSnapshot(TailSnapshotRequest* requests, std::size_t n);
 
   StreamEngineOptions options_;
-  TaggedSegmentSink sink_;
-  TimedSegmentSink timed_sink_;
+  TimedSegmentSink sink_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::vector<Update>> staging_;  ///< producer-side, per shard
   /// Per-shard hand-off counts. Written by the producer only; atomic so

@@ -103,10 +103,7 @@ Status ServerOptions::Validate() const {
 }
 
 TrajectoryServer::TrajectoryServer(const ServerOptions& options)
-    : options_(options) {
-  // The merge cannot exist without timed segments and the snapshot seam.
-  options_.engine.track_segment_times = true;
-}
+    : options_(options) {}
 
 Result<std::unique_ptr<TrajectoryServer>> TrajectoryServer::Start(
     const ServerOptions& options, std::uint16_t port) {
@@ -137,9 +134,9 @@ Status TrajectoryServer::StartImpl(std::uint16_t port) {
   }
 
   OPERB_ASSIGN_OR_RETURN(
-      engine_, engine::StreamEngine::Create(options_.engine, nullptr));
-  engine_->SetTimedSink(
-      [this](const traj::TimedSegment& s) { OnSegment(s); });
+      engine_, engine::StreamEngine::Create(
+                   options_.engine,
+                   [this](const traj::TimedSegment& s) { OnSegment(s); }));
 
   {
     Result<Listener> listener = Listener::Bind(port);

@@ -50,9 +50,8 @@ namespace operb::server {
 
 /// Configuration of a TrajectoryServer.
 struct ServerOptions {
-  /// The engine the daemon ingests into. track_segment_times is forced
-  /// on (the merge needs timed segments); the spec's zeta becomes the
-  /// store's zeta.
+  /// The engine the daemon ingests into; its timed segments feed the
+  /// overlay and the store. The spec's zeta becomes the store's zeta.
   engine::StreamEngineOptions engine;
 
   /// Store directory the daemon owns. Created fresh at Start (the

@@ -1,10 +1,11 @@
 // Proves the sink path's zero-allocation claim: with a sink installed,
 // steady-state Push performs no heap allocation per point, for OPERB and
-// OPERB-A alike. The whole binary's global operator new/delete are
-// replaced by counting forwarders; counting is switched on only around
-// the measured Push loop, so test-framework allocations don't pollute the
-// numbers.
+// OPERB-A alike, alone and inside the streaming engine. The whole
+// binary's global operator new/delete are replaced by counting
+// forwarders; counting is switched on only around the measured Push
+// loop, so test-framework allocations don't pollute the numbers.
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 #include <span>
@@ -17,28 +18,39 @@
 #include "core/operb_a.h"
 #include "datagen/profiles.h"
 #include "datagen/rng.h"
+#include "engine/stream_engine.h"
 #include "obs/metrics.h"
+#include "traj/multi_object.h"
 #include "traj/trajectory.h"
 
 namespace {
 
-// Single-threaded test binary; plain counters are sufficient.
-bool g_counting = false;
-std::size_t g_allocations = 0;
+// Atomic because the engine case allocates on its worker thread too.
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
 
 struct CountingScope {
   CountingScope() {
-    g_allocations = 0;
-    g_counting = true;
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
   }
-  ~CountingScope() { g_counting = false; }
-  std::size_t count() const { return g_allocations; }
+  ~CountingScope() { g_counting.store(false, std::memory_order_relaxed); }
+  std::size_t count() const {
+    return g_allocations.load(std::memory_order_relaxed);
+  }
 };
+
+// Out of line: where operator new is not inlined (the TSan build turns
+// its atomics into calls), GCC 12 would pair an inlined free() with the
+// opaque new and fail -Wmismatched-new-delete.
+[[gnu::noinline]] void FreeOutOfLine(void* p) noexcept { std::free(p); }
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (g_counting) ++g_allocations;
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -46,10 +58,10 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { FreeOutOfLine(p); }
+void operator delete[](void* p) noexcept { FreeOutOfLine(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeOutOfLine(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeOutOfLine(p); }
 
 namespace operb {
 namespace {
@@ -120,6 +132,59 @@ TEST(AllocationTest, OperbWarmBatchPushIsAllocationFree) {
   }
   EXPECT_EQ(allocations, 0u);
   EXPECT_GT(segments, 10u);
+}
+
+/// The engine's sink path: each point goes through the ring, the shard
+/// table, the pooled state and its tail clock, and each segment to a
+/// TimedSegmentSink. Once the shard has served one object, a second of
+/// the same length allocates nothing, on the producer or the worker. The
+/// test waits for the worker after every producer batch, so both objects
+/// reach the state in the same runs and the second clock never outgrows
+/// the first.
+TEST(AllocationTest, EngineTimedSinkPathIsAllocationFreePerPoint) {
+  const traj::Trajectory t = TestTrajectory(20000);
+  engine::StreamEngineOptions options;
+  options.spec.zeta = 40.0;  // default algorithm: OPERB
+  options.num_shards = 1;
+  options.num_threads = 1;
+  std::atomic<std::size_t> segments{0};
+  engine::StreamEngine eng(options, [&segments](const traj::TimedSegment&) {
+    segments.fetch_add(1, std::memory_order_relaxed);
+  });
+  // A tail snapshot waits until the worker has processed every update
+  // handed off before it; of an object never pushed, it visits nothing.
+  constexpr traj::ObjectId kNeverPushed = 99;
+  const engine::TailSnapshotVisitor visit_nothing =
+      [](traj::ObjectId, std::span<const traj::TimedSegment>) {};
+  bool waits_ok = true;
+  const auto wait_for_worker = [&] {
+    waits_ok = eng.SnapshotObjectTail(kNeverPushed, visit_nothing).ok() &&
+               waits_ok;
+  };
+  const auto feed = [&](traj::ObjectId id) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      eng.Push(id, t[i]);  // hands off a batch every producer_batch points
+      if ((i + 1) % options.producer_batch == 0) wait_for_worker();
+    }
+    eng.Flush();
+    wait_for_worker();
+  };
+  feed(1);
+  eng.FinishObject(1);
+  eng.Flush();
+  wait_for_worker();
+  segments.store(0);
+
+  std::size_t allocations = 0;
+  {
+    CountingScope scope;
+    feed(2);
+    allocations = scope.count();
+  }
+  eng.Close();
+  EXPECT_TRUE(waits_ok);
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(segments.load(), 10u);
 }
 
 TEST(AllocationTest, OperbASinkPathIsAllocationFreePerPoint) {

@@ -10,7 +10,9 @@
 // emit the same segments.
 
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
@@ -29,6 +31,7 @@
 #include "baselines/streaming.h"
 #include "datagen/profiles.h"
 #include "engine/stream_engine.h"
+#include "store/reader.h"
 #include "test_util.h"
 #include "traj/io.h"
 #include "traj/multi_object.h"
@@ -471,6 +474,99 @@ TEST(PipelineTest, SinkReceivesSegmentsInsteadOfReport) {
                       LoadGolden(std::string(OPERB_GOLDEN_DIR) +
                                  "/golden_OPERB_Truck.csv"),
                       "pipeline sink");
+}
+
+TEST(PipelineTest, ResumeWithWriteStoreStoresExactlyThePostCutSegments) {
+  // Checkpoint at a cut, then ResumeFrom + WriteStore into a fresh store:
+  // the store holds exactly the segments the uninterrupted run emits
+  // after the cut, times bit-equal. The engine stamps the times, so the
+  // resumed run needs nothing from before the cut.
+  std::vector<traj::ObjectTrajectory> objects;
+  for (traj::ObjectId id = 1; id <= 4; ++id) {
+    objects.push_back(
+        {id * 5, testutil::Generated(datagen::DatasetKind::kTaxi, 400, id)});
+  }
+  const std::vector<traj::ObjectUpdate> updates =
+      traj::InterleaveRoundRobin(objects);
+  const std::span<const traj::ObjectUpdate> all(updates);
+  const std::size_t cut = updates.size() * 2 / 5;
+  const Result<api::SimplifierSpec> spec =
+      api::SimplifierSpec::Parse("operb-a:zeta=30");
+  ASSERT_TRUE(spec.ok());
+  engine::StreamEngineOptions eopts;
+  eopts.spec = *spec;
+  eopts.num_shards = 2;
+  eopts.num_threads = 2;
+  const std::string prefix = testing::TempDir() + "/pipeline_resume";
+  const auto store_run =
+      [&](std::span<const traj::ObjectUpdate> feed, const std::string& store,
+          const std::string& resume) -> Result<api::PipelineReport> {
+    api::Pipeline::Builder builder;
+    builder.FromUpdates({feed.begin(), feed.end()})
+        .Simplify(*spec)
+        .Engine(eopts)
+        .WriteStore(store);
+    if (!resume.empty()) builder.ResumeFrom(resume);
+    Result<api::Pipeline> pipeline = builder.Build();
+    if (!pipeline.ok()) return pipeline.status();
+    return pipeline->Run();
+  };
+
+  const Result<api::PipelineReport> full =
+      store_run(all, prefix + "_full.store", "");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  // The prefix, cut by a checkpoint. Its drain barrier makes the counts
+  // read right after it exactly what was emitted before the cut; the
+  // tails Close() emits belong to the resumed run.
+  const std::string checkpoint = prefix + ".ckpt";
+  std::map<traj::ObjectId, std::size_t> before_cut;
+  {
+    std::mutex mu;
+    std::map<traj::ObjectId, std::size_t> emitted;
+    engine::StreamEngine eng(eopts, [&](const traj::TimedSegment& s) {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++emitted[s.object_id];
+    });
+    eng.Push(all.first(cut));
+    ASSERT_TRUE(eng.Checkpoint(checkpoint).ok());
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      before_cut = emitted;
+    }
+    eng.Close();
+  }
+
+  const Result<api::PipelineReport> resumed =
+      store_run(all.subspan(cut), prefix + "_resumed.store", checkpoint);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->resumed);
+  EXPECT_TRUE(resumed->store_ran);
+
+  const auto full_store = store::StoreReader::Open(prefix + "_full.store");
+  const auto resumed_store =
+      store::StoreReader::Open(prefix + "_resumed.store");
+  ASSERT_TRUE(full_store.ok() && resumed_store.ok());
+  std::size_t stored = 0;
+  for (const traj::ObjectTrajectory& obj : objects) {
+    SCOPED_TRACE("object " + std::to_string(obj.object_id));
+    const auto want = full_store.value()->ReconstructObject(obj.object_id);
+    const auto got = resumed_store.value()->ReconstructObject(obj.object_id);
+    ASSERT_TRUE(want.ok() && got.ok());
+    const std::size_t skip = before_cut[obj.object_id];
+    ASSERT_LT(skip, want->size());
+    ASSERT_EQ(got->size(), want->size() - skip);
+    for (std::size_t i = 0; i < got->size(); ++i) {
+      const traj::TimedSegment& g = (*got)[i];
+      const traj::TimedSegment& w = (*want)[skip + i];
+      ExpectSegmentsEqual({g.segment}, {w.segment},
+                          "segment " + std::to_string(i));
+      EXPECT_EQ(g.t_start, w.t_start) << "segment " << i;
+      EXPECT_EQ(g.t_end, w.t_end) << "segment " << i;
+    }
+    stored += got->size();
+  }
+  EXPECT_EQ(resumed->store_stats.segments, stored);
 }
 
 TEST(PipelineTest, BuildRejectsBadConfigurations) {

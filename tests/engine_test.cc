@@ -76,13 +76,13 @@ std::vector<traj::ObjectUpdate> ShuffleInterleave(
   return out;
 }
 
-/// Thread-safe per-object collector for engine output.
+/// Thread-safe per-object collector for engine output, without times.
 class Collector {
  public:
-  engine::TaggedSegmentSink Sink() {
-    return [this](traj::ObjectId id, const traj::RepresentedSegment& seg) {
+  engine::TimedSegmentSink Sink() {
+    return [this](const traj::TimedSegment& s) {
       const std::lock_guard<std::mutex> lock(mu_);
-      by_object_[id].push_back(seg);
+      by_object_[s.object_id].push_back(s.segment);
     };
   }
 
@@ -355,7 +355,7 @@ TEST(EngineTest, EmptySinkOnlyCounts) {
   const traj::Trajectory t =
       testutil::Generated(datagen::DatasetKind::kSerCar, 500, 2);
   engine::StreamEngineOptions opts;
-  engine::StreamEngine eng(opts, engine::TaggedSegmentSink{});
+  engine::StreamEngine eng(opts, engine::TimedSegmentSink{});
   for (const geo::Point& p : t) eng.Push(1, p);
   eng.Close();
   EXPECT_GT(eng.stats().segments, 0u);
@@ -394,20 +394,20 @@ TEST(EngineTest, CreateRejectsInvalidOptionsWithStatus) {
   engine::StreamEngineOptions unknown;
   unknown.spec.algorithm = "NOPE";
   const auto r1 =
-      engine::StreamEngine::Create(unknown, engine::TaggedSegmentSink{});
+      engine::StreamEngine::Create(unknown, engine::TimedSegmentSink{});
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kNotFound);
 
   engine::StreamEngineOptions bad_zeta;
   bad_zeta.spec.zeta = -1.0;
   EXPECT_FALSE(
-      engine::StreamEngine::Create(bad_zeta, engine::TaggedSegmentSink{})
+      engine::StreamEngine::Create(bad_zeta, engine::TimedSegmentSink{})
           .ok());
 
   engine::StreamEngineOptions no_shards;
   no_shards.num_shards = 0;
   EXPECT_FALSE(
-      engine::StreamEngine::Create(no_shards, engine::TaggedSegmentSink{})
+      engine::StreamEngine::Create(no_shards, engine::TimedSegmentSink{})
           .ok());
 }
 
@@ -464,6 +464,77 @@ void WriteAllBytes(const std::string& path,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Rewrites a checkpoint's trailing FNV-1a64 over its edited body, so a
+/// test reaches the checks behind the checksum.
+void Rechecksum(std::vector<std::uint8_t>* bytes) {
+  const std::uint64_t sum = serial::Fnv1a64(
+      std::span<const std::uint8_t>(bytes->data(), bytes->size() - 8));
+  for (std::size_t i = 0; i < 8; ++i) {
+    (*bytes)[bytes->size() - 8 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+}
+
+/// An engine checkpoint cut at its record boundaries (DESIGN.md §9): the
+/// header up to the first shard section, then per shard the object
+/// records and the trailing counters.
+struct CheckpointParts {
+  struct Section {
+    std::vector<std::vector<std::uint8_t>> records;
+    std::vector<std::uint8_t> counters;
+  };
+  std::vector<std::uint8_t> header;
+  std::vector<Section> shards;
+};
+
+CheckpointParts SplitCheckpoint(const std::vector<std::uint8_t>& bytes,
+                                std::size_t num_shards) {
+  const std::span<const std::uint8_t> body(bytes.data(), bytes.size() - 8);
+  const auto at = [&](std::size_t pos) {
+    return body.begin() + static_cast<std::ptrdiff_t>(pos);
+  };
+  CheckpointParts parts;
+  std::size_t pos = 9;  // magic, version
+  std::uint32_t spec_len = 0;
+  EXPECT_TRUE(serial::GetU32(body, &pos, &spec_len));
+  pos += spec_len + 4 * 8;  // spec, shard count, three engine counters
+  parts.header.assign(body.begin(), at(pos));
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    CheckpointParts::Section& section = parts.shards.emplace_back();
+    std::uint64_t count = 0;
+    EXPECT_TRUE(serial::GetU64(body, &pos, &count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::size_t start = pos;
+      pos += 16;  // id, last event time
+      std::uint32_t blob_len = 0;
+      EXPECT_TRUE(serial::GetU32(body, &pos, &blob_len));
+      pos += blob_len + 8;  // state blob, clock base
+      std::uint64_t times = 0;
+      EXPECT_TRUE(serial::GetU64(body, &pos, &times));
+      pos += 8 * times;
+      section.records.emplace_back(at(start), at(pos));
+    }
+    section.counters.assign(at(pos), at(pos + 32));
+    pos += 32;
+  }
+  EXPECT_EQ(pos, body.size());
+  return parts;
+}
+
+/// Inverse of SplitCheckpoint, with a valid checksum.
+std::vector<std::uint8_t> JoinCheckpoint(const CheckpointParts& parts) {
+  std::vector<std::uint8_t> out = parts.header;
+  for (const CheckpointParts::Section& section : parts.shards) {
+    serial::PutU64(section.records.size(), &out);
+    for (const std::vector<std::uint8_t>& r : section.records) {
+      out.insert(out.end(), r.begin(), r.end());
+    }
+    out.insert(out.end(), section.counters.begin(), section.counters.end());
+  }
+  out.resize(out.size() + 8);
+  Rechecksum(&out);
+  return out;
 }
 
 /// Global index of the update whose Push emits the first mid-stream
@@ -654,11 +725,7 @@ TEST(EngineTest, CheckpointStatusContract) {
   // the file is honest about being from a future writer, not damaged.
   bad = good;
   bad[8] += 1;
-  std::uint64_t sum = serial::Fnv1a64(
-      std::span<const std::uint8_t>(bad.data(), bad.size() - 8));
-  for (std::size_t i = 0; i < 8; ++i) {
-    bad[bad.size() - 8 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
-  }
+  Rechecksum(&bad);
   EXPECT_EQ(restore(bad).code(), StatusCode::kInvalidArgument);
 
   // Configuration mismatches: the checkpoint pins spec and shard count.
@@ -798,8 +865,7 @@ TEST(EngineTest, PeriodicCheckpointsDuringConcurrentIngest) {
   }
 }
 
-/// Timed-sink collector keyed by object (the tracking-engine analogue
-/// of Collector above).
+/// Timed-sink collector keyed by object (Collector above, with times).
 class TimedCollector {
  public:
   engine::TimedSegmentSink Sink() {
@@ -839,20 +905,18 @@ void ExpectTimedEqual(const std::vector<traj::TimedSegment>& got,
   }
 }
 
-engine::StreamEngineOptions TrackingOptions(std::size_t shards) {
+engine::StreamEngineOptions OperbAOptions(std::size_t shards) {
   engine::StreamEngineOptions opts;
   opts.spec = api::SpecFor(baselines::Algorithm::kOPERBA, kGoldenZeta);
   opts.num_shards = shards;
-  opts.track_segment_times = true;
   return opts;
 }
 
 TEST(EngineTailSnapshotTest, ObjectTailMatchesFinishBitExactly) {
   const traj::Trajectory t =
       testutil::Generated(datagen::DatasetKind::kTaxi, 300, 21);
-  engine::StreamEngine eng(TrackingOptions(4), nullptr);
   TimedCollector sink;
-  eng.SetTimedSink(sink.Sink());
+  engine::StreamEngine eng(OperbAOptions(4), sink.Sink());
   for (std::size_t i = 0; i < t.size(); ++i) eng.Push(42, t[i]);
   // A snapshot covers what has been handed to the rings, not staging.
   eng.Flush();
@@ -885,7 +949,7 @@ TEST(EngineTailSnapshotTest, ObjectTailMatchesFinishBitExactly) {
   EXPECT_FALSE(tail.empty());
 
   // An unknown object is visited zero times, successfully.
-  engine::StreamEngine empty(TrackingOptions(2), nullptr);
+  engine::StreamEngine empty(OperbAOptions(2), nullptr);
   std::size_t ghost_visits = 0;
   EXPECT_TRUE(empty
                   .SnapshotObjectTail(
@@ -905,9 +969,8 @@ void NoHook(std::size_t) {}
 
 TEST(EngineTailSnapshotTest, ShardTailsVisitAscendingIdsAndMatchFinish) {
   // One shard so every object lands in the same shard's visit.
-  engine::StreamEngine eng(TrackingOptions(1), nullptr);
   TimedCollector sink;
-  eng.SetTimedSink(sink.Sink());
+  engine::StreamEngine eng(OperbAOptions(1), sink.Sink());
   const std::vector<traj::ObjectId> ids = {9, 2, 300, 41};
   for (const traj::ObjectId id : ids) {
     const traj::Trajectory t =
@@ -947,17 +1010,7 @@ TEST(EngineTailSnapshotTest, SnapshotStatusContract) {
   const auto visitor = [](traj::ObjectId,
                           std::span<const traj::TimedSegment>) {};
 
-  // Tracking off: the tail clocks the snapshot needs do not exist.
-  engine::StreamEngineOptions untracked;
-  untracked.spec = api::SpecFor(baselines::Algorithm::kOPERB, kGoldenZeta);
-  engine::StreamEngine plain(untracked, nullptr);
-  EXPECT_EQ(plain.SnapshotWindowTails(AcceptAll, NoHook, visitor).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(plain.SnapshotObjectTail(0, visitor).code(),
-            StatusCode::kInvalidArgument);
-  plain.Close();
-
-  engine::StreamEngine eng(TrackingOptions(2), nullptr);
+  engine::StreamEngine eng(OperbAOptions(2), nullptr);
   EXPECT_EQ(eng.SnapshotWindowTails(AcceptAll, NoHook, nullptr).code(),
             StatusCode::kInvalidArgument);  // empty visitor
   EXPECT_EQ(eng.SnapshotObjectTail(0, nullptr).code(),
@@ -980,16 +1033,15 @@ TEST(EngineTailSnapshotTest, SnapshotsFromAnotherThreadSeeFlushedPoints) {
   // snapshot taken after the producer published "n points of this object
   // are flushed" must cover at least those n points, and what one reader
   // sees of an object never shrinks.
-  engine::StreamEngineOptions opts = TrackingOptions(3);
+  engine::StreamEngineOptions opts = OperbAOptions(3);
   opts.num_threads = 2;
-  engine::StreamEngine eng(opts, nullptr);
   constexpr std::size_t kObjects = 5;
   constexpr std::size_t kPoints = 400;
   // Points of each object covered by its emitted segments so far;
-  // written by the timed sink and read by the visitor, both on the
-  // object's worker.
+  // written by the sink and read by the visitor, both on the object's
+  // worker.
   std::vector<std::atomic<std::uint64_t>> emitted_end(kObjects);
-  eng.SetTimedSink([&](const traj::TimedSegment& s) {
+  engine::StreamEngine eng(opts, [&](const traj::TimedSegment& s) {
     emitted_end[s.object_id].store(s.segment.last_index + 1,
                                    std::memory_order_relaxed);
   });
@@ -1063,7 +1115,7 @@ TEST(EngineTailSnapshotTest, SnapshotsFromAnotherThreadSeeFlushedPoints) {
 }
 
 TEST(EngineTailSnapshotTest, WindowSnapshotSkipsOnlyCurrentRuledOutSummaries) {
-  engine::StreamEngine eng(TrackingOptions(2), nullptr);
+  engine::StreamEngine eng(OperbAOptions(2), nullptr);
   const std::vector<traj::ObjectId> ids = {3, 8, 21};
   std::map<traj::ObjectId, traj::Trajectory> trajs;
   for (const traj::ObjectId id : ids) {
@@ -1164,7 +1216,7 @@ TEST(EngineTailSnapshotTest, CloseAnswersOrRefusesEverySnapshot) {
   // Readers snapshot in a loop from their own threads while the producer
   // closes the engine: each call returns OK or InvalidArgument and none
   // is left waiting (a stuck request would hang the joins below).
-  engine::StreamEngineOptions opts = TrackingOptions(4);
+  engine::StreamEngineOptions opts = OperbAOptions(4);
   opts.num_threads = 2;
   engine::StreamEngine eng(opts, nullptr);
   const traj::Trajectory t =
@@ -1241,53 +1293,45 @@ TEST(EngineTest, LiveObjectCountAndRingAccessorsTrackTheCensus) {
   EXPECT_EQ(eng.LiveObjectCount(), 0u);
 }
 
-TEST(EngineTest, CheckpointVersionsSeparateTrackingModes) {
+TEST(EngineTest, CheckpointRefusesVersion1AndResumesVersion2) {
   const traj::Trajectory t =
       testutil::Generated(datagen::DatasetKind::kGeoLife, 400, 13);
   const std::size_t cut = 250;
 
-  // A tracking engine checkpoints as format v2; restoring it into a
-  // non-tracking engine (and vice versa) is a version mismatch, not
-  // corruption — the tail clocks are state, present or absent.
   const std::string v2_path = TempPath("engine_v2.ckpt");
-  engine::StreamEngineOptions tracked = TrackingOptions(4);
   TimedCollector full_sink;
-  engine::StreamEngine full(tracked, nullptr);
-  full.SetTimedSink(full_sink.Sink());
+  engine::StreamEngine full(OperbAOptions(4), full_sink.Sink());
   for (std::size_t i = 0; i < cut; ++i) full.Push(5, t[i]);
   ASSERT_TRUE(full.Checkpoint(v2_path).ok());
   // The checkpoint's drain barrier makes this exactly the prefix output.
   const std::vector<traj::TimedSegment> at_cut = full_sink.Snapshot(5);
+  const std::vector<std::uint8_t> v2 = ReadAllBytes(v2_path);
+  ASSERT_GT(v2.size(), 9u);
+  EXPECT_EQ(v2[8], 2u);
 
-  engine::StreamEngineOptions untracked = tracked;
-  untracked.track_segment_times = false;
-  EXPECT_EQ(engine::StreamEngine::CreateFromCheckpoint(v2_path, untracked,
-                                                       nullptr)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-
+  // Version 1 had no tail clocks. Such a file is refused by its version
+  // byte, behind a valid checksum: InvalidArgument naming the version,
+  // not Corruption.
+  std::vector<std::uint8_t> v1 = v2;
+  v1[8] = 1;
+  Rechecksum(&v1);
   const std::string v1_path = TempPath("engine_v1.ckpt");
-  {
-    engine::StreamEngine plain(untracked, nullptr);
-    for (std::size_t i = 0; i < cut; ++i) plain.Push(5, t[i]);
-    ASSERT_TRUE(plain.Checkpoint(v1_path).ok());
-    plain.Close();
-  }
-  EXPECT_EQ(engine::StreamEngine::CreateFromCheckpoint(v1_path, tracked,
-                                                       nullptr)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  WriteAllBytes(v1_path, v1);
+  const Status refused =
+      engine::StreamEngine::CreateFromCheckpoint(v1_path, OperbAOptions(4),
+                                                 nullptr)
+          .status();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("version 1"), std::string::npos)
+      << refused.ToString();
 
   // The v2 round trip restores the tail clocks: the resumed engine's
   // remaining timed output is bit-identical to the uninterrupted run —
   // t_start/t_end included, which only works if the clock survived.
-  auto resumed = engine::StreamEngine::CreateFromCheckpoint(
-      v2_path, tracked, nullptr);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   TimedCollector resumed_sink;
-  resumed.value()->SetTimedSink(resumed_sink.Sink());
+  auto resumed = engine::StreamEngine::CreateFromCheckpoint(
+      v2_path, OperbAOptions(4), resumed_sink.Sink());
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   for (std::size_t i = cut; i < t.size(); ++i) {
     full.Push(5, t[i]);
     resumed.value()->Push(5, t[i]);
@@ -1300,6 +1344,53 @@ TEST(EngineTest, CheckpointVersionsSeparateTrackingModes) {
   got.insert(got.end(), rest.begin(), rest.end());
   ExpectTimedEqual(got, want, "v2 resumed timed output");
   EXPECT_FALSE(rest.empty());
+}
+
+TEST(EngineTest, CheckpointRestoreRefusesMisplacedObjects) {
+  // The writer puts each object in the section of the shard that owns
+  // it, in ascending id order. A file that breaks either rule behind a
+  // valid checksum is Corruption: restoring it would give one object
+  // two states, and its output would be silently wrong.
+  engine::StreamEngineOptions opts;
+  opts.spec = api::SpecFor(baselines::Algorithm::kOPERB, kGoldenZeta);
+  opts.num_shards = 2;
+  std::vector<traj::ObjectId> ids;  // two objects, both owned by shard 0
+  for (traj::ObjectId id = 0; ids.size() < 2; ++id) {
+    if (traj::ShardOfObject(id, opts.num_shards) == 0) ids.push_back(id);
+  }
+  const traj::Trajectory t =
+      testutil::Generated(datagen::DatasetKind::kSerCar, 120, 4);
+  const std::string path = TempPath("engine_ckpt_misplaced.ckpt");
+  {
+    engine::StreamEngine eng(opts, nullptr);
+    for (const traj::ObjectId id : ids) {
+      for (std::size_t i = 0; i < t.size(); ++i) eng.Push(id, t[i]);
+    }
+    ASSERT_TRUE(eng.Checkpoint(path).ok());
+    eng.Close();
+  }
+  const std::vector<std::uint8_t> good = ReadAllBytes(path);
+  const CheckpointParts parts = SplitCheckpoint(good, opts.num_shards);
+  ASSERT_EQ(parts.shards[0].records.size(), 2u);
+  ASSERT_TRUE(parts.shards[1].records.empty());
+  ASSERT_EQ(JoinCheckpoint(parts), good);  // the split alone changes nothing
+
+  const auto restore = [&](const CheckpointParts& p) {
+    WriteAllBytes(path, JoinCheckpoint(p));
+    return engine::StreamEngine::CreateFromCheckpoint(path, opts, nullptr)
+        .status();
+  };
+  CheckpointParts moved = parts;  // an object in a shard that does not own it
+  moved.shards[1].records.push_back(moved.shards[0].records.back());
+  moved.shards[0].records.pop_back();
+  EXPECT_EQ(restore(moved).code(), StatusCode::kCorruption);
+  CheckpointParts repeated = parts;
+  repeated.shards[0].records.push_back(repeated.shards[0].records.back());
+  EXPECT_EQ(restore(repeated).code(), StatusCode::kCorruption);
+  CheckpointParts swapped = parts;
+  std::swap(swapped.shards[0].records[0], swapped.shards[0].records[1]);
+  EXPECT_EQ(restore(swapped).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(restore(parts).ok());
 }
 
 }  // namespace

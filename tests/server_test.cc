@@ -73,22 +73,20 @@ std::vector<traj::ObjectUpdate> MakeFeed(std::size_t objects,
   return traj::InterleaveRoundRobin(trajs);
 }
 
-/// Offline oracle: the same feed through a bare tracking engine, every
+/// Offline oracle: the same feed through a bare engine, every
 /// object finished at end-of-stream, timed segments in canonical store
 /// order (ascending object id, emission order within an object).
 std::vector<traj::TimedSegment> OfflineOracle(
     const engine::StreamEngineOptions& base,
     std::span<const traj::ObjectUpdate> updates) {
-  engine::StreamEngineOptions options = base;
-  options.track_segment_times = true;
   std::mutex mu;
   std::vector<traj::TimedSegment> out;
-  auto engine = engine::StreamEngine::Create(options, nullptr);
+  auto engine =
+      engine::StreamEngine::Create(base, [&](const traj::TimedSegment& s) {
+        const std::lock_guard<std::mutex> lock(mu);
+        out.push_back(s);
+      });
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  (*engine)->SetTimedSink([&](const traj::TimedSegment& s) {
-    const std::lock_guard<std::mutex> lock(mu);
-    out.push_back(s);
-  });
   (*engine)->Push(updates);
   (*engine)->Close();
   std::stable_sort(out.begin(), out.end(),
@@ -376,16 +374,14 @@ TEST(ServerMergeTest, ReusedPooledStateNeverServesAStaleSummary) {
   }
 
   // Oracle: the same two lives of the object through a bare engine.
-  engine::StreamEngineOptions eo = options.engine;
-  eo.track_segment_times = true;
   std::vector<traj::TimedSegment> offline;
   {
     std::mutex mu;
-    engine::StreamEngine eng(eo, nullptr);
-    eng.SetTimedSink([&](const traj::TimedSegment& s) {
-      const std::lock_guard<std::mutex> lock(mu);
-      offline.push_back(s);
-    });
+    engine::StreamEngine eng(options.engine,
+                             [&](const traj::TimedSegment& s) {
+                               const std::lock_guard<std::mutex> lock(mu);
+                               offline.push_back(s);
+                             });
     eng.Push(before);
     eng.FinishObject(kId);
     eng.Push(after);

@@ -243,8 +243,8 @@ std::vector<flags::Flag> CliFlags(CliOptions* o) {
        "it the\nstream's *remainder*; the emitted segments are\n"
        "bit-identical to the uninterrupted run's tail. The\nspec and shard "
        "count must match the checkpoint.\nImplies --no-verify "
-       "(verification needs the full\nstream); excludes --clean and "
-       "--store-out", kResume, String(&o->resume_path)},
+       "(verification needs the full\nstream); excludes --clean",
+       kResume, String(&o->resume_path)},
 
       Heading("Store (write side):"),
       {"--store-out", "PATH", "additionally persist the simplified "
@@ -421,9 +421,9 @@ constexpr Rule kRules[] = {
     {kObjects, 0, kGroupById | kConnect,
      "--objects sets how many objects --generate synthesizes and requires "
      "--group-by-id or --connect"},
-    {kResume, kClean | kStoreOut, 0,
+    {kResume, kClean, 0,
      "--resume feeds the engine a stream tail and cannot be combined with "
-     "--clean or --store-out (both need the full original stream)"},
+     "--clean (cleaner state is not part of a checkpoint)"},
     {kGroupById, kPlt, 0,
      "--plt is single-trajectory; --group-by-id needs --input (id,t,x,y "
      "CSV) or --generate"},
