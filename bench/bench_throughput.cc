@@ -4,7 +4,9 @@
 // and emits machine-readable BENCH_throughput.json (schema documented in
 // README.md "Performance"; validated by validate_throughput_json.py):
 //
-//   ingest             — ParseCsv / ParseGeoLifePlt on in-memory content
+//   ingest             — ParseCsv / ParseGeoLifePlt on in-memory content,
+//                        and ParseMultiObjectCsv on a fleet feed of at
+//                        least 2 MiB per usable CPU (its parallel parts)
 //   steady_state       — each algorithm's sink-path compression throughput
 //                        (segments stream to a counting sink; no buffer)
 //   batched_vs_pointwise — OPERB point-wise Push vs span Push on the
@@ -60,6 +62,8 @@
 // JSON at the repo root.
 //
 // Exit codes: 0 success, 1 write failure, 2 usage error.
+
+#include <sched.h>
 
 #include <atomic>
 #include <cstdint>
@@ -166,6 +170,14 @@ std::string JoinRecords(const std::vector<JsonRecord>& records) {
   return out;
 }
 
+
+/// CPUs this process may run on (its affinity mask); at least 1.
+std::size_t UsableCpus() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return 1;
+  return static_cast<std::size_t>(std::max(1, CPU_COUNT(&allowed)));
+}
 
 /// Synthesizes GeoLife-style PLT content: 6 header lines, then
 /// lat,lon,0,alt,days,date,time rows walking away from a Beijing-ish
@@ -294,6 +306,27 @@ int main(int argc, char** argv) {
   }
   measure_ingest("plt", "GeoLife", MakePltString(ingest_points),
                  [](const std::string& c) { return traj::ParseGeoLifePlt(c); });
+  {
+    // Smoke mode too: below 1 MiB per part the parser stays on one
+    // thread, and the parts are what this row times.
+    const std::size_t target_bytes = (std::size_t{2} << 20) * UsableCpus();
+    constexpr std::size_t kObjects = 1000;
+    // SerCar rows run about 36 bytes, so 32 a point clears the target.
+    const std::size_t per_object = target_bytes / 32 / kObjects + 1;
+    std::vector<traj::ObjectTrajectory> objects;
+    objects.reserve(kObjects);
+    for (std::size_t k = 0; k < kObjects; ++k) {
+      datagen::Rng rng(bench::kBenchSeed + k);
+      objects.push_back(
+          {k, datagen::GenerateTrajectory(
+                  datagen::DatasetProfile::For(datagen::DatasetKind::kSerCar),
+                  per_object, &rng)});
+    }
+    measure_ingest(
+        "multi_csv", "SerCar",
+        traj::WriteMultiObjectCsvString(traj::InterleaveRoundRobin(objects)),
+        [](const std::string& c) { return traj::ParseMultiObjectCsv(c); });
+  }
 
   // ------------------------------------------------------------------
   // Steady state: sink-path compression, segments only counted.

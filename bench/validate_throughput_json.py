@@ -23,7 +23,9 @@ full mode alike), and in full mode the dense-profile row must show at
 least a 2x pointwise->batched speedup. Since v10 the header also records
 the machine the numbers came from (nproc, CPU model, compiler). v11
 drops metrics_overhead.metrics_compiled_in: metrics are always compiled
-in, so the field could only ever read 1.
+in, so the field could only ever read 1. Every ingest row must have
+parsed at least one point, and one of them must time the multi-object
+parser (format "multi_csv").
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -398,6 +400,14 @@ def main():
     if not doc["smoke"] and dense[0]["speedup"] < 2.0:
         fail(f"dense pointwise->batched speedup "
              f"{dense[0]['speedup']:.2f}x is below the 2x gate")
+
+    # A failed parse records 0 points, so every ingest row must have
+    # parsed something, and the multi-object parser has a row of its own.
+    for i, entry in enumerate(doc["ingest"]):
+        if entry["points"] <= 0 or entry["bytes"] <= 0:
+            fail(f"ingest[{i}] ({entry['format']}) parsed nothing")
+    if not any(e["format"] == "multi_csv" for e in doc["ingest"]):
+        fail("ingest is missing the multi_csv (ParseMultiObjectCsv) row")
 
     algos = {e["algorithm"] for e in doc["steady_state"]}
     if len(algos) < 10:

@@ -1,11 +1,15 @@
 #include "traj/io.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string_view>
+#include <system_error>
+#include <thread>
 
 namespace operb::traj {
 
@@ -106,6 +110,22 @@ bool ConsumeComma(const char** p, const char* end) {
   return false;
 }
 
+/// True when nothing but horizontal whitespace follows `p`: a row's last
+/// field must end the row, so `1,2,3,4` and `1,2,3x` are malformed.
+bool AtRowEnd(const char* p, const char* end) {
+  while (p < end && IsHorizontalSpace(*p)) ++p;
+  return p == end;
+}
+
+/// One `x,y,t` row (ParseCsv and ParseCsvPoints).
+bool ParseXytRow(std::string_view line, geo::Point* out) {
+  const char* p = line.data();
+  const char* end = line.data() + line.size();
+  return ParseDouble(&p, end, &out->x) && ConsumeComma(&p, end) &&
+         ParseDouble(&p, end, &out->y) && ConsumeComma(&p, end) &&
+         ParseDouble(&p, end, &out->t) && AtRowEnd(p, end);
+}
+
 /// Locale-free decimal uint64 parse (object ids), after optional
 /// horizontal whitespace. Advances `*p` past the digits on success.
 bool ParseObjectIdField(const char** p, const char* end, ObjectId* out) {
@@ -115,6 +135,80 @@ bool ParseObjectIdField(const char** p, const char* end, ObjectId* out) {
   if (r.ec != std::errc()) return false;
   *p = r.ptr;
   return true;
+}
+
+/// One `id,t,x,y` row (ParseMultiObjectCsv).
+bool ParseObjectUpdateRow(std::string_view line, ObjectUpdate* out) {
+  const char* p = line.data();
+  const char* end = line.data() + line.size();
+  return ParseObjectIdField(&p, end, &out->object_id) &&
+         ConsumeComma(&p, end) && ParseDouble(&p, end, &out->point.t) &&
+         ConsumeComma(&p, end) && ParseDouble(&p, end, &out->point.x) &&
+         ConsumeComma(&p, end) && ParseDouble(&p, end, &out->point.y) &&
+         AtRowEnd(p, end);
+}
+
+/// Smallest share of a multi-object CSV worth a thread of its own: below
+/// it, starting the thread costs more than the split saves.
+constexpr std::size_t kMinPartBytes = std::size_t{1} << 20;
+
+/// CPUs this process may run on (its affinity mask, which a container or
+/// `taskset` narrows below the machine's core count); at least 1.
+std::size_t UsableCpus() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return 1;
+  return static_cast<std::size_t>(std::max(1, CPU_COUNT(&allowed)));
+}
+
+/// One contiguous run of whole lines of a multi-object CSV.
+struct CsvPart {
+  std::string_view text;
+  std::size_t lines = 0;      ///< lines in `text`, for later parts' numbers
+  std::size_t rows = 0;       ///< data rows: lines neither blank nor comment
+  std::size_t first_row = 0;  ///< output index of this part's first row
+  std::size_t bad_line = 0;   ///< 1-based line of the first bad row, or 0
+};
+
+/// Cuts `content` at line starts into one part per usable CPU, each at
+/// least about kMinPartBytes, so small inputs stay one part.
+std::vector<CsvPart> SplitAtLineStarts(std::string_view content) {
+  const std::size_t want = std::clamp<std::size_t>(
+      content.size() / kMinPartBytes, 1, UsableCpus());
+  const char* const end = content.data() + content.size();
+  std::vector<CsvPart> parts;
+  parts.reserve(want);
+  const char* start = content.data();
+  for (std::size_t k = 1; k < want; ++k) {
+    const char* cut = content.data() + content.size() / want * k;
+    if (cut <= start) continue;  // the previous part's last line ran past
+    // The first line start at or after `cut`.
+    const char* nl = static_cast<const char*>(
+        std::memchr(cut - 1, '\n', static_cast<std::size_t>(end - cut + 1)));
+    const char* stop = nl != nullptr ? nl + 1 : end;
+    parts.push_back({std::string_view(start, stop - start)});
+    start = stop;
+  }
+  parts.push_back({std::string_view(start, end - start)});
+  return parts;
+}
+
+/// Runs `fn(k)` for every part index k: part 0 on the calling thread, the
+/// others on threads of their own (or the calling thread, should one fail
+/// to start). Returns once every call has.
+template <typename Fn>
+void ForEachPart(std::size_t parts, const Fn& fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(parts);
+  for (std::size_t k = 1; k < parts; ++k) {
+    try {
+      threads.emplace_back([&fn, k] { fn(k); });
+    } catch (const std::system_error&) {
+      fn(k);
+    }
+  }
+  fn(0);
+  for (std::thread& t : threads) t.join();
 }
 
 Status WriteContentToFile(const std::string& content,
@@ -167,16 +261,12 @@ Result<Trajectory> ParseCsv(const std::string& content) {
   std::string_view line;
   while (scanner.Next(&line)) {
     if (IsBlankOrComment(line)) continue;
-    const char* p = line.data();
-    const char* end = line.data() + line.size();
-    double x = 0.0, y = 0.0, t = 0.0;
-    if (!(ParseDouble(&p, end, &x) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &y) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &t))) {
+    geo::Point point;
+    if (!ParseXytRow(line, &point)) {
       return Status::Corruption("malformed CSV row at line " +
                                 std::to_string(scanner.lineno()));
     }
-    Status st = out.Append({x, y, t});
+    Status st = out.Append(point);
     if (!st.ok()) {
       return Status::Corruption("line " + std::to_string(scanner.lineno()) +
                                 ": " + st.message());
@@ -197,16 +287,12 @@ Result<std::vector<geo::Point>> ParseCsvPoints(const std::string& content) {
   std::string_view line;
   while (scanner.Next(&line)) {
     if (IsBlankOrComment(line)) continue;
-    const char* p = line.data();
-    const char* end = line.data() + line.size();
-    double x = 0.0, y = 0.0, t = 0.0;
-    if (!(ParseDouble(&p, end, &x) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &y) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &t))) {
+    geo::Point point;
+    if (!ParseXytRow(line, &point)) {
       return Status::Corruption("malformed CSV row at line " +
                                 std::to_string(scanner.lineno()));
     }
-    out.push_back({x, y, t});
+    out.push_back(point);
   }
   return out;
 }
@@ -283,24 +369,45 @@ Result<Trajectory> ReadGeoLifePlt(const std::string& path,
 
 Result<std::vector<ObjectUpdate>> ParseMultiObjectCsv(
     const std::string& content) {
-  std::vector<ObjectUpdate> out;
-  out.reserve(CountLines(content));
-  LineScanner scanner{content};
-  std::string_view line;
-  while (scanner.Next(&line)) {
-    if (IsBlankOrComment(line)) continue;
-    const char* p = line.data();
-    const char* end = line.data() + line.size();
-    ObjectId id = 0;
-    double t = 0.0, x = 0.0, y = 0.0;
-    if (!(ParseObjectIdField(&p, end, &id) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &t) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &x) && ConsumeComma(&p, end) &&
-          ParseDouble(&p, end, &y))) {
-      return Status::Corruption("malformed multi-object CSV row at line " +
-                                std::to_string(scanner.lineno()));
+  std::vector<CsvPart> parts = SplitAtLineStarts(content);
+  ForEachPart(parts.size(), [&parts](std::size_t k) {
+    LineScanner scanner{parts[k].text};
+    std::string_view line;
+    std::size_t rows = 0;  // local: neighbouring parts share a cache line
+    while (scanner.Next(&line)) {
+      if (!IsBlankOrComment(line)) ++rows;
     }
-    out.push_back({id, {x, y, t}});
+    parts[k].rows = rows;
+    parts[k].lines = scanner.lineno();
+  });
+  std::size_t rows = 0;
+  for (CsvPart& part : parts) {
+    part.first_row = rows;
+    rows += part.rows;
+  }
+  // The one allocation: every part parses straight into its own slice.
+  std::vector<ObjectUpdate> out(rows);
+  ForEachPart(parts.size(), [&parts, &out](std::size_t k) {
+    ObjectUpdate* next = out.data() + parts[k].first_row;
+    LineScanner scanner{parts[k].text};
+    std::string_view line;
+    while (scanner.Next(&line)) {
+      if (IsBlankOrComment(line)) continue;
+      if (!ParseObjectUpdateRow(line, next++)) {
+        parts[k].bad_line = scanner.lineno();
+        return;
+      }
+    }
+  });
+  // The first bad part in file order holds the first bad row; its line
+  // number counts every line of the parts before it.
+  std::size_t lines_before = 0;
+  for (const CsvPart& part : parts) {
+    if (part.bad_line != 0) {
+      return Status::Corruption("malformed multi-object CSV row at line " +
+                                std::to_string(lines_before + part.bad_line));
+    }
+    lines_before += part.lines;
   }
   return out;
 }

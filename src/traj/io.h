@@ -22,7 +22,13 @@ namespace operb::traj {
 /// or scanf machinery, no per-row allocation, and — unlike `%lf` — no
 /// dependence on the process locale's decimal separator. The trajectory
 /// is pre-reserved from the file's line count, so a multi-megabyte file
-/// ingests in one allocation.
+/// ingests in one allocation. After a row's last field only horizontal
+/// whitespace may follow; `1,2,3,4` or `1,2,3x` is Corruption.
+///
+/// The single-trace parsers (ParseCsv, ParseCsvPoints, ParseGeoLifePlt)
+/// run on the calling thread: they read one device's trace, whose caller
+/// often times it in thread CPU time, and moving the work to other
+/// threads would hide that cost rather than remove it.
 Status WriteCsv(const Trajectory& trajectory, const std::string& path);
 Result<Trajectory> ReadCsv(const std::string& path);
 
@@ -76,9 +82,19 @@ Result<std::vector<geo::Point>> ReadCsvPoints(const std::string& path);
 /// objects freely interleaved (the on-disk form of a fleet feed),
 /// `#`-prefixed comment lines allowed. `id` is a decimal 64-bit object
 /// id; `t` seconds; `x`,`y` projected meters. Same locale-proof
-/// from_chars scanner as ParseCsv, updates returned in file order. Feed
-/// the result to engine::StreamEngine directly, or group it with
-/// GroupUpdatesByObject (which also validates per-object timestamps).
+/// from_chars scanner and row-end rule as ParseCsv, updates returned in
+/// file order. Feed the result to engine::StreamEngine directly, or group
+/// it with GroupUpdatesByObject (which also validates per-object
+/// timestamps).
+///
+/// A fleet file is large, so ParseMultiObjectCsv splits it across CPUs:
+/// it cuts the content at line starts into one part per CPU the process
+/// may run on (each at least about 1 MiB, so small inputs stay on the
+/// calling thread), counts each part's rows in parallel, allocates the
+/// one output vector from those counts, and parses every part straight
+/// into its own slice. The output and the error — the first malformed
+/// row in file order, with its file line number — do not depend on the
+/// CPU count.
 Result<std::vector<ObjectUpdate>> ParseMultiObjectCsv(
     const std::string& content);
 Result<std::vector<ObjectUpdate>> ReadMultiObjectCsv(const std::string& path);

@@ -1,11 +1,15 @@
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <clocale>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <locale>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -463,6 +467,141 @@ TEST_F(IoTest, MultiObjectCsvRejectsMalformedRows) {
   ASSERT_FALSE(negative_id.ok());
   const auto junk = ParseMultiObjectCsv("7,zero,1,1\n");
   ASSERT_FALSE(junk.ok());
+}
+
+TEST_F(IoTest, RowParsersRejectTrailingJunk) {
+  // After a row's last field only horizontal whitespace may follow.
+  for (const char* bad : {"7,0,1,1,9\n", "7,0,1,1 junk\n", "7,0,1,1.5.5\n"}) {
+    const auto r = ParseMultiObjectCsv(std::string("7,0,1,1\n") + bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().message(), "malformed multi-object CSV row at line 2")
+        << bad;
+  }
+  for (const char* bad : {"1,2,3,4\n", "1,2,3x\n", "1,2,3 4\n"}) {
+    const std::string csv = std::string("0,0,0\n") + bad;
+    EXPECT_EQ(ParseCsv(csv).status().message(),
+              "malformed CSV row at line 2") << bad;
+    EXPECT_EQ(ParseCsvPoints(csv).status().message(),
+              "malformed CSV row at line 2") << bad;
+  }
+  // Trailing blanks, tabs and a CR are not junk.
+  const auto multi = ParseMultiObjectCsv("7,0,1,1.5 \t\r\n");
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  EXPECT_DOUBLE_EQ((*multi)[0].point.y, 1.5);
+  EXPECT_TRUE(ParseCsv("0,0,0\t \n1,1,1 \r\n").ok());
+  EXPECT_TRUE(ParseCsvPoints("0,0,0 \n").ok());
+  // PLT rows keep their documented date and time columns, unread.
+  const auto plt = ParseGeoLifePlt(
+      "h\nh\nh\nh\nh\nh\n"
+      "39.906631,116.385564,0,492,39744.245208,2008-10-23,05:53:06\n");
+  ASSERT_TRUE(plt.ok()) << plt.status().ToString();
+  EXPECT_EQ(plt->size(), 1u);
+}
+
+/// About 6 MiB of seeded `id,t,x,y` rows, big enough that
+/// ParseMultiObjectCsv cuts it into one part per usable CPU. Blank lines,
+/// comments, CRLF rows and whitespace-led fields recur every few lines, so
+/// each part boundary lands next to one. No final newline.
+std::string FleetCsvWithClutter() {
+  std::mt19937_64 rng(18);
+  std::uniform_real_distribution<double> coord(-5e4, 5e4);
+  std::vector<ObjectUpdate> updates(170000);
+  double t = 0.0;
+  for (ObjectUpdate& u : updates) {
+    u.object_id = rng() % 100000;
+    u.point = {coord(rng), coord(rng), t += 0.01};
+  }
+  const std::string plain = WriteMultiObjectCsvString(updates);
+  std::string out;
+  out.reserve(plain.size() + plain.size() / 4);
+  std::size_t line = 0;
+  for (std::size_t pos = 0; pos < plain.size(); ++line) {
+    const std::size_t nl = plain.find('\n', pos);
+    std::string row = plain.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line % 97 == 0) out += "\n";
+    if (line % 89 == 0) out += "  # comment, 1,2,3,4\n";
+    if (line % 5 == 0) {
+      std::string spaced = " \t";
+      for (char c : row) spaced += c == ',' ? std::string(", ") : std::string(1, c);
+      row = spaced;
+    }
+    out += row;
+    out += line % 7 == 0 ? "\r\n" : "\n";
+  }
+  out.pop_back();  // no final newline
+  if (out.back() == '\r') out.pop_back();
+  return out;
+}
+
+/// The same text parsed one line at a time: every call a single part.
+std::vector<ObjectUpdate> ParseLineByLine(const std::string& text) {
+  std::vector<ObjectUpdate> out;
+  for (std::size_t pos = 0; pos <= text.size();) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) nl = text.size();
+    const auto r = ParseMultiObjectCsv(text.substr(pos, nl - pos));
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) out.insert(out.end(), r->begin(), r->end());
+    pos = nl + 1;
+  }
+  return out;
+}
+
+TEST_F(IoTest, MultiObjectCsvPartsMatchLineByLineParse) {
+  const std::string text = FleetCsvWithClutter();
+  ASSERT_GT(text.size(), std::size_t{6} << 20);
+  ASSERT_NE(text.back(), '\n');
+  const auto r = ParseMultiObjectCsv(text);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::vector<ObjectUpdate> want = ParseLineByLine(text);
+  ASSERT_EQ(r->size(), 170000u);
+  ASSERT_EQ(r->size(), want.size());
+  EXPECT_EQ(std::memcmp(r->data(), want.data(),
+                        want.size() * sizeof(ObjectUpdate)),
+            0);
+}
+
+TEST_F(IoTest, MultiObjectCsvPartsReportFirstMalformedLine) {
+  const std::string text = FleetCsvWithClutter();
+  // Replaces the line that holds byte `at` with a malformed row and
+  // returns that line's 1-based number.
+  const auto corrupt = [](std::string* s, std::size_t at) {
+    const std::size_t begin = s->rfind('\n', at - 1) + 1;
+    const std::size_t end = s->find('\n', begin);
+    s->replace(begin, end - begin, "12,3.5,oops,4");
+    return static_cast<std::size_t>(
+               std::count(s->begin(), s->begin() + begin, '\n')) + 1;
+  };
+  std::string bad = text;
+  const std::size_t last_line = corrupt(&bad, bad.size() - 100);
+  auto r = ParseMultiObjectCsv(bad);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.status().message(), "malformed multi-object CSV row at line " +
+                                      std::to_string(last_line));
+  const std::size_t middle_line = corrupt(&bad, bad.size() / 2);
+  ASSERT_LT(middle_line, last_line);
+  r = ParseMultiObjectCsv(bad);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "malformed multi-object CSV row at line " +
+                                      std::to_string(middle_line));
+}
+
+TEST_F(IoTest, MultiObjectCsvPartsHandleEmptyAndCommentOnlyInputs) {
+  const auto empty = ParseMultiObjectCsv("");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->empty());
+  // Small and multi-part inputs made only of comments and blank lines.
+  for (const std::size_t lines : {std::size_t{3}, std::size_t{200000}}) {
+    std::string text;
+    for (std::size_t i = 0; i < lines; ++i) {
+      text += i % 3 == 0 ? "\n" : "# object_id,t_seconds,x_meters,y_meters\n";
+    }
+    const auto r = ParseMultiObjectCsv(text);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->empty());
+  }
 }
 
 TEST_F(IoTest, MultiObjectCsvRoundTripsThroughFile) {
