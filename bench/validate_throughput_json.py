@@ -25,7 +25,9 @@ the machine the numbers came from (nproc, CPU model, compiler). v11
 drops metrics_overhead.metrics_compiled_in: metrics are always compiled
 in, so the field could only ever read 1. Every ingest row must have
 parsed at least one point, and one of them must time the multi-object
-parser (format "multi_csv").
+parser (format "multi_csv"). Every store row must carry
+append_seconds_per_pass, the time until the last Append returns: it
+must be positive and no larger than write_seconds_per_pass.
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -143,6 +145,7 @@ SECTION_FIELDS = {
         "write_amplification": NUMBER,
         "write_passes": int,
         "write_seconds_per_pass": NUMBER,
+        "append_seconds_per_pass": NUMBER,
         "write_segments_per_sec": NUMBER,
         "open_seconds_per_pass": NUMBER,
         "window_query_seconds": NUMBER,
@@ -295,6 +298,12 @@ def main():
                         or entry["compact_write_amplification"] <= 0
                         or entry["post_compact_open_seconds"] <= 0):
                     fail(f"{section}[{i}] has non-positive store numbers")
+                # Appends end before Close() finishes the pass, so they
+                # can take no longer than the whole write.
+                if not (0 < entry["append_seconds_per_pass"]
+                        <= entry["write_seconds_per_pass"]):
+                    fail(f"{section}[{i}] append_seconds_per_pass must be "
+                         "positive and at most write_seconds_per_pass")
                 if entry["window_blocks_skipped"] < 1:
                     fail(f"{section}[{i}] window query skipped no blocks "
                          "(footer pruning broken)")

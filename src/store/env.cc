@@ -1,7 +1,11 @@
 #include "store/env.h"
 
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 namespace operb::store {
@@ -86,6 +90,45 @@ class DefaultEnv final : public Env {
     }
     return Status::OK();
   }
+
+  void Schedule(std::function<void()> task) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!thread_.joinable()) {
+      try {
+        thread_ = std::thread([this] { RunTasks(); });
+      } catch (const std::system_error&) {
+        // No thread to be had: the task runs on its caller. The queue is
+        // empty until a thread exists, so FIFO order still holds.
+        lock.unlock();
+        task();
+        return;
+      }
+    }
+    tasks_.push_back(std::move(task));
+    lock.unlock();
+    task_ready_.notify_one();
+  }
+
+ private:
+  /// The background thread's loop. The Env is never destroyed, so the
+  /// thread is never joined.
+  void RunTasks() {
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        task_ready_.wait(lock, [this] { return !tasks_.empty(); });
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      }
+      task();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable task_ready_;
+  std::deque<std::function<void()>> tasks_;
+  std::thread thread_;  // started by the first Schedule()
 };
 
 }  // namespace
@@ -211,6 +254,10 @@ Status FaultInjectingEnv::Remove(const std::string& path) {
     return Status::IOError("injected remove fault for " + path);
   }
   return base_->Remove(path);
+}
+
+void FaultInjectingEnv::Schedule(std::function<void()> task) {
+  base_->Schedule(std::move(task));
 }
 
 }  // namespace operb::store

@@ -9,10 +9,12 @@
 /// FaultInjectingEnv and deterministically fail the Nth operation to
 /// enumerate every crash point (DESIGN.md §9). Read paths stay on plain
 /// stdio: a reader never mutates the store, so injected read faults buy
-/// no extra crash coverage.
+/// no extra crash coverage. The Env also owns the background thread the
+/// StoreWriter seals blocks on (Schedule).
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -53,6 +55,14 @@ class Env {
 
   /// Unlinks `path`. NotFound when it does not exist.
   virtual Status Remove(const std::string& path) = 0;
+
+  /// Runs `task` on a background thread, as LevelDB's Env::Schedule
+  /// does. Tasks run one at a time, in the order they were scheduled, so
+  /// work scheduled in order is done in order. A task must not throw,
+  /// nor wait for work scheduled after it. The default Env starts its
+  /// one thread on first use and keeps it for the life of the process;
+  /// while no thread can be started, tasks run on the caller.
+  virtual void Schedule(std::function<void()> task) = 0;
 
   /// The process-lived real-filesystem Env. Callers taking an `Env*`
   /// parameter treat nullptr as this.
@@ -103,6 +113,8 @@ class FaultInjectingEnv final : public Env {
       const std::string& path) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& path) override;
+  /// Forwards to the base Env; scheduling is not a counted operation.
+  void Schedule(std::function<void()> task) override;
 
  private:
   class FaultingFile;

@@ -18,9 +18,6 @@ namespace operb::store {
 
 namespace {
 
-/// Cells per axis of the Hilbert grid a seal orders its runs on.
-constexpr std::uint32_t kHilbertSide = std::uint32_t{1} << 16;
-
 /// The cell of `v` along an axis whose extent is [lo, hi]. Halving
 /// before subtracting keeps hi - lo finite for any finite bounds.
 std::uint32_t HilbertCell(double v, double lo, double hi) {
@@ -28,26 +25,6 @@ std::uint32_t HilbertCell(double v, double lo, double hi) {
   if (!(span > 0.0)) return 0;
   const double u = std::clamp((v * 0.5 - lo * 0.5) / span, 0.0, 1.0);
   return static_cast<std::uint32_t>(u * (kHilbertSide - 1));
-}
-
-/// Position of cell (x, y) along the Hilbert curve over the
-/// kHilbertSide x kHilbertSide grid: cells close on the curve are close
-/// in the plane, so cutting the curve into pieces yields compact boxes.
-std::uint64_t HilbertIndex(std::uint32_t x, std::uint32_t y) {
-  std::uint64_t d = 0;
-  for (std::uint32_t s = kHilbertSide / 2; s > 0; s /= 2) {
-    const std::uint32_t rx = (x & s) != 0 ? 1 : 0;
-    const std::uint32_t ry = (y & s) != 0 ? 1 : 0;
-    d += std::uint64_t{s} * s * ((3 * rx) ^ ry);
-    if (ry == 0) {  // rotate the quadrant so the curve stays continuous
-      if (rx == 1) {
-        x = kHilbertSide - 1 - x;
-        y = kHilbertSide - 1 - y;
-      }
-      std::swap(x, y);
-    }
-  }
-  return d;
 }
 
 /// `pending` in seal order: grouped into one run per object (arrival
@@ -129,6 +106,26 @@ bool PreadFull(int fd, std::uint8_t* out, std::size_t n,
 }
 
 }  // namespace
+
+std::uint64_t HilbertIndex(std::uint32_t x, std::uint32_t y) {
+  constexpr std::uint32_t kMask = kHilbertSide - 1;
+  std::uint64_t d = 0;
+  for (std::uint32_t s = kHilbertSide / 2; s > 0; s /= 2) {
+    const std::uint32_t rx = (x & s) != 0 ? 1 : 0;
+    const std::uint32_t ry = (y & s) != 0 ? 1 : 0;
+    d += std::uint64_t{s} * s * ((3 * rx) ^ ry);
+    // Rotate the quadrant so the curve stays continuous: when ry == 0,
+    // mirror both axes if rx == 1 (kMask - v == v ^ kMask on the grid),
+    // then swap them.
+    const std::uint32_t mirror = (0u - (rx & (ry ^ 1))) & kMask;
+    x ^= mirror;
+    y ^= mirror;
+    const std::uint32_t swap = (x ^ y) & (0u - (ry ^ 1));
+    x ^= swap;
+    y ^= swap;
+  }
+  return d;
+}
 
 Result<std::unique_ptr<SegmentFileWriter>> SegmentFileWriter::Create(
     const std::string& path, double zeta, std::size_t block_budget_bytes,

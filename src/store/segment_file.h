@@ -47,6 +47,15 @@ struct SegmentFileStats {
   std::uint64_t file_bytes = 0;     ///< total bytes written (incl. framing)
 };
 
+/// Cells per axis of the Hilbert grid a seal orders its runs on.
+inline constexpr std::uint32_t kHilbertSide = std::uint32_t{1} << 16;
+
+/// Position of cell (x, y), both below kHilbertSide, along the Hilbert
+/// curve over the kHilbertSide x kHilbertSide grid: cells close on the
+/// curve are close in the plane, so cutting the curve into pieces yields
+/// compact boxes. A seal orders its objects' runs by this key.
+std::uint64_t HilbertIndex(std::uint32_t x, std::uint32_t y);
+
 /// Append-only writer of one segment file.
 ///
 /// Buffers id-tagged, time-annotated segments and seals them
@@ -66,13 +75,19 @@ struct SegmentFileStats {
 /// object's segments are one run, so they lie in one block or in
 /// consecutive blocks, in arrival order; seals are written in order.
 ///
+/// Seals run on the thread whose Append() fills the buffer, or on the
+/// thread calling Close(). Under a StoreWriter that is the Env's
+/// background thread, which feeds each shard file its appends in order
+/// (store/writer.h); the compactor writes its files synchronously.
+///
 /// Thread safety: Append() may be called concurrently (it takes an
 /// internal lock). Per object, callers must append in emission order.
 /// Create/Close are not concurrent with Append.
 ///
 /// Crash safety: the stream is flushed after every sealed block; a
-/// crash mid-seal loses at most the unflushed blocks, which the
-/// reader's open scan detects and drops.
+/// crash loses at most the buffered segments and, mid-seal, the
+/// unflushed blocks, which the reader's open scan detects and drops.
+/// A StoreWriter can also lose the appends it has not yet fed here.
 class SegmentFileWriter {
  public:
   /// Opens `path` for writing (truncating any existing file) through

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <new>
 #include <utility>
 
 #include "store/store_metrics.h"
@@ -132,7 +133,9 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
 }
 
 StoreWriter::StoreWriter(std::string dir, const StoreWriterOptions& options)
-    : options_(options), dir_(std::move(dir)) {}
+    : options_(options),
+      dir_(std::move(dir)),
+      inboxes_(std::make_unique<Inbox[]>(options.num_shards)) {}
 
 StoreWriter::~StoreWriter() { Close(); }
 
@@ -140,15 +143,79 @@ Status StoreWriter::Append(const traj::TimedSegment& segment) {
   if (closed_) {
     return Status::InvalidArgument("append to a closed store writer");
   }
+  if (failed_.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return first_error_;
+  }
   const std::size_t shard =
       traj::ShardOfObject(segment.object_id, shards_.size());
   GetStoreWriteMetrics().segments_appended->Increment();
-  return shards_[shard]->Append(segment);
+  Inbox& inbox = inboxes_[shard];
+  const std::lock_guard<std::mutex> lock(inbox.mu);
+  inbox.segments.push_back(segment);
+  if (inbox.segments.size() == kChunkSegments) HandOver(shard, inbox);
+  return Status::OK();
+}
+
+void StoreWriter::HandOver(std::size_t shard, Inbox& inbox) {
+  Chunk* chunk = nullptr;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    chunk_done_.wait(lock,
+                     [this] { return chunks_in_flight_ < kMaxChunksInFlight; });
+    ++chunks_in_flight_;
+    if (spare_chunks_.empty()) {
+      chunk = new Chunk();
+    } else {
+      chunk = spare_chunks_.back().release();
+      spare_chunks_.pop_back();
+    }
+  }
+  chunk->shard = shard;
+  std::swap(chunk->segments, inbox.segments);
+  ResolveEnv(options_.env)->Schedule([this, chunk] { FeedChunk(chunk); });
+}
+
+void StoreWriter::FeedChunk(Chunk* chunk) {
+  Status s;
+  if (!failed_.load(std::memory_order_acquire)) {
+    SegmentFileWriter& file = *shards_[chunk->shard];
+    // A seal allocates; a failed allocation poisons the writer like a
+    // failed write, instead of ending the process on the Env's thread.
+    try {
+      for (const traj::TimedSegment& segment : chunk->segments) {
+        s = file.Append(segment);
+        if (!s.ok()) break;
+      }
+    } catch (const std::bad_alloc&) {
+      s = Status::Internal("out of memory sealing a store block");
+    }
+  }
+  chunk->segments.clear();
+  // Notify under the lock: once the count reaches zero, Close() may
+  // return and the writer be destroyed.
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (!s.ok() && first_error_.ok()) {
+    first_error_ = s;
+    failed_.store(true, std::memory_order_release);
+  }
+  spare_chunks_.emplace_back(chunk);
+  --chunks_in_flight_;
+  chunk_done_.notify_all();
 }
 
 Status StoreWriter::Close() {
   if (closed_) return first_error_;
   closed_ = true;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Inbox& inbox = inboxes_[s];
+    const std::lock_guard<std::mutex> lock(inbox.mu);
+    if (!inbox.segments.empty()) HandOver(s, inbox);
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    chunk_done_.wait(lock, [this] { return chunks_in_flight_ == 0; });
+  }
   for (const std::unique_ptr<SegmentFileWriter>& shard : shards_) {
     const Status s = shard->Close();
     if (!s.ok() && first_error_.ok()) first_error_ = s;

@@ -5,9 +5,12 @@
 /// Sharded writer of a directory-based trajectory store: one manifest,
 /// one segment file per shard per write session.
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,20 +85,33 @@ inline constexpr double kRawSegmentBytes = 8 + 16 + 2 + 48;
 /// shard and commits a manifest generation naming the (active) files —
 /// from that point a concurrent reader sees the store and serves every
 /// flushed block. Append() routes each segment to its object's shard
-/// (traj::ShardOfObject); the per-shard files buffer and seal blocks
-/// independently (store/segment_file.h). Close() seals all tails and
-/// commits a generation marking the session's files sealed, which makes
-/// them compaction candidates (store/compactor.h).
+/// (traj::ShardOfObject) and only buffers it in that shard's inbox.
+/// Each full inbox of kChunkSegments segments is handed, in order, to
+/// the Env's background thread (Env::Schedule), which feeds it to the
+/// shard's SegmentFileWriter; that file buffers, orders and seals blocks
+/// exactly as if it were fed directly (store/segment_file.h), so with
+/// one appending thread the files are byte-identical to a direct feed.
+/// Close() hands over the inboxes' remainders, waits for this writer's
+/// chunks, seals all tails and commits a generation marking the
+/// session's files sealed, which makes them compaction candidates
+/// (store/compactor.h).
 ///
 /// Thread safety: Append() may be called concurrently — the
-/// StreamEngine's sink contract delivers segments from worker threads,
-/// and routing takes no global lock (each shard file serializes
-/// internally). Per object, callers must append in emission order,
-/// which the engine guarantees. Create/Close are not concurrent with
-/// Append.
+/// StreamEngine's sink contract delivers segments from worker threads.
+/// An append takes only its shard's inbox lock; a hand-over also takes
+/// the writer's lock and blocks while kMaxChunksInFlight chunks wait
+/// for the background thread, which bounds the writer's memory. Per
+/// object, callers must append in emission order, which the engine
+/// guarantees. Create/Close are not concurrent with Append.
+///
+/// Errors: a failed background write poisons the writer; the next
+/// Append() and Close() return the first error, and later chunks are
+/// dropped rather than written past the failed block.
 ///
 /// Crash safety: every sealed block is flushed; a crash loses at most
-/// the unflushed tails, which readers detect and drop per segment file
+/// the segments not yet in a flushed block — the inboxes, the chunks in
+/// flight (at most kMaxChunksInFlight) and the shard files' unsealed
+/// buffers. Readers drop a torn tail block per segment file
 /// (valid-prefix rule). A crash before Close() leaves the session's
 /// files active (never compacted) but fully queryable.
 class StoreWriter {
@@ -107,21 +123,30 @@ class StoreWriter {
   static Result<std::unique_ptr<StoreWriter>> Create(
       const std::string& path, const StoreWriterOptions& options = {});
 
-  /// Equivalent to Close().
+  /// Segments an inbox gathers before it is handed to the background
+  /// thread.
+  static constexpr std::size_t kChunkSegments = 256;
+
+  /// Chunks handed over but not yet fed to their shard file, at most;
+  /// a hand-over beyond this waits.
+  static constexpr std::size_t kMaxChunksInFlight = 16;
+
+  /// Equivalent to Close(): no background task outlives the writer.
   ~StoreWriter();
 
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
 
-  /// Buffers one segment in its shard; seals blocks when that shard's
-  /// buffer fills. Thread-safe. Returns the first write error
+  /// Buffers one segment in its shard's inbox and hands a full inbox to
+  /// the background thread. Thread-safe. Returns the first write error
   /// encountered (the writer is poisoned — Close() reports it again).
   Status Append(const traj::TimedSegment& segment);
 
-  /// Seals remaining buffered segments, closes every shard file and
-  /// commits the manifest generation sealing them. Idempotent: the
-  /// first call's status is remembered and re-returned. stats() is
-  /// final after Close().
+  /// Hands over the inboxes, waits until the background thread has fed
+  /// every chunk to its shard file, seals the remaining buffered
+  /// segments, closes every shard file and commits the manifest
+  /// generation sealing them. Idempotent: the first call's status is
+  /// remembered and re-returned. stats() is final after Close().
   Status Close();
 
   /// Lifetime counters; final after Close().
@@ -133,7 +158,30 @@ class StoreWriter {
   const std::string& dir() const { return dir_; }
 
  private:
+  /// A shard's run of appended segments on its way to the shard file.
+  struct Chunk {
+    std::size_t shard = 0;
+    std::vector<traj::TimedSegment> segments;
+  };
+
+  /// Where Append() buffers a shard's segments until they fill a chunk.
+  /// One cache line each, so appenders to different shards do not
+  /// contend on one.
+  struct alignas(64) Inbox {
+    std::mutex mu;
+    std::vector<traj::TimedSegment> segments;
+  };
+
   StoreWriter(std::string dir, const StoreWriterOptions& options);
+
+  /// Schedules `inbox`'s segments as shard `shard`'s next chunk and
+  /// leaves the inbox empty. Caller holds the inbox's lock, which keeps
+  /// a shard's chunks in append order.
+  void HandOver(std::size_t shard, Inbox& inbox);
+
+  /// The background task: feeds `chunk` to its shard file unless the
+  /// writer is poisoned, then recycles the chunk.
+  void FeedChunk(Chunk* chunk);
 
   StoreWriterOptions options_;
   std::string dir_;
@@ -149,7 +197,18 @@ class StoreWriter {
   /// there would self-deadlock.
   bool opened_ = false;
   bool closed_ = false;
+  std::unique_ptr<Inbox[]> inboxes_;  // one per shard
+
+  std::mutex mu_;  // guards the members below it
+  std::condition_variable chunk_done_;
+  std::size_t chunks_in_flight_ = 0;
+  /// Fed chunks kept for reuse, so appends do not allocate.
+  std::vector<std::unique_ptr<Chunk>> spare_chunks_;
   Status first_error_;
+  /// Set with first_error_ when a background write fails; lets Append()
+  /// check for poison without the writer's lock.
+  std::atomic<bool> failed_{false};
+
   StoreWriterStats stats_;
 };
 

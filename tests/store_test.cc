@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -2146,6 +2147,230 @@ TEST(StoreLayoutTest, SmallBlocksCompactToLargerBudgetIdentically) {
   for (std::size_t i = 0; i < before.size(); ++i) {
     ExpectTimedEqual(after[i], before[i], "answer " + std::to_string(i));
   }
+}
+
+// ---------------------------------------------------------------------
+// Background sealing: StoreWriter hands chunks of appends to the Env's
+// background thread, which feeds the unchanged SegmentFileWriters.
+// ---------------------------------------------------------------------
+
+/// The Hilbert index loop with explicit branches, kept as the reference
+/// the branch-free store::HilbertIndex must match.
+std::uint64_t ReferenceHilbertIndex(std::uint32_t x, std::uint32_t y) {
+  std::uint64_t d = 0;
+  for (std::uint32_t s = store::kHilbertSide / 2; s > 0; s /= 2) {
+    const std::uint32_t rx = (x & s) != 0 ? 1 : 0;
+    const std::uint32_t ry = (y & s) != 0 ? 1 : 0;
+    d += std::uint64_t{s} * s * ((3 * rx) ^ ry);
+    if (ry == 0) {
+      if (rx == 1) {
+        x = store::kHilbertSide - 1 - x;
+        y = store::kHilbertSide - 1 - y;
+      }
+      std::swap(x, y);
+    }
+  }
+  return d;
+}
+
+TEST(StoreLayoutTest, HilbertIndexMatchesTheReferenceLoop) {
+  constexpr std::uint32_t kLast = store::kHilbertSide - 1;
+  // Every cell on the grid's four edges.
+  for (std::uint32_t v = 0; v <= kLast; ++v) {
+    for (const auto& [x, y] : {std::pair{v, 0u}, std::pair{v, kLast},
+                              std::pair{0u, v}, std::pair{kLast, v}}) {
+      ASSERT_EQ(store::HilbertIndex(x, y), ReferenceHilbertIndex(x, y))
+          << "edge cell (" << x << ", " << y << ")";
+    }
+  }
+  // Seeded cells anywhere on the grid.
+  datagen::Rng rng(0x4B11);
+  for (int i = 0; i < 200000; ++i) {
+    const auto x = static_cast<std::uint32_t>(rng.NextBelow(kLast + 1));
+    const auto y = static_cast<std::uint32_t>(rng.NextBelow(kLast + 1));
+    ASSERT_EQ(store::HilbertIndex(x, y), ReferenceHilbertIndex(x, y))
+        << "cell (" << x << ", " << y << ")";
+  }
+}
+
+/// Writes `feed` through a StoreWriter with `num_shards` shards and
+/// feeds each shard's subsequence straight into a SegmentFileWriter;
+/// expects identical file bytes per shard. Returns the fewest blocks in
+/// any shard file.
+std::size_t ExpectSameBytesAsDirectFeed(
+    const std::vector<traj::TimedSegment>& feed, std::size_t num_shards,
+    const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::string dir = TempPath("seal_identity.store");
+  std::filesystem::remove_all(dir);
+  WriteFeed(dir, feed, num_shards);
+  std::vector<std::vector<traj::TimedSegment>> per_shard(num_shards);
+  for (const traj::TimedSegment& s : feed) {
+    per_shard[traj::ShardOfObject(s.object_id, num_shards)].push_back(s);
+  }
+  std::size_t fewest_blocks = std::numeric_limits<std::size_t>::max();
+  for (std::size_t shard = 0; shard < num_shards; ++shard) {
+    const std::string direct = TempPath("seal_identity_direct.seg");
+    {
+      auto writer = store::SegmentFileWriter::Create(
+          direct, testutil::kGoldenZeta,
+          store::StoreWriterOptions{}.block_budget_bytes);
+      EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+      if (!writer.ok()) return 0;
+      for (const traj::TimedSegment& s : per_shard[shard]) {
+        EXPECT_TRUE(writer.value()->Append(s).ok());
+      }
+      EXPECT_TRUE(writer.value()->Close().ok());
+    }
+    const std::string via_store = ReadFileBytes(
+        dir + "/" + store::SegmentFileName(static_cast<std::uint32_t>(shard),
+                                           1));
+    const std::string want = ReadFileBytes(direct);
+    EXPECT_GT(want.size(), store::kFileHeaderBytes) << "shard " << shard;
+    EXPECT_TRUE(via_store == want)
+        << "shard " << shard << ": " << via_store.size() << " bytes through "
+        << "the StoreWriter, " << want.size() << " fed directly";
+    const auto reader = store::SegmentFileReader::Open(direct);
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    if (reader.ok()) {
+      fewest_blocks = std::min(fewest_blocks, reader.value()->blocks().size());
+    }
+  }
+  return fewest_blocks;
+}
+
+TEST(StoreWriterSealTest, FilesMatchADirectSegmentFileFeed) {
+  // Fewer segments than one chunk: everything reaches the shard files
+  // through Close()'s hand-over.
+  const std::vector<traj::TimedSegment> small = FleetFeed(12, 8, 31);
+  ASSERT_LT(small.size(), store::StoreWriter::kChunkSegments);
+  // Many chunks per shard, and many seals per shard file.
+  const std::vector<traj::TimedSegment> large = FleetFeed(500, 80, 32);
+  for (const std::size_t shards : {1u, 4u}) {
+    const std::string tag = std::to_string(shards) + " shard(s)";
+    ExpectSameBytesAsDirectFeed(small, shards, "small feed, " + tag);
+    const std::size_t blocks =
+        ExpectSameBytesAsDirectFeed(large, shards, "large feed, " + tag);
+    EXPECT_GT(blocks, 4 * store::SegmentFileWriter::kBlocksPerSeal)
+        << "the large feed must span several seals per shard, " << tag;
+  }
+}
+
+TEST(StoreWriterSealTest, ConcurrentAppendersKeepEachObjectsOrder) {
+  const std::string dir = TempPath("seal_concurrent.store");
+  std::filesystem::remove_all(dir);
+  constexpr std::size_t kObjects = 240;
+  constexpr std::size_t kThreads = 4;
+  const std::vector<traj::TimedSegment> feed = FleetFeed(kObjects, 40, 33);
+  store::StoreWriterOptions options;
+  options.zeta = testutil::kGoldenZeta;
+  options.num_shards = 3;  // threads share shards, so inboxes contend
+  {
+    auto writer = store::StoreWriter::Create(dir, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    std::atomic<std::size_t> failed_appends{0};
+    std::vector<std::thread> appenders;
+    for (std::size_t k = 0; k < kThreads; ++k) {
+      appenders.emplace_back([&, k] {
+        for (const traj::TimedSegment& s : feed) {
+          if (s.object_id % kThreads != k) continue;
+          if (!writer.value()->Append(s).ok()) failed_appends.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : appenders) t.join();
+    EXPECT_EQ(failed_appends.load(), 0u);
+    ASSERT_TRUE(writer.value()->Close().ok());
+    EXPECT_EQ(writer.value()->stats().segments, feed.size());
+  }
+  const auto reader = store::StoreReader::Open(dir);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (traj::ObjectId id = 0; id < kObjects; ++id) {
+    const auto rec = reader.value()->ReconstructObject(id);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ExpectTimedEqual(*rec, SegmentsOf(feed, id),
+                     "object " + std::to_string(id));
+  }
+}
+
+TEST(StoreWriterSealTest, WriterDestroyedWithoutCloseDrainsEveryChunk) {
+  const std::string dir = TempPath("seal_no_close.store");
+  std::filesystem::remove_all(dir);
+  const std::vector<traj::TimedSegment> feed = FleetFeed(300, 30, 34);
+  store::StoreWriterOptions options;
+  options.zeta = testutil::kGoldenZeta;
+  options.num_shards = 2;
+  {
+    auto writer = store::StoreWriter::Create(dir, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const traj::TimedSegment& s : feed) {
+      ASSERT_TRUE(writer.value()->Append(s).ok());
+    }
+    // No Close(): the destructor hands over, drains and seals.
+  }
+  const auto reader = store::StoreReader::Open(dir);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (traj::ObjectId id = 0; id < 300; ++id) {
+    const auto rec = reader.value()->ReconstructObject(id);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ExpectTimedEqual(*rec, SegmentsOf(feed, id),
+                     "object " + std::to_string(id));
+  }
+}
+
+TEST(StoreWriterSealTest, BackgroundWriteErrorPoisonsTheWriter) {
+  const std::string dir = TempPath("seal_error.store");
+  std::filesystem::remove_all(dir);
+  constexpr std::size_t kObjects = 300;
+  const std::vector<traj::TimedSegment> feed = FleetFeed(kObjects, 60, 35);
+  store::FaultInjectingEnv env;
+  store::StoreWriterOptions options;
+  options.zeta = testutil::kGoldenZeta;
+  options.num_shards = 2;
+  options.env = &env;
+  auto writer = store::StoreWriter::Create(dir, options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  // Appends do no file operation of their own, so every operation from
+  // here until Close() is the background thread's. Fail the second
+  // block's append (op 0 and 1 are the first block's append and flush).
+  env.ArmFault(store::FaultInjectingEnv::FaultKind::kError, 2);
+  Status append_error;
+  std::size_t appended = 0;
+  for (const traj::TimedSegment& s : feed) {
+    append_error = writer.value()->Append(s);
+    if (!append_error.ok()) break;
+    ++appended;
+  }
+  // The appender can run at most kMaxChunksInFlight chunks (plus each
+  // shard's inbox) ahead of the background thread, and the failing
+  // block is in the first seal — far short of this feed's end.
+  EXPECT_EQ(append_error.code(), StatusCode::kIOError)
+      << "the background error never reached Append()";
+  EXPECT_LT(appended, feed.size());
+  EXPECT_TRUE(env.fault_fired());
+  const Status closed = writer.value()->Close();
+  EXPECT_EQ(closed.code(), StatusCode::kIOError);
+  EXPECT_EQ(closed.message(), append_error.message());
+  EXPECT_EQ(writer.value()->Close().message(), closed.message());
+  EXPECT_EQ(writer.value()->Append(feed.front()).code(),
+            StatusCode::kInvalidArgument);
+  writer.value().reset();
+
+  // The store reopens, and each object kept a prefix of its emission.
+  const auto reader = store::StoreReader::Open(dir);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::size_t kept = 0;
+  for (traj::ObjectId id = 0; id < kObjects; ++id) {
+    const auto rec = reader.value()->ReconstructObject(id);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    std::vector<traj::TimedSegment> want = SegmentsOf(feed, id);
+    ASSERT_LE(rec->size(), want.size()) << "object " << id;
+    want.resize(rec->size());
+    ExpectTimedEqual(*rec, want, "prefix of object " + std::to_string(id));
+    kept += rec->size();
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, feed.size());
 }
 
 }  // namespace
