@@ -4,9 +4,13 @@
 // and emits machine-readable BENCH_throughput.json (schema documented in
 // README.md "Performance"; validated by validate_throughput_json.py):
 //
-//   ingest             — ParseCsv / ParseGeoLifePlt on in-memory content,
-//                        and ParseMultiObjectCsv on a fleet feed of at
-//                        least 2 MiB per usable CPU (its parallel parts)
+//   ingest             — ParseCsv on `%.9g` rows (format csv, the exact
+//                        decimal fast path) and on `%.17g` rows (csv_17g,
+//                        the std::from_chars fallback), ParseGeoLifePlt
+//                        (plt) on in-memory content, and
+//                        ParseMultiObjectCsv (multi_csv) on a fleet feed
+//                        of at least 2 MiB per usable CPU (its parallel
+//                        parts)
 //   steady_state       — each algorithm's sink-path compression throughput
 //                        (segments stream to a counting sink; no buffer)
 //   batched_vs_pointwise — OPERB point-wise Push vs span Push on the
@@ -268,7 +272,7 @@ int main(int argc, char** argv) {
                 "this harness's subject");
 
   // ------------------------------------------------------------------
-  // Ingest: locale-proof from_chars parsers on in-memory content.
+  // Ingest: locale-proof one-pass parsers on in-memory content.
   // ------------------------------------------------------------------
   std::vector<JsonRecord> ingest;
   const std::size_t ingest_points = smoke ? 2000 : 200000;
@@ -302,6 +306,18 @@ int main(int argc, char** argv) {
         datagen::DatasetProfile::For(datagen::DatasetKind::kSerCar),
         ingest_points, &rng);
     measure_ingest("csv", "SerCar", traj::WriteCsvString(t),
+                   [](const std::string& c) { return traj::ParseCsv(c); });
+    // The same points at round-trip precision: 16-17 significant digits
+    // overflow the exact fast path, so nearly every field goes to
+    // std::from_chars and a slowdown there shows here.
+    std::string full_precision;
+    char row[96];
+    for (const geo::Point& p : t) {
+      const int n = std::snprintf(row, sizeof(row), "%.17g,%.17g,%.17g\n",
+                                  p.x, p.y, p.t);
+      full_precision.append(row, static_cast<std::size_t>(n));
+    }
+    measure_ingest("csv_17g", "SerCar", full_precision,
                    [](const std::string& c) { return traj::ParseCsv(c); });
   }
   measure_ingest("plt", "GeoLife", MakePltString(ingest_points),

@@ -24,8 +24,10 @@ least a 2x pointwise->batched speedup. Since v10 the header also records
 the machine the numbers came from (nproc, CPU model, compiler). v11
 drops metrics_overhead.metrics_compiled_in: metrics are always compiled
 in, so the field could only ever read 1. Every ingest row must have
-parsed at least one point, and one of them must time the multi-object
-parser (format "multi_csv"). Every store row must carry
+parsed at least one point; one of them must time the multi-object
+parser (format "multi_csv") and one ParseCsv on `%.17g` rows (format
+"csv_17g", whose fields overflow the exact decimal fast path and take
+the std::from_chars fallback). Every store row must carry
 append_seconds_per_pass, the time until the last Append returns: it
 must be positive and no larger than write_seconds_per_pass.
 
@@ -411,12 +413,16 @@ def main():
              f"{dense[0]['speedup']:.2f}x is below the 2x gate")
 
     # A failed parse records 0 points, so every ingest row must have
-    # parsed something, and the multi-object parser has a row of its own.
+    # parsed something; the multi-object parser and ParseCsv's from_chars
+    # fallback have rows of their own.
     for i, entry in enumerate(doc["ingest"]):
         if entry["points"] <= 0 or entry["bytes"] <= 0:
             fail(f"ingest[{i}] ({entry['format']}) parsed nothing")
-    if not any(e["format"] == "multi_csv" for e in doc["ingest"]):
+    formats = {e["format"] for e in doc["ingest"]}
+    if "multi_csv" not in formats:
         fail("ingest is missing the multi_csv (ParseMultiObjectCsv) row")
+    if "csv_17g" not in formats:
+        fail("ingest is missing the csv_17g (from_chars fallback) row")
 
     algos = {e["algorithm"] for e in doc["steady_state"]}
     if len(algos) < 10:

@@ -3,7 +3,9 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -46,55 +48,128 @@ bool IsHorizontalSpace(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
-bool IsBlankOrComment(std::string_view line) {
-  for (char c : line) {
-    if (c == '#') return true;
-    if (!IsHorizontalSpace(c)) return false;
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// The start of the line after the one holding `p`, or `end`.
+const char* NextLineStart(const char* p, const char* end) {
+  const char* nl = static_cast<const char*>(
+      std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+  return nl != nullptr ? nl + 1 : end;
+}
+
+/// Moves `*p`, a line start, past blank and `#` comment lines to the next
+/// data row, counting every line it starts in `*lines`. Returns false at
+/// the end of the buffer. On true, `*lines` is the row's 1-based line
+/// number and `*p` its first character after leading whitespace. A '\r'
+/// counts as whitespace, so DOS files parse as Unix ones do.
+bool NextRow(const char** p, const char* end, std::size_t* lines) {
+  const char* c = *p;
+  while (c < end) {
+    ++*lines;
+    while (c < end && IsHorizontalSpace(*c)) ++c;
+    if (c < end && *c != '\n' && *c != '#') {
+      *p = c;
+      return true;
+    }
+    c = NextLineStart(c, end);
   }
+  *p = end;
+  return false;
+}
+
+/// Consumes the end of a row at `*p`: horizontal whitespace, then '\n' or
+/// the end of the buffer. Anything else after a row's last field (`1,2,3,4`
+/// or `1,2,3x`) makes the row malformed.
+bool EndRow(const char** p, const char* end) {
+  const char* c = *p;
+  while (c < end && IsHorizontalSpace(*c)) ++c;
+  if (c < end) {
+    if (*c != '\n') return false;
+    ++c;
+  }
+  *p = c;
   return true;
 }
 
-/// Zero-copy line iterator over a file's content. Splits on '\n' and
-/// strips one trailing '\r' so DOS files parse identically.
-class LineScanner {
- public:
-  explicit LineScanner(std::string_view content)
-      : pos_(content.data()), end_(content.data() + content.size()) {}
+// The fast path below must round once, in double: no x87 excess precision.
+static_assert(FLT_EVAL_METHOD == 0);
 
-  bool Next(std::string_view* line) {
-    if (pos_ == end_) return false;
-    const char* nl =
-        static_cast<const char*>(std::memchr(pos_, '\n', end_ - pos_));
-    const char* stop = nl != nullptr ? nl : end_;
-    std::size_t len = static_cast<std::size_t>(stop - pos_);
-    if (len > 0 && pos_[len - 1] == '\r') --len;
-    *line = std::string_view(pos_, len);
-    pos_ = nl != nullptr ? nl + 1 : end_;
-    ++lineno_;
-    return true;
+/// 10^0 .. 10^22: exactly the powers of ten a double holds exactly
+/// (5^22 < 2^53 <= 5^23).
+constexpr double kExactPowersOfTen[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/// Clinger's exact fast path for a plain decimal at `*p`: optional '-',
+/// digits with an optional '.', optional exponent. When the significand
+/// m has at most 15 significant digits (so m < 2^53 and the double made
+/// from it is exact) and the decimal exponent k lies in [-22, 22] (so
+/// 10^|k| is exact), m * 10^k or m / 10^k is a single IEEE operation on
+/// exact operands: the correctly rounded result, which is what from_chars
+/// returns. Returns false, touching nothing, on every other shape; the
+/// caller then parses with from_chars.
+bool ParseExactDecimal(const char** p, const char* end, double* out) {
+  const char* c = *p;
+  const bool negative = c < end && *c == '-';
+  c += negative ? 1 : 0;
+  // Past 19 digits the significand wraps, but by then the count of
+  // significant digits has already ruled it out.
+  std::uint64_t significand = 0;
+  std::ptrdiff_t significant_digits = 0;  // from the first non-zero digit
+  const auto take_digits = [&] {
+    const char* const first = c;
+    for (; c < end && IsDigit(*c); ++c) {
+      significand = significand * 10 + static_cast<unsigned>(*c - '0');
+      significant_digits += significand != 0 ? 1 : 0;
+    }
+    return c - first;
+  };
+  std::ptrdiff_t digits = take_digits();
+  std::ptrdiff_t exponent = 0;
+  if (c < end && *c == '.') {
+    ++c;
+    const std::ptrdiff_t fraction = take_digits();
+    digits += fraction;
+    exponent = -fraction;
   }
-
-  std::size_t lineno() const { return lineno_; }
-
- private:
-  const char* pos_;
-  const char* end_;
-  std::size_t lineno_ = 0;
-};
+  if (digits == 0 || significant_digits > 15) return false;
+  if (c < end && (*c == 'e' || *c == 'E')) {
+    ++c;
+    const bool exponent_negative = c < end && *c == '-';
+    if (c < end && (*c == '-' || *c == '+')) ++c;
+    if (c == end || !IsDigit(*c)) return false;  // `1e`: from_chars decides
+    std::ptrdiff_t written = 0;  // saturates far outside [-22, 22]
+    for (; c < end && IsDigit(*c); ++c) {
+      if (written < 100000) written = written * 10 + (*c - '0');
+    }
+    exponent += exponent_negative ? -written : written;
+  }
+  if (exponent < -22 || exponent > 22) return false;
+  const double m = static_cast<double>(significand);
+  const double value = exponent < 0 ? m / kExactPowersOfTen[-exponent]
+                                    : m * kExactPowersOfTen[exponent];
+  *out = negative ? -value : value;
+  *p = c;
+  return true;
+}
 
 /// Locale-independent double parse at `*p` (after optional horizontal
 /// whitespace and an optional '+', both of which sscanf's %lf accepted).
-/// Advances `*p` past the number on success.
+/// Advances `*p` past the number on success. Plain decimals take the
+/// exact fast path; every other shape goes to std::from_chars, and both
+/// give the same end and the same bits.
 bool ParseDouble(const char** p, const char* end, double* out) {
   const char* c = *p;
   while (c < end && IsHorizontalSpace(*c)) ++c;
   if (c < end && *c == '+') {
     // Only consume the '+' when a number actually follows, so "+-1.5"
     // stays a parse error (as it was for strtod) instead of -1.5.
-    if (c + 1 >= end || !((c[1] >= '0' && c[1] <= '9') || c[1] == '.')) {
-      return false;
-    }
+    if (c + 1 >= end || !(IsDigit(c[1]) || c[1] == '.')) return false;
     ++c;
+  }
+  if (ParseExactDecimal(&c, end, out)) {
+    *p = c;
+    return true;
   }
   const std::from_chars_result r = std::from_chars(c, end, *out);
   if (r.ec != std::errc()) return false;
@@ -110,20 +185,52 @@ bool ConsumeComma(const char** p, const char* end) {
   return false;
 }
 
-/// True when nothing but horizontal whitespace follows `p`: a row's last
-/// field must end the row, so `1,2,3,4` and `1,2,3x` are malformed.
-bool AtRowEnd(const char* p, const char* end) {
-  while (p < end && IsHorizontalSpace(*p)) ++p;
-  return p == end;
+/// One `x,y,t` row (ParseCsv and ParseCsvPoints), through its line end.
+bool ParseXytRow(const char** p, const char* end, geo::Point* out) {
+  return ParseDouble(p, end, &out->x) && ConsumeComma(p, end) &&
+         ParseDouble(p, end, &out->y) && ConsumeComma(p, end) &&
+         ParseDouble(p, end, &out->t) && EndRow(p, end);
 }
 
-/// One `x,y,t` row (ParseCsv and ParseCsvPoints).
-bool ParseXytRow(std::string_view line, geo::Point* out) {
-  const char* p = line.data();
-  const char* end = line.data() + line.size();
-  return ParseDouble(&p, end, &out->x) && ConsumeComma(&p, end) &&
-         ParseDouble(&p, end, &out->y) && ConsumeComma(&p, end) &&
-         ParseDouble(&p, end, &out->t) && AtRowEnd(p, end);
+/// Upper bound on the number of data rows: one per newline, plus a final
+/// unterminated line. Used to pre-reserve the output so a multi-megabyte
+/// file appends without reallocation.
+std::size_t CountLines(std::string_view content) {
+  return static_cast<std::size_t>(
+             std::count(content.begin(), content.end(), '\n')) +
+         (content.empty() || content.back() == '\n' ? 0 : 1);
+}
+
+/// The Corruption for the row at `line` whose `point` is not later than
+/// the last of `rows`, worded by Trajectory::Append's own refusal.
+Status NonMonotonicRow(std::size_t line, std::vector<geo::Point>* rows,
+                       const geo::Point& point) {
+  Trajectory trajectory(std::move(*rows));
+  return Status::Corruption("line " + std::to_string(line) + ": " +
+                            trajectory.Append(point).message());
+}
+
+/// One pass over the `x,y,t` rows of `content` into `out` (ParseCsv and
+/// ParseCsvPoints). With `increasing_time`, a row whose t does not exceed
+/// the previous row's is refused, as Trajectory::Append refuses it.
+Status ParseXytRows(const std::string& content, bool increasing_time,
+                    std::vector<geo::Point>* out) {
+  out->reserve(CountLines(content));
+  const char* p = content.data();
+  const char* const end = p + content.size();
+  std::size_t line = 0;
+  while (NextRow(&p, end, &line)) {
+    geo::Point point;
+    if (!ParseXytRow(&p, end, &point)) {
+      return Status::Corruption("malformed CSV row at line " +
+                                std::to_string(line));
+    }
+    if (increasing_time && !out->empty() && point.t <= out->back().t) {
+      return NonMonotonicRow(line, out, point);
+    }
+    out->push_back(point);
+  }
+  return Status::OK();
 }
 
 /// Locale-free decimal uint64 parse (object ids), after optional
@@ -137,15 +244,12 @@ bool ParseObjectIdField(const char** p, const char* end, ObjectId* out) {
   return true;
 }
 
-/// One `id,t,x,y` row (ParseMultiObjectCsv).
-bool ParseObjectUpdateRow(std::string_view line, ObjectUpdate* out) {
-  const char* p = line.data();
-  const char* end = line.data() + line.size();
-  return ParseObjectIdField(&p, end, &out->object_id) &&
-         ConsumeComma(&p, end) && ParseDouble(&p, end, &out->point.t) &&
-         ConsumeComma(&p, end) && ParseDouble(&p, end, &out->point.x) &&
-         ConsumeComma(&p, end) && ParseDouble(&p, end, &out->point.y) &&
-         AtRowEnd(p, end);
+/// One `id,t,x,y` row (ParseMultiObjectCsv), through its line end.
+bool ParseObjectUpdateRow(const char** p, const char* end, ObjectUpdate* out) {
+  return ParseObjectIdField(p, end, &out->object_id) && ConsumeComma(p, end) &&
+         ParseDouble(p, end, &out->point.t) && ConsumeComma(p, end) &&
+         ParseDouble(p, end, &out->point.x) && ConsumeComma(p, end) &&
+         ParseDouble(p, end, &out->point.y) && EndRow(p, end);
 }
 
 /// Smallest share of a multi-object CSV worth a thread of its own: below
@@ -221,15 +325,6 @@ Status WriteContentToFile(const std::string& content,
   return Status::OK();
 }
 
-/// Upper bound on the number of data rows: one per newline, plus a final
-/// unterminated line. Used to pre-reserve the trajectory so a multi-
-/// megabyte file appends without reallocation.
-std::size_t CountLines(std::string_view content) {
-  return static_cast<std::size_t>(
-             std::count(content.begin(), content.end(), '\n')) +
-         (content.empty() || content.back() == '\n' ? 0 : 1);
-}
-
 }  // namespace
 
 std::string WriteCsvString(const Trajectory& trajectory) {
@@ -255,24 +350,10 @@ Status WriteCsv(const Trajectory& trajectory, const std::string& path) {
 }
 
 Result<Trajectory> ParseCsv(const std::string& content) {
-  Trajectory out;
-  out.reserve(CountLines(content));
-  LineScanner scanner{content};
-  std::string_view line;
-  while (scanner.Next(&line)) {
-    if (IsBlankOrComment(line)) continue;
-    geo::Point point;
-    if (!ParseXytRow(line, &point)) {
-      return Status::Corruption("malformed CSV row at line " +
-                                std::to_string(scanner.lineno()));
-    }
-    Status st = out.Append(point);
-    if (!st.ok()) {
-      return Status::Corruption("line " + std::to_string(scanner.lineno()) +
-                                ": " + st.message());
-    }
-  }
-  return out;
+  std::vector<geo::Point> points;
+  OPERB_RETURN_IF_ERROR(
+      ParseXytRows(content, /*increasing_time=*/true, &points));
+  return Trajectory(std::move(points));
 }
 
 Result<Trajectory> ReadCsv(const std::string& path) {
@@ -282,18 +363,8 @@ Result<Trajectory> ReadCsv(const std::string& path) {
 
 Result<std::vector<geo::Point>> ParseCsvPoints(const std::string& content) {
   std::vector<geo::Point> out;
-  out.reserve(CountLines(content));
-  LineScanner scanner{content};
-  std::string_view line;
-  while (scanner.Next(&line)) {
-    if (IsBlankOrComment(line)) continue;
-    geo::Point point;
-    if (!ParseXytRow(line, &point)) {
-      return Status::Corruption("malformed CSV row at line " +
-                                std::to_string(scanner.lineno()));
-    }
-    out.push_back(point);
-  }
+  OPERB_RETURN_IF_ERROR(
+      ParseXytRows(content, /*increasing_time=*/false, &out));
   return out;
 }
 
@@ -304,25 +375,21 @@ Result<std::vector<geo::Point>> ReadCsvPoints(const std::string& path) {
 
 Result<Trajectory> ParseGeoLifePlt(const std::string& content,
                                    const PltReadOptions& options) {
-  LineScanner scanner{content};
-  std::string_view line;
+  const char* p = content.data();
+  const char* const end = p + content.size();
   // PLT files carry six header lines before the data rows.
-  for (int i = 0; i < 6; ++i) {
-    if (!scanner.Next(&line)) {
-      return Status::Corruption("PLT content truncated in header");
-    }
+  constexpr std::size_t kHeaderLines = 6;
+  for (std::size_t i = 0; i < kHeaderLines; ++i) {
+    if (p == end) return Status::Corruption("PLT content truncated in header");
+    p = NextLineStart(p, end);
   }
-  Trajectory out;
-  const std::size_t total_lines = CountLines(content);
-  out.reserve(total_lines > 6 ? total_lines - 6 : 0);
+  std::vector<geo::Point> out;
+  out.reserve(CountLines(content) - kHeaderLines);
   bool have_projector = options.use_fixed_reference;
   geo::LocalProjector projector(options.reference);
   double t0 = 0.0;
-  bool have_t0 = false;
-  while (scanner.Next(&line)) {
-    if (IsBlankOrComment(line)) continue;
-    const char* p = line.data();
-    const char* end = line.data() + line.size();
+  std::size_t line = kHeaderLines;
+  while (NextRow(&p, end, &line)) {
     double lat = 0.0, lon = 0.0, zero = 0.0, alt = 0.0, days = 0.0;
     // lat,lon,0,altitude_ft,days_since_1899[,date,time — ignored].
     if (!(ParseDouble(&p, end, &lat) && ConsumeComma(&p, end) &&
@@ -331,29 +398,27 @@ Result<Trajectory> ParseGeoLifePlt(const std::string& content,
           ParseDouble(&p, end, &alt) && ConsumeComma(&p, end) &&
           ParseDouble(&p, end, &days))) {
       return Status::Corruption("malformed PLT row at line " +
-                                std::to_string(scanner.lineno()));
+                                std::to_string(line));
     }
+    p = NextLineStart(p, end);
     if (lat < -90.0 || lat > 90.0 || lon < -180.0 || lon > 180.0) {
       return Status::Corruption("out-of-range coordinate at line " +
-                                std::to_string(scanner.lineno()));
+                                std::to_string(line));
     }
     if (!have_projector) {
       projector = geo::LocalProjector({lat, lon});
       have_projector = true;
     }
     const double t_abs = days * 86400.0;  // fractional days -> seconds
-    if (!have_t0) {
-      t0 = t_abs;
-      have_t0 = true;
-    }
+    if (out.empty()) t0 = t_abs;
     const geo::Vec2 xy = projector.Project({lat, lon});
-    Status st = out.Append({xy.x, xy.y, t_abs - t0});
-    if (!st.ok()) {
-      return Status::Corruption("line " + std::to_string(scanner.lineno()) +
-                                ": " + st.message());
+    const geo::Point point{xy.x, xy.y, t_abs - t0};
+    if (!out.empty() && point.t <= out.back().t) {
+      return NonMonotonicRow(line, &out, point);
     }
+    out.push_back(point);
   }
-  return out;
+  return Trajectory(std::move(out));
 }
 
 Result<Trajectory> ReadGeoLifePlt(const std::string& path,
@@ -371,14 +436,16 @@ Result<std::vector<ObjectUpdate>> ParseMultiObjectCsv(
     const std::string& content) {
   std::vector<CsvPart> parts = SplitAtLineStarts(content);
   ForEachPart(parts.size(), [&parts](std::size_t k) {
-    LineScanner scanner{parts[k].text};
-    std::string_view line;
+    const char* p = parts[k].text.data();
+    const char* const end = p + parts[k].text.size();
+    std::size_t lines = 0;
     std::size_t rows = 0;  // local: neighbouring parts share a cache line
-    while (scanner.Next(&line)) {
-      if (!IsBlankOrComment(line)) ++rows;
+    while (NextRow(&p, end, &lines)) {
+      ++rows;
+      p = NextLineStart(p, end);
     }
     parts[k].rows = rows;
-    parts[k].lines = scanner.lineno();
+    parts[k].lines = lines;
   });
   std::size_t rows = 0;
   for (CsvPart& part : parts) {
@@ -389,12 +456,12 @@ Result<std::vector<ObjectUpdate>> ParseMultiObjectCsv(
   std::vector<ObjectUpdate> out(rows);
   ForEachPart(parts.size(), [&parts, &out](std::size_t k) {
     ObjectUpdate* next = out.data() + parts[k].first_row;
-    LineScanner scanner{parts[k].text};
-    std::string_view line;
-    while (scanner.Next(&line)) {
-      if (IsBlankOrComment(line)) continue;
-      if (!ParseObjectUpdateRow(line, next++)) {
-        parts[k].bad_line = scanner.lineno();
+    const char* p = parts[k].text.data();
+    const char* const end = p + parts[k].text.size();
+    std::size_t line = 0;
+    while (NextRow(&p, end, &line)) {
+      if (!ParseObjectUpdateRow(&p, end, next++)) {
+        parts[k].bad_line = line;
         return;
       }
     }

@@ -18,12 +18,18 @@ namespace operb::traj {
 /// projected meters, `#`-prefixed comment lines allowed. The natural
 /// interchange format for already-projected data and for test fixtures.
 ///
-/// Parsing runs on std::from_chars with manual line scanning: no stream
-/// or scanf machinery, no per-row allocation, and — unlike `%lf` — no
-/// dependence on the process locale's decimal separator. The trajectory
-/// is pre-reserved from the file's line count, so a multi-megabyte file
-/// ingests in one allocation. After a row's last field only horizontal
-/// whitespace may follow; `1,2,3,4` or `1,2,3x` is Corruption.
+/// Parsing is one pass over the buffer: each row is parsed in place,
+/// blank and comment lines skipped at its start, with no stream or scanf
+/// machinery, no per-row allocation, and — unlike `%lf` — no dependence
+/// on the process locale's decimal separator. A plain decimal with at
+/// most 15 significant digits and a decimal exponent within ±22 (every
+/// `%.9g` value from 1e-14 to 1e22 in magnitude, as WriteCsvString
+/// writes it) converts with one exact IEEE operation; any other number
+/// goes to std::from_chars, and both give the same bits.
+/// The output is pre-reserved from the file's line count, so a
+/// multi-megabyte file ingests in one allocation. After a row's last
+/// field only horizontal whitespace may follow; `1,2,3,4` or `1,2,3x` is
+/// Corruption.
 ///
 /// The single-trace parsers (ParseCsv, ParseCsvPoints, ParseGeoLifePlt)
 /// run on the calling thread: they read one device's trace, whose caller
@@ -55,7 +61,7 @@ Result<Trajectory> ReadGeoLifePlt(const std::string& path,
 
 /// Parses in-memory PLT content (the file-reading half of ReadGeoLifePlt
 /// split off so tests, benchmarks and network receivers can bypass the
-/// filesystem). Same locale-proof from_chars scanner as ParseCsv.
+/// filesystem). Same locale-proof one-pass scanner as ParseCsv.
 Result<Trajectory> ParseGeoLifePlt(const std::string& content,
                                    const PltReadOptions& options = {});
 
@@ -82,7 +88,7 @@ Result<std::vector<geo::Point>> ReadCsvPoints(const std::string& path);
 /// objects freely interleaved (the on-disk form of a fleet feed),
 /// `#`-prefixed comment lines allowed. `id` is a decimal 64-bit object
 /// id; `t` seconds; `x`,`y` projected meters. Same locale-proof
-/// from_chars scanner and row-end rule as ParseCsv, updates returned in
+/// one-pass scanner and row-end rule as ParseCsv, updates returned in
 /// file order. Feed the result to engine::StreamEngine directly, or group
 /// it with GroupUpdatesByObject (which also validates per-object
 /// timestamps).

@@ -1,6 +1,7 @@
 // Proves the sink path's zero-allocation claim: with a sink installed,
 // steady-state Push performs no heap allocation per point, for OPERB and
-// OPERB-A alike, alone and inside the streaming engine. The whole
+// OPERB-A alike, alone and inside the streaming engine. Also checks that
+// ParseCsv allocates nothing but its output. The whole
 // binary's global operator new/delete are replaced by counting
 // forwarders; counting is switched on only around the measured Push
 // loop, so test-framework allocations don't pollute the numbers.
@@ -9,6 +10,7 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "datagen/rng.h"
 #include "engine/stream_engine.h"
 #include "obs/metrics.h"
+#include "traj/io.h"
 #include "traj/multi_object.h"
 #include "traj/trajectory.h"
 
@@ -366,6 +369,23 @@ TEST(AllocationTest, InstrumentedSinkPathIsAllocationFreePerPoint) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(points_ctr->Value(), t.size());
   EXPECT_GT(segments_ctr->Value(), 10u);
+}
+
+/// ParseCsv reserves its output from the line count and parses each row in
+/// place, so a whole file costs one heap allocation: the output itself.
+TEST(AllocationTest, ParseCsvAllocatesOnlyItsOutput) {
+  const traj::Trajectory t = TestTrajectory(10000);
+  const std::string content = traj::WriteCsvString(t);
+  std::size_t allocations = 0;
+  std::size_t rows = 0;
+  {
+    CountingScope scope;
+    const Result<traj::Trajectory> parsed = traj::ParseCsv(content);
+    allocations = scope.count();
+    rows = parsed.ok() ? parsed->size() : 0;
+  }
+  EXPECT_EQ(allocations, 1u);
+  EXPECT_EQ(rows, t.size());
 }
 
 /// Contrast check: the buffered path must still work (and will allocate),

@@ -1,7 +1,9 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <charconv>
 #include <clocale>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -498,20 +500,10 @@ TEST_F(IoTest, RowParsersRejectTrailingJunk) {
   EXPECT_EQ(plt->size(), 1u);
 }
 
-/// About 6 MiB of seeded `id,t,x,y` rows, big enough that
-/// ParseMultiObjectCsv cuts it into one part per usable CPU. Blank lines,
-/// comments, CRLF rows and whitespace-led fields recur every few lines, so
-/// each part boundary lands next to one. No final newline.
-std::string FleetCsvWithClutter() {
-  std::mt19937_64 rng(18);
-  std::uniform_real_distribution<double> coord(-5e4, 5e4);
-  std::vector<ObjectUpdate> updates(170000);
-  double t = 0.0;
-  for (ObjectUpdate& u : updates) {
-    u.object_id = rng() % 100000;
-    u.point = {coord(rng), coord(rng), t += 0.01};
-  }
-  const std::string plain = WriteMultiObjectCsvString(updates);
+/// `plain` (whole rows, one per line) with clutter between and inside
+/// its rows: blank lines, comments, CRLF rows and whitespace-led fields
+/// recur every few lines. No final newline.
+std::string AddClutter(const std::string& plain) {
   std::string out;
   out.reserve(plain.size() + plain.size() / 4);
   std::size_t line = 0;
@@ -521,6 +513,7 @@ std::string FleetCsvWithClutter() {
     pos = nl + 1;
     if (line % 97 == 0) out += "\n";
     if (line % 89 == 0) out += "  # comment, 1,2,3,4\n";
+    if (line % 83 == 0) out += "\t\r\n\n";
     if (line % 5 == 0) {
       std::string spaced = " \t";
       for (char c : row) spaced += c == ',' ? std::string(", ") : std::string(1, c);
@@ -534,16 +527,40 @@ std::string FleetCsvWithClutter() {
   return out;
 }
 
+/// About 6 MiB of seeded `id,t,x,y` rows, big enough that
+/// ParseMultiObjectCsv cuts it into one part per usable CPU, with clutter
+/// recurring every few lines so each part boundary lands next to some.
+std::string FleetCsvWithClutter() {
+  std::mt19937_64 rng(18);
+  std::uniform_real_distribution<double> coord(-5e4, 5e4);
+  std::vector<ObjectUpdate> updates(170000);
+  double t = 0.0;
+  for (ObjectUpdate& u : updates) {
+    u.object_id = rng() % 100000;
+    u.point = {coord(rng), coord(rng), t += 0.01};
+  }
+  return AddClutter(WriteMultiObjectCsvString(updates));
+}
+
+/// The lines of `text`, without their '\n'.
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) nl = text.size();
+    lines.push_back(text.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return lines;
+}
+
 /// The same text parsed one line at a time: every call a single part.
 std::vector<ObjectUpdate> ParseLineByLine(const std::string& text) {
   std::vector<ObjectUpdate> out;
-  for (std::size_t pos = 0; pos <= text.size();) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const auto r = ParseMultiObjectCsv(text.substr(pos, nl - pos));
+  for (const std::string& line : SplitLines(text)) {
+    const auto r = ParseMultiObjectCsv(line);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (r.ok()) out.insert(out.end(), r->begin(), r->end());
-    pos = nl + 1;
   }
   return out;
 }
@@ -601,6 +618,325 @@ TEST_F(IoTest, MultiObjectCsvPartsHandleEmptyAndCommentOnlyInputs) {
     const auto r = ParseMultiObjectCsv(text);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r->empty());
+  }
+}
+
+/// What the row parsers' number grammar makes of one whole field: optional
+/// blanks, an optional '+' before a digit or '.', then std::from_chars,
+/// which must consume the rest of the field.
+bool FromCharsField(std::string_view field, double* value) {
+  const char* c = field.data();
+  const char* const end = c + field.size();
+  while (c < end && (*c == ' ' || *c == '\t')) ++c;
+  if (end - c >= 2 && *c == '+' &&
+      ((c[1] >= '0' && c[1] <= '9') || c[1] == '.')) {
+    ++c;
+  }
+  const std::from_chars_result r = std::from_chars(c, end, *value);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
+/// Seeded number-like fields. Most are decimals built around the exact
+/// fast path's limits (15 significant digits, decimal exponent within
+/// ±22); the rest are printf renderings and junk from the number alphabet.
+std::vector<std::string> RandomNumberFields(std::size_t count) {
+  std::mt19937_64 rng(20);
+  const auto below = [&rng](std::uint64_t n) {
+    return static_cast<int>(rng() % n);
+  };
+  std::vector<std::string> fields;
+  fields.reserve(count);
+  while (fields.size() < count) {
+    std::string f;
+    const int kind = below(8);
+    if (kind < 5) {
+      // Decimal: 1-20 digits split around an optional point, sometimes
+      // after leading fraction zeros, with a combined exponent in
+      // [-30, 30] when one is written.
+      if (below(3) == 0) f += '-';
+      const auto digit = [&below] {
+        return static_cast<char>('0' + below(10));
+      };
+      const int digits = 1 + below(20);
+      const int int_digits = below(digits + 1);
+      const int leading_zeros = below(4) == 0 ? below(6) : 0;
+      for (int i = 0; i < int_digits; ++i) f += digit();
+      int fraction = 0;
+      if (int_digits < digits || below(2) == 0) {
+        f += '.';
+        for (int i = 0; i < leading_zeros; ++i, ++fraction) f += '0';
+        for (int i = int_digits; i < digits; ++i, ++fraction) f += digit();
+      }
+      if (below(4) != 0) {
+        const int combined = below(61) - 30;
+        const int written = combined + fraction;
+        f += below(2) == 0 ? 'e' : 'E';
+        if (written >= 0 && below(2) == 0) f += '+';
+        f += std::to_string(written);
+      }
+    } else if (kind < 7) {
+      // Any bit pattern (NaN, infinities and subnormals included), or a
+      // 53-bit significand at a moderate scale.
+      double v;
+      const std::uint64_t bits = rng();
+      std::memcpy(&v, &bits, sizeof(v));
+      if (kind == 6) {
+        v = std::ldexp(static_cast<double>(rng() >> 11), below(120) - 90);
+      }
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), below(2) == 0 ? "%.9g" : "%.17g", v);
+      f = buf;
+    } else {
+      static constexpr char kAlphabet[] = "0123456789.-+eE";
+      const int length = 1 + below(12);
+      for (int i = 0; i < length; ++i) {
+        f += kAlphabet[below(sizeof(kAlphabet) - 1)];
+      }
+    }
+    fields.push_back(std::move(f));
+  }
+  return fields;
+}
+
+TEST_F(IoTest, DecimalFastPathMatchesFromChars) {
+  std::vector<std::string> fields = {
+      "0", "-0", "0.0", "-0.0", "-0e5", ".5", "-.5", "5.", "-5.", ".", "-.",
+      "+1", "+.5", "+-1", "-+1", "  1.5", "\t-2.25", " +3", "007", "-000.000",
+      "0000000000000000000000001.5",
+      "123456789012345",         // 15 significant digits
+      "1234567890123456",        // 16
+      "9007199254740993",        // 2^53 + 1
+      "1234567890123456789",     // 19
+      "12345678901234567890",    // 20
+      "0.000000000000123456789012345",
+      "1.0000000000000000000000",  // fraction of 22 digits
+      "0.0000000000000000000001",  // 22
+      "0.00000000000000000000001",  // 23
+      "1e", "1e+", "1e-", "1E5", "1e+5", "1e-5", "1e22", "1e23", "-1e22",
+      "9e22", "3e23", "1e-22", "1e-23", "1.5e-22", "123456789012345e22",
+      "123456789012345e-22", "1e0000000000000000000000005", "1e400",
+      "1e-400", "4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+      "inf", "-inf", "infinity", "nan", "-nan", "NaN", "0x1p3",
+      "1.70000002e+09",
+      "1..5", "1.5.5", "e5", "-", "+", "1-", "--1"};
+  const std::vector<std::string> random = RandomNumberFields(100000);
+  fields.insert(fields.end(), random.begin(), random.end());
+  std::size_t accepted = 0;
+  for (const std::string& field : fields) {
+    double want = 0.0;
+    const bool ok = FromCharsField(field, &want);
+    accepted += ok ? 1 : 0;
+    // The field first (a comma follows it) and last (the line ends).
+    const auto first = ParseCsvPoints(field + ",0,1\n");
+    const auto last = ParseCsvPoints("0,1," + field);
+    ASSERT_EQ(first.ok(), ok) << '"' << field << '"';
+    ASSERT_EQ(last.ok(), ok) << '"' << field << '"';
+    if (!ok) continue;
+    ASSERT_EQ(std::memcmp(&(*first)[0].x, &want, sizeof(want)), 0)
+        << '"' << field << "\" parsed as " << (*first)[0].x;
+    ASSERT_EQ(std::memcmp(&(*last)[0].t, &want, sizeof(want)), 0)
+        << '"' << field << "\" parsed as " << (*last)[0].t;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(accepted, fields.size() / 2);
+  EXPECT_LT(accepted, fields.size());
+}
+
+/// Seeded `x,y,t` rows as WriteCsvString writes them, with epoch-sized
+/// timestamps (which `%.9g` writes in exponent form) 10-30 s apart, so
+/// `%.9g` keeps them increasing; clutter added, no final newline.
+std::string EpochCsvWithClutter(std::size_t rows) {
+  std::mt19937_64 rng(21);
+  std::uniform_real_distribution<double> coord(-5e4, 5e4);
+  Trajectory t;
+  double time = 1.7e9;
+  for (std::size_t i = 0; i < rows; ++i) {
+    t.AppendUnchecked({coord(rng), coord(rng), time += 10.0 * (1 + rng() % 3)});
+  }
+  return AddClutter(WriteCsvString(t));
+}
+
+/// Six header lines, then seeded GeoLife rows 5 s apart, clutter added.
+std::string PltWithClutter(std::size_t rows) {
+  std::mt19937_64 rng(22);
+  std::uniform_real_distribution<double> jitter(-0.01, 0.01);
+  std::string data;
+  char buf[160];
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::snprintf(buf, sizeof(buf),
+                  "%.6f,%.6f,0,%d,%.10f,2008-10-23,05:53:06\n",
+                  39.9 + jitter(rng), 116.3 + jitter(rng),
+                  static_cast<int>(rng() % 600), 39744.0 + i * 5.0 / 86400.0);
+    data += buf;
+  }
+  return "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
+         "0,2,255,My Track,0,0,2,8421376\n0\n" +
+         AddClutter(data);
+}
+
+/// A text parsed one line at a time: the rows it yields up to the first
+/// refused line, and that line's 1-based number (0 if none).
+struct LineByLineParse {
+  std::vector<geo::Point> rows;
+  std::size_t bad_line = 0;
+};
+
+/// `x,y,t` text, each line through ParseCsvPoints on its own; with
+/// `increasing_time`, a row not later than the previous one is refused.
+LineByLineParse CsvLineByLine(const std::string& text, bool increasing_time) {
+  LineByLineParse out;
+  const std::vector<std::string> lines = SplitLines(text);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const auto r = ParseCsvPoints(lines[i]);
+    if (!r.ok() || (increasing_time && !r->empty() && !out.rows.empty() &&
+                    (*r)[0].t <= out.rows.back().t)) {
+      out.bad_line = i + 1;
+      return out;
+    }
+    out.rows.insert(out.rows.end(), r->begin(), r->end());
+  }
+  return out;
+}
+
+/// PLT text, each data line parsed after the header and the first data
+/// row (which fixes t = 0), under a fixed projection reference.
+LineByLineParse PltLineByLine(const std::string& text,
+                              const PltReadOptions& options) {
+  LineByLineParse out;
+  const std::vector<std::string> lines = SplitLines(text);
+  std::string header;
+  for (std::size_t i = 0; i < 6; ++i) header += lines[i] + "\n";
+  std::string first;
+  for (std::size_t i = 6; i < lines.size(); ++i) {
+    if (first.empty()) {
+      const auto r = ParseGeoLifePlt(header + lines[i], options);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r->empty()) {
+        first = lines[i];
+        out.rows.push_back((*r)[0]);
+      }
+      continue;
+    }
+    const auto r = ParseGeoLifePlt(header + first + "\n" + lines[i], options);
+    if (!r.ok() || (r->size() == 2 && (*r)[1].t <= out.rows.back().t)) {
+      out.bad_line = i + 1;
+      return out;
+    }
+    if (r->size() == 2) out.rows.push_back((*r)[1]);
+  }
+  return out;
+}
+
+/// The rows a one-pass parse returned, or nothing if it failed.
+std::vector<geo::Point> RowsOf(const Result<Trajectory>& r) {
+  return r.ok() ? r->points() : std::vector<geo::Point>();
+}
+std::vector<geo::Point> RowsOf(const Result<std::vector<geo::Point>>& r) {
+  return r.ok() ? *r : std::vector<geo::Point>();
+}
+
+/// The 1-based line number a one-pass parse failed at, or 0 if it parsed.
+template <typename R>
+std::size_t BadLineOf(const R& r) {
+  if (r.ok()) return 0;
+  const std::string m = r.status().message();
+  const std::size_t at = m.find("line ");
+  return at == std::string::npos ? 0 : std::stoul(m.substr(at + 5));
+}
+
+bool SameBits(const std::vector<geo::Point>& a,
+              const std::vector<geo::Point>& b) {
+  // memcmp may not be handed the null data() of an empty vector.
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(geo::Point)) == 0);
+}
+
+TEST_F(IoTest, OnePassParsersMatchLineByLineParse) {
+  const std::string csv = EpochCsvWithClutter(8000);
+  ASSERT_NE(csv.back(), '\n');
+  ASSERT_NE(csv.find("e+09"), std::string::npos);
+  PltReadOptions options;
+  options.use_fixed_reference = true;
+  options.reference = {39.9, 116.3};
+  const std::string plt = PltWithClutter(8000);
+
+  const LineByLineParse csv_ref = CsvLineByLine(csv, true);
+  ASSERT_EQ(csv_ref.bad_line, 0u);
+  ASSERT_EQ(csv_ref.rows.size(), 8000u);
+  const auto parsed = ParseCsv(csv);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(SameBits(parsed->points(), csv_ref.rows));
+  const auto points = ParseCsvPoints(csv);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  EXPECT_TRUE(SameBits(*points, csv_ref.rows));
+
+  const LineByLineParse plt_ref = PltLineByLine(plt, options);
+  ASSERT_EQ(plt_ref.bad_line, 0u);
+  ASSERT_EQ(plt_ref.rows.size(), 8000u);
+  const auto track = ParseGeoLifePlt(plt, options);
+  ASSERT_TRUE(track.ok()) << track.status().ToString();
+  EXPECT_TRUE(SameBits(track->points(), plt_ref.rows));
+
+  // Seeded corruptions, each on its own copy of the text: a malformed row,
+  // a row whose time goes back, or a repeat of the previous data row (the
+  // same time again). Only lines after the first data row change, so a
+  // repeat always finds an earlier one. The first refused line must match.
+  std::mt19937_64 rng(23);
+  const auto is_data = [](const std::string& line) {
+    const std::size_t at = line.find_first_not_of(" \t\r");
+    return at != std::string::npos && line[at] != '#';
+  };
+  const auto corrupt = [&rng, &is_data](const std::string& text,
+                                        std::size_t header, int kind,
+                                        const std::string& bad_row,
+                                        const std::string& early_row) {
+    std::vector<std::string> lines = SplitLines(text);
+    std::size_t first_row = header;
+    while (!is_data(lines[first_row])) ++first_row;
+    const std::size_t at =
+        first_row + 1 + rng() % (lines.size() - first_row - 1);
+    if (kind == 0) lines[at] = bad_row;
+    if (kind == 1) lines[at] = early_row;
+    if (kind == 2) {
+      std::size_t prev = at - 1;
+      while (!is_data(lines[prev])) --prev;
+      lines[at] = lines[prev];
+    }
+    std::string out;
+    for (const std::string& l : lines) out += l + "\n";
+    return out;
+  };
+  for (int i = 0; i < 24; ++i) {
+    const int kind = i % 3;
+    const std::string bad_csv = corrupt(csv, 0, kind, "1,2,oops", "1,2,1.7e9");
+    const LineByLineParse ordered = CsvLineByLine(bad_csv, true);
+    const LineByLineParse raw = CsvLineByLine(bad_csv, false);
+    ASSERT_NE(ordered.bad_line, 0u);
+    const auto r = ParseCsv(bad_csv);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(BadLineOf(r), ordered.bad_line) << r.status().ToString();
+    EXPECT_EQ(r.status().message().rfind(
+                  kind == 0 ? "malformed CSV row at line "
+                            : "line " + std::to_string(ordered.bad_line) +
+                                  ": non-monotonic timestamp",
+                  0),
+              0u)
+        << r.status().ToString();
+    const auto rp = ParseCsvPoints(bad_csv);
+    EXPECT_EQ(BadLineOf(rp), raw.bad_line) << rp.status().ToString();
+    EXPECT_TRUE(SameBits(RowsOf(rp), raw.bad_line == 0
+                                         ? raw.rows
+                                         : std::vector<geo::Point>()));
+
+    const std::string bad_plt =
+        corrupt(plt, 6, kind, "39.9,116.3,0,oops,1,d,t",
+                "39.9,116.3,0,0,39744,d,t");
+    const LineByLineParse plt_bad = PltLineByLine(bad_plt, options);
+    ASSERT_NE(plt_bad.bad_line, 0u);
+    const auto rt = ParseGeoLifePlt(bad_plt, options);
+    EXPECT_EQ(BadLineOf(rt), plt_bad.bad_line) << rt.status().ToString();
+    EXPECT_TRUE(RowsOf(rt).empty());
   }
 }
 
