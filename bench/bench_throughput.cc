@@ -21,7 +21,9 @@
 //                        (sink) -> independent bound verification
 //   concurrent_streams — the sharded StreamEngine on a round-robin
 //                        interleaved fleet feed: points/sec vs worker
-//                        thread count at 10k and 100k live objects
+//                        thread count at 10k and 100k live objects, the
+//                        median of at least 5 passes, with the fastest
+//                        pass beside it
 //   facade_overhead    — the same steady-state sink loop with the
 //                        simplifier constructed via the enum compat
 //                        factory vs via an api::AlgorithmRegistry spec
@@ -130,6 +132,35 @@ Timing TimeLoop(Fn&& fn) {
     ++t.passes;
   } while (watch.ElapsedMillis() < min_millis);
   t.seconds_per_pass = watch.ElapsedSeconds() / t.passes;
+  return t;
+}
+
+/// Per-pass timing of `fn`: at least kMinPasses passes, then more until
+/// 150 ms have accumulated (full mode). Reports the median pass and the
+/// fastest one, so a row shows its own spread.
+struct PassTimings {
+  double median_seconds = 0.0;
+  double min_seconds = 0.0;
+  int passes = 0;
+};
+
+constexpr std::size_t kMinPasses = 5;
+
+template <typename Fn>
+PassTimings TimePasses(Fn&& fn) {
+  const double min_millis = bench::SmokeMode() ? 0.0 : 150.0;
+  std::vector<double> seconds;
+  Stopwatch total;
+  do {
+    Stopwatch pass;
+    fn();
+    seconds.push_back(pass.ElapsedSeconds());
+  } while (seconds.size() < kMinPasses || total.ElapsedMillis() < min_millis);
+  std::sort(seconds.begin(), seconds.end());
+  PassTimings t;
+  t.passes = static_cast<int>(seconds.size());
+  t.median_seconds = seconds[seconds.size() / 2];
+  t.min_seconds = seconds.front();
   return t;
 }
 
@@ -605,7 +636,7 @@ int main(int argc, char** argv) {
       eopts.num_threads = threads;
       eopts.num_shards = 4 * threads;
       std::uint64_t segments = 0;
-      const Timing tm = TimeLoop([&] {
+      const PassTimings tm = TimePasses([&] {
         engine::StreamEngine eng(eopts, engine::TimedSegmentSink{});
         eng.Push(std::span<const traj::ObjectUpdate>(updates));
         eng.Close();
@@ -620,15 +651,18 @@ int main(int argc, char** argv) {
       rec.Int("points", static_cast<long long>(updates.size()));
       rec.Int("segments", static_cast<long long>(segments));
       rec.Int("passes", tm.passes);
-      rec.Num("seconds_per_pass", tm.seconds_per_pass);
+      rec.Num("seconds_per_pass", tm.median_seconds);
+      rec.Num("min_seconds_per_pass", tm.min_seconds);
       rec.Num("points_per_sec",
-              static_cast<double>(updates.size()) / tm.seconds_per_pass);
+              static_cast<double>(updates.size()) / tm.median_seconds);
       concurrent.push_back(rec);
       std::printf(
           "concurrent OPERB %7zu objects %2zu threads %8zu pts  "
-          "%7.2f M points/s\n",
+          "%7.2f M points/s (median of %d, best %.2f M)\n",
           live, threads, updates.size(),
-          static_cast<double>(updates.size()) / tm.seconds_per_pass / 1e6);
+          static_cast<double>(updates.size()) / tm.median_seconds / 1e6,
+          tm.passes,
+          static_cast<double>(updates.size()) / tm.min_seconds / 1e6);
     }
   }
 

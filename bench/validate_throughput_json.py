@@ -29,7 +29,10 @@ parser (format "multi_csv") and one ParseCsv on `%.17g` rows (format
 "csv_17g", whose fields overflow the exact decimal fast path and take
 the std::from_chars fallback). Every store row must carry
 append_seconds_per_pass, the time until the last Append returns: it
-must be positive and no larger than write_seconds_per_pass.
+must be positive and no larger than write_seconds_per_pass. Every
+concurrent_streams row reports seconds_per_pass as the median pass and
+min_seconds_per_pass as the fastest (0 < min <= median); in full mode a
+row must have run at least 5 passes.
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -114,6 +117,7 @@ SECTION_FIELDS = {
         "segments": int,
         "passes": int,
         "seconds_per_pass": NUMBER,
+        "min_seconds_per_pass": NUMBER,
         "points_per_sec": NUMBER,
     },
     "facade_overhead": {
@@ -432,6 +436,14 @@ def main():
             fail(f"concurrent_streams[{i}] has non-positive threads/shards")
         if entry["live_objects"] <= 0:
             fail(f"concurrent_streams[{i}] has non-positive live_objects")
+        # One or two passes cannot tell a change from noise: full mode
+        # reports the median of at least 5 and the fastest beside it.
+        if not doc["smoke"] and entry["passes"] < 5:
+            fail(f"concurrent_streams[{i}] ran {entry['passes']} passes "
+                 "(need at least 5)")
+        if not 0 < entry["min_seconds_per_pass"] <= entry["seconds_per_pass"]:
+            fail(f"concurrent_streams[{i}] min_seconds_per_pass is not in "
+                 "(0, seconds_per_pass]")
     thread_counts = {e["threads"] for e in doc["concurrent_streams"]}
     if len(thread_counts) < 2:
         fail("concurrent_streams must sweep at least 2 thread counts")

@@ -330,11 +330,43 @@ Status WriteContentToFile(const std::string& content,
 std::string WriteCsvString(const Trajectory& trajectory) {
   std::string out = "# x_meters,y_meters,t_seconds\n";
   out.reserve(out.size() + trajectory.size() * 40);
-  char buf[128];
-  for (const geo::Point& p : trajectory) {
+  // `%.9g` keeps nine significant digits, so an epoch time (~1.7e9 s)
+  // prints rounded to 10 s and close samples could print equal times,
+  // which ParseCsv refuses. When a row's `%.9g` time text ties the
+  // previous row's, both rows take `%.17g` times, which read back
+  // exactly; the previous row is still the output's tail, so it is
+  // rewritten in place. A row with a unique time text keeps its bytes.
+  const auto append_exact_time = [&out](const geo::Point& p) {
+    char buf[128];
     const int n =
-        std::snprintf(buf, sizeof(buf), "%.9g,%.9g,%.9g\n", p.x, p.y, p.t);
+        std::snprintf(buf, sizeof(buf), "%.9g,%.9g,%.17g\n", p.x, p.y, p.t);
     out.append(buf, static_cast<std::size_t>(n));
+  };
+  char row[128];
+  char previous_time[32] = {};
+  std::size_t previous_time_size = 0;
+  std::size_t previous_start = 0;
+  bool previous_exact = false;
+  for (std::size_t i = 0; i < trajectory.size(); ++i) {
+    const geo::Point& p = trajectory[i];
+    const int n =
+        std::snprintf(row, sizeof(row), "%.9g,%.9g,%.9g\n", p.x, p.y, p.t);
+    const std::string_view line(row, static_cast<std::size_t>(n));
+    const std::string_view time = line.substr(line.rfind(',') + 1);
+    const bool tie =
+        i > 0 && time == std::string_view(previous_time, previous_time_size);
+    if (tie && !previous_exact) {
+      out.resize(previous_start);
+      append_exact_time(trajectory[i - 1]);
+    }
+    previous_start = out.size();
+    if (tie) {
+      append_exact_time(p);
+    } else {
+      out.append(line);
+    }
+    previous_exact = tie;
+    previous_time_size = time.copy(previous_time, sizeof(previous_time));
   }
   return out;
 }

@@ -39,8 +39,12 @@ Status WriteCsv(const Trajectory& trajectory, const std::string& path);
 Result<Trajectory> ReadCsv(const std::string& path);
 
 /// In-memory counterpart of WriteCsv (single source of truth for the row
-/// format; WriteCsv serializes through this). Round-trips through
-/// ParseCsv with %.9g precision.
+/// format; WriteCsv serializes through this). Values are written `%.9g`,
+/// except that a time whose `%.9g` text would repeat the previous row's
+/// is written `%.17g`, as is that previous row's: epoch times less than
+/// 10 s apart would otherwise print equal. A trajectory with strictly
+/// increasing times therefore reads back through ParseCsv with the same
+/// point count and strictly increasing times.
 std::string WriteCsvString(const Trajectory& trajectory);
 
 /// GeoLife PLT format reader.

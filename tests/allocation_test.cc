@@ -190,6 +190,62 @@ TEST(AllocationTest, EngineTimedSinkPathIsAllocationFreePerPoint) {
   EXPECT_GT(segments.load(), 10u);
 }
 
+/// The engine's sink path when every consumer batch holds many objects:
+/// 1,000 objects fed round-robin put 256 distinct ids in each batch, so
+/// each point goes through the batch prefetch, a probe of a table of
+/// 1,000 live slots and a state of its own. Once one round has grown the
+/// table, the pool and the clocks, finishing every object and feeding
+/// the same ids again allocates nothing. Every object replays the same
+/// trajectory, so whichever pooled state an id gets, its clock history
+/// repeats the first round's.
+TEST(AllocationTest, EngineInterleavedBatchesAreAllocationFree) {
+  const traj::Trajectory t = TestTrajectory(200);
+  constexpr traj::ObjectId kObjects = 1000;
+  engine::StreamEngineOptions options;
+  options.spec.zeta = 40.0;  // default algorithm: OPERB
+  options.num_shards = 1;
+  options.num_threads = 1;
+  std::atomic<std::size_t> segments{0};
+  engine::StreamEngine eng(options, [&segments](const traj::TimedSegment&) {
+    segments.fetch_add(1, std::memory_order_relaxed);
+  });
+  constexpr traj::ObjectId kNeverPushed = kObjects;
+  const engine::TailSnapshotVisitor visit_nothing =
+      [](traj::ObjectId, std::span<const traj::TimedSegment>) {};
+  bool waits_ok = true;
+  const auto wait_for_worker = [&] {
+    eng.Flush();
+    waits_ok = eng.SnapshotObjectTail(kNeverPushed, visit_nothing).ok() &&
+               waits_ok;
+  };
+  const auto feed = [&] {
+    for (const geo::Point& p : t) {
+      for (traj::ObjectId id = 0; id < kObjects; ++id) eng.Push(id, p);
+    }
+    wait_for_worker();
+  };
+  const auto finish_all = [&] {
+    for (traj::ObjectId id = 0; id < kObjects; ++id) eng.FinishObject(id);
+    wait_for_worker();
+  };
+  feed();
+  finish_all();
+  const std::size_t first_round = segments.exchange(0);
+
+  std::size_t allocations = 0;
+  {
+    CountingScope scope;
+    feed();
+    allocations = scope.count();
+  }
+  finish_all();
+  eng.Close();
+  EXPECT_TRUE(waits_ok);
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(segments.load(), first_round);
+  EXPECT_GT(first_round, kObjects);
+}
+
 TEST(AllocationTest, OperbASinkPathIsAllocationFreePerPoint) {
   const traj::Trajectory t = TestTrajectory(20000);
   core::OperbAStream stream(core::OperbAOptions::Optimized(40.0));

@@ -1393,5 +1393,140 @@ TEST(EngineTest, CheckpointRestoreRefusesMisplacedObjects) {
   EXPECT_TRUE(restore(parts).ok());
 }
 
+/// ProcessBatch prefetches from the table as it stands before the batch,
+/// so a batch that grows the table, finishes an object or hands its
+/// pooled state to another must still process exactly as without the
+/// hints. A one-shard engine receives batches of exactly one consumer
+/// batch (256 updates, the producer batch; the test waits for the worker
+/// after each). From the second batch on, each starts with points of
+/// live objects, then a FinishObject directly followed by a new id
+/// (which takes the finished object's pooled state), the finished id
+/// re-opened and an id finished one batch earlier re-opened, all before
+/// first points grow the table mid-batch; short same-id runs take the
+/// span path in between. Every object instance must match the
+/// single-stream oracle, times included.
+TEST(EngineTest, PrefetchedBatchKeepsOutputAcrossGrowFinishAndReuse) {
+  constexpr std::size_t kBatch = 256;
+  engine::StreamEngineOptions opts;
+  opts.num_shards = 1;
+  opts.num_threads = 1;
+  opts.producer_batch = kBatch;
+  TimedCollector collector;
+  engine::StreamEngine eng(opts, collector.Sink());
+  constexpr traj::ObjectId kNeverPushed = 1u << 30;
+  const engine::TailSnapshotVisitor visit_nothing =
+      [](traj::ObjectId, std::span<const traj::TimedSegment>) {};
+  bool waits_ok = true;
+
+  // Model: every instance (one open..finish life of an id) and the prefix
+  // of its source trajectory pushed so far.
+  struct Instance {
+    traj::Trajectory source;
+    std::size_t pushed = 0;
+  };
+  std::map<traj::ObjectId, std::vector<Instance>> instances;
+  std::map<traj::ObjectId, bool> open;
+  std::vector<traj::ObjectId> live;  // open ids, in opening order
+  const std::vector<datagen::DatasetKind> kinds = datagen::AllDatasetKinds();
+  std::uint64_t next_seed = 100;
+  std::size_t routed = 0;
+  const auto routed_one = [&] {
+    // The engine hands its staging batch to the ring at every kBatch-th
+    // update; waiting for the worker then makes that one consumer batch.
+    if (++routed % kBatch == 0) {
+      waits_ok = eng.SnapshotObjectTail(kNeverPushed, visit_nothing).ok() &&
+                 waits_ok;
+    }
+  };
+  const auto point = [&](traj::ObjectId id) {
+    if (!open[id]) {
+      instances[id].push_back(
+          {testutil::Generated(kinds[next_seed % kinds.size()], 200,
+                               next_seed),
+           0});
+      ++next_seed;
+      open[id] = true;
+      live.push_back(id);
+    }
+    Instance& in = instances[id].back();
+    ASSERT_LT(in.pushed, in.source.size());
+    eng.Push(id, in.source[in.pushed++]);
+    routed_one();
+  };
+  const auto finish = [&](traj::ObjectId id) {
+    eng.FinishObject(id);
+    open[id] = false;
+    live.erase(std::find(live.begin(), live.end(), id));
+    routed_one();
+  };
+
+  datagen::Rng rng(42);
+  traj::ObjectId next_id = 1;
+  std::size_t cursor = 0;
+  // Runs of 1-3 points of live ids, until `end` updates have been routed.
+  const auto continue_until = [&](std::size_t end) {
+    while (!live.empty() && routed < end) {
+      const traj::ObjectId id = live[cursor++ % live.size()];
+      const int run = 1 + static_cast<int>(rng.NextBelow(3));
+      for (int k = 0; k < run && routed < end; ++k) point(id);
+    }
+  };
+  // First points per batch: the table (64 slots, grown at 3/4 of live +
+  // tombstone slots) crosses 48, 96, 192 and 384 used slots mid-batch.
+  const int kFirstPoints[] = {60, 60, 80, 190};
+  traj::ObjectId finished_last_batch = 0;
+  for (const int first_points : kFirstPoints) {
+    const std::size_t batch_end = routed + kBatch;
+    continue_until(routed + 40);
+    if (!live.empty()) {
+      const traj::ObjectId finished = live[live.size() / 2];
+      finish(finished);
+      point(next_id++);  // takes `finished`'s pooled state
+      point(finished);   // re-opened in the same batch
+    }
+    if (finished_last_batch != 0) point(finished_last_batch);  // re-opened
+    for (int k = 0; k < first_points; ++k) point(next_id++);
+    finished_last_batch = live[live.size() / 3];
+    finish(finished_last_batch);
+    continue_until(batch_end);
+    ASSERT_EQ(routed, batch_end);
+  }
+  // Drain: every open instance runs to the end of its source.
+  for (bool any = true; any;) {
+    any = false;
+    for (const traj::ObjectId id : std::vector<traj::ObjectId>(live)) {
+      if (instances[id].back().pushed < instances[id].back().source.size()) {
+        point(id);
+        any = true;
+      }
+    }
+  }
+  eng.Close();
+  EXPECT_TRUE(waits_ok);
+
+  std::uint64_t opened = 0;
+  for (const auto& [id, list] : instances) {
+    std::vector<traj::TimedSegment> want;
+    for (const Instance& in : list) {
+      ++opened;
+      const traj::Trajectory t(std::vector<geo::Point>(
+          in.source.begin(),
+          in.source.begin() + static_cast<std::ptrdiff_t>(in.pushed)));
+      for (const traj::RepresentedSegment& seg :
+           SingleStream(baselines::Algorithm::kOPERB, t, opts.spec.zeta)) {
+        want.push_back({id, seg, t[seg.first_index].t, t[seg.last_index].t});
+      }
+    }
+    ExpectTimedEqual(collector.Snapshot(id), want,
+                     "object " + std::to_string(id));
+  }
+  const engine::StreamEngineStats& stats = eng.stats();
+  EXPECT_EQ(stats.objects_opened, opened);
+  EXPECT_EQ(stats.objects_finished, opened);
+  // First points, new ids on pooled states, same-batch and next-batch
+  // re-opens.
+  EXPECT_EQ(opened, 390u + 3u + 3u + 3u);
+}
+
 }  // namespace
 }  // namespace operb

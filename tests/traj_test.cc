@@ -406,6 +406,54 @@ TEST_F(IoTest, WriteCsvStringRoundTrips) {
   EXPECT_EQ((*r)[1].x, 3.125);
 }
 
+/// `%.9g` rounds epoch seconds to 10 s, so close samples print equal
+/// times unless the writer widens them. Seeded traces step 0.5-30 s and
+/// carry runs of 3-5 samples inside one 10 s grid cell; every trace must
+/// read back with its point count, strictly increasing times, and each
+/// time exact or within the `%.9g` rounding of the one written.
+TEST_F(IoTest, WriteCsvStringKeepsCloseEpochTimesInOrder) {
+  std::mt19937_64 rng(1700);
+  std::uniform_real_distribution<double> coord(-5e4, 5e4);
+  std::uniform_real_distribution<double> step(0.5, 30.0);
+  for (int trace = 0; trace < 20; ++trace) {
+    Trajectory t;
+    double time = 1.7e9 + static_cast<double>(rng() % 100000);
+    for (int i = 0; i < 2000; ++i) {
+      if (rng() % 50 == 0) {
+        // A run of 3-5 rows 1 s apart, starting on a grid point, so all
+        // of them print the same `%.9g` text.
+        time = std::ceil(time / 10.0) * 10.0 + 10.0;
+        const int run = 3 + static_cast<int>(rng() % 3);
+        for (int k = 0; k < run; ++k, ++i) {
+          t.AppendUnchecked({coord(rng), coord(rng), time + k});
+        }
+        time += run;
+      }
+      t.AppendUnchecked({coord(rng), coord(rng), time += step(rng)});
+    }
+    const auto r = ParseCsv(WriteCsvString(t));
+    ASSERT_TRUE(r.ok()) << "trace " << trace << ": " << r.status().ToString();
+    ASSERT_EQ(r->size(), t.size()) << "trace " << trace;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT((*r)[i - 1].t, (*r)[i].t) << "row " << i;
+      }
+      EXPECT_LE(std::abs((*r)[i].t - t[i].t), 5.0) << "row " << i;
+    }
+  }
+  // Times on the 10 s grid never tie, so every row keeps its `%.9g` text.
+  Trajectory grid;
+  std::string want = "# x_meters,y_meters,t_seconds\n";
+  for (int i = 0; i < 100; ++i) {
+    const geo::Point p{coord(rng), coord(rng), 1.7e9 + 10.0 * i};
+    grid.AppendUnchecked(p);
+    char row[128];
+    want.append(row, static_cast<std::size_t>(std::snprintf(
+                         row, sizeof(row), "%.9g,%.9g,%.9g\n", p.x, p.y, p.t)));
+  }
+  EXPECT_EQ(WriteCsvString(grid), want);
+}
+
 TEST_F(IoTest, RepresentationCsvWrites) {
   PiecewiseRepresentation rep;
   rep.Append(Seg({0, 0}, {10, 0}, 0, 3));
