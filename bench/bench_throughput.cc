@@ -36,7 +36,9 @@
 //                        obs updates (per ~64-point Counter::Add +
 //                        MaxGauge::Observe, one histogram Record per
 //                        pass); the run FAILS if live metrics cost the
-//                        hot loop more than 3% over the plain loop
+//                        hot loop more than 3% over the plain loop;
+//                        both overhead gates judge the median of the
+//                        per-round time ratios over 7 interleaved rounds
 //   store              — the sharded trajectory store (src/store): write
 //                        a spatially spread fleet's segments into a
 //                        manifest-driven shard directory (write
@@ -60,7 +62,7 @@
 //
 // Every simplifier-bearing record carries the resolved canonical spec
 // string of what ran; the header records the machine (nproc, CPU model,
-// compiler) the numbers came from (schema version 11).
+// compiler) the numbers came from (schema version 12).
 //
 // `--smoke` shrinks every dataset to a single fast pass (for CI), `--out
 // PATH` overrides the default ./BENCH_throughput.json. Later PRs
@@ -162,6 +164,44 @@ PassTimings TimePasses(Fn&& fn) {
   t.median_seconds = seconds[seconds.size() / 2];
   t.min_seconds = seconds.front();
   return t;
+}
+
+/// A candidate loop's cost over a baseline loop running identical work.
+/// Each round times both with TimeLoop, back to back, and takes their
+/// ratio; the verdict is the median ratio, so a scheduler hiccup moves
+/// one round's ratio instead of the result.
+struct PairedOverhead {
+  double baseline_seconds = 0.0;   ///< median per-pass seconds
+  double candidate_seconds = 0.0;  ///< median per-pass seconds
+  double median_ratio = 0.0;       ///< candidate / baseline, per round
+  double min_ratio = 0.0;
+
+  double overhead_pct() const { return 100.0 * (median_ratio - 1.0); }
+};
+
+/// Rounds per overhead gate; the validator requires at least 7.
+constexpr int kOverheadRounds = 7;
+
+template <typename Baseline, typename Candidate>
+PairedOverhead TimePairedOverhead(Baseline&& baseline, Candidate&& candidate) {
+  std::vector<double> baseline_s;
+  std::vector<double> candidate_s;
+  std::vector<double> ratios;
+  for (int round = 0; round < kOverheadRounds; ++round) {
+    baseline_s.push_back(baseline().seconds_per_pass);
+    candidate_s.push_back(candidate().seconds_per_pass);
+    ratios.push_back(candidate_s.back() / baseline_s.back());
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  PairedOverhead o;
+  o.baseline_seconds = median(baseline_s);
+  o.candidate_seconds = median(candidate_s);
+  o.median_ratio = median(ratios);
+  o.min_ratio = *std::min_element(ratios.begin(), ratios.end());
+  return o;
 }
 
 /// One emitted JSON record (flat string->value object).
@@ -698,29 +738,28 @@ int main(int argc, char** argv) {
         }
       });
     };
-    // Best of 3 per path, interleaved, so one scheduler hiccup cannot
-    // fake a regression.
-    double direct_s = 1e99;
-    double facade_s = 1e99;
-    for (int round = 0; round < 3; ++round) {
-      direct_s = std::min(direct_s, run_sink_loop(*direct).seconds_per_pass);
-      facade_s =
-          std::min(facade_s, run_sink_loop(**via_registry).seconds_per_pass);
-    }
-    const double overhead_pct = 100.0 * (facade_s / direct_s - 1.0);
+    const PairedOverhead o =
+        TimePairedOverhead([&] { return run_sink_loop(*direct); },
+                           [&] { return run_sink_loop(**via_registry); });
+    const double overhead_pct = o.overhead_pct();
     JsonRecord rec;
     rec.Str("algorithm", "OPERB");
     rec.Str("spec", "OPERB:zeta=40,fidelity=paper");
     rec.Str("profile", "SerCar");
     rec.Int("points", static_cast<long long>(total));
-    rec.Num("direct_points_per_sec", static_cast<double>(total) / direct_s);
-    rec.Num("facade_points_per_sec", static_cast<double>(total) / facade_s);
+    rec.Num("direct_points_per_sec",
+            static_cast<double>(total) / o.baseline_seconds);
+    rec.Num("facade_points_per_sec",
+            static_cast<double>(total) / o.candidate_seconds);
     rec.Num("overhead_pct", overhead_pct);
+    rec.Int("rounds", kOverheadRounds);
+    rec.Num("min_ratio", o.min_ratio);
     facade.push_back(rec);
     std::printf("facade overhead: direct %.2f M pts/s, registry %.2f M "
-                "pts/s (%+.1f%%)\n",
-                static_cast<double>(total) / direct_s / 1e6,
-                static_cast<double>(total) / facade_s / 1e6, overhead_pct);
+                "pts/s (%+.1f%%, median of %d rounds, min ratio %.3f)\n",
+                static_cast<double>(total) / o.baseline_seconds / 1e6,
+                static_cast<double>(total) / o.candidate_seconds / 1e6,
+                overhead_pct, kOverheadRounds, o.min_ratio);
     // Smoke datasets run microsecond-scale passes where timer noise
     // dominates; the full-mode gate is the meaningful one.
     const double tolerance_pct = smoke ? 50.0 : 10.0;
@@ -790,30 +829,28 @@ int main(int argc, char** argv) {
         pass_ns->Record(static_cast<std::uint64_t>(NowNanos() - start_ns));
       });
     };
-    // Best of 3 per path, interleaved, like the facade gate.
-    double plain_s = 1e99;
-    double instrumented_s = 1e99;
-    for (int round = 0; round < 3; ++round) {
-      plain_s = std::min(plain_s, run_plain().seconds_per_pass);
-      instrumented_s =
-          std::min(instrumented_s, run_instrumented().seconds_per_pass);
-    }
-    const double overhead_pct = 100.0 * (instrumented_s / plain_s - 1.0);
+    const PairedOverhead o =
+        TimePairedOverhead(run_plain, run_instrumented);
+    const double overhead_pct = o.overhead_pct();
     JsonRecord rec;
     rec.Str("algorithm", "OPERB");
     rec.Str("spec", "OPERB:zeta=40,fidelity=paper");
     rec.Str("profile", "SerCar");
     rec.Int("points", static_cast<long long>(total));
-    rec.Num("plain_points_per_sec", static_cast<double>(total) / plain_s);
+    rec.Num("plain_points_per_sec",
+            static_cast<double>(total) / o.baseline_seconds);
     rec.Num("instrumented_points_per_sec",
-            static_cast<double>(total) / instrumented_s);
+            static_cast<double>(total) / o.candidate_seconds);
     rec.Num("overhead_pct", overhead_pct);
+    rec.Int("rounds", kOverheadRounds);
+    rec.Num("min_ratio", o.min_ratio);
     metrics_records.push_back(rec);
     std::printf("metrics overhead: plain %.2f M pts/s, instrumented "
-                "%.2f M pts/s (%+.1f%%)\n",
-                static_cast<double>(total) / plain_s / 1e6,
-                static_cast<double>(total) / instrumented_s / 1e6,
-                overhead_pct);
+                "%.2f M pts/s (%+.1f%%, median of %d rounds, min ratio "
+                "%.3f)\n",
+                static_cast<double>(total) / o.baseline_seconds / 1e6,
+                static_cast<double>(total) / o.candidate_seconds / 1e6,
+                overhead_pct, kOverheadRounds, o.min_ratio);
     // Smoke datasets run microsecond-scale passes where timer noise
     // dominates; the full-mode 3% gate is the meaningful one.
     const double tolerance_pct = smoke ? 50.0 : 3.0;
@@ -1472,7 +1509,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"operb-bench-throughput\",\n"
-               "  \"schema_version\": 11,\n"
+               "  \"schema_version\": 12,\n"
                "  \"smoke\": %s,\n"
                "  \"unix_time\": %lld,\n"
                "  \"zeta\": %g,\n"

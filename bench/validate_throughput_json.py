@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates BENCH_throughput.json against the operb-bench-throughput
-schema (version 11). Stdlib-only so CI needs no extra packages.
+schema (version 12). Stdlib-only so CI needs no extra packages.
 
 Beyond shape checks, the store section carries semantic gates: the
 R-tree index must never skip fewer blocks than the flat footer scan, the
@@ -32,7 +32,10 @@ append_seconds_per_pass, the time until the last Append returns: it
 must be positive and no larger than write_seconds_per_pass. Every
 concurrent_streams row reports seconds_per_pass as the median pass and
 min_seconds_per_pass as the fastest (0 < min <= median); in full mode a
-row must have run at least 5 passes.
+row must have run at least 5 passes. Since v12 the facade_overhead and
+metrics_overhead rows record `rounds` and `min_ratio`: overhead_pct is
+the median of the per-round candidate/baseline time ratios, not a
+best-of-3 pair, and a full-mode row must have run at least 7 rounds.
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -128,6 +131,8 @@ SECTION_FIELDS = {
         "direct_points_per_sec": NUMBER,
         "facade_points_per_sec": NUMBER,
         "overhead_pct": NUMBER,
+        "rounds": int,
+        "min_ratio": NUMBER,
     },
     "metrics_overhead": {
         "algorithm": str,
@@ -137,6 +142,8 @@ SECTION_FIELDS = {
         "plain_points_per_sec": NUMBER,
         "instrumented_points_per_sec": NUMBER,
         "overhead_pct": NUMBER,
+        "rounds": int,
+        "min_ratio": NUMBER,
     },
     "store": {
         "algorithm": str,
@@ -236,7 +243,7 @@ def main():
             fail(f"top-level key '{key}' has wrong type")
     if doc["schema"] != "operb-bench-throughput":
         fail(f"unexpected schema '{doc['schema']}'")
-    if doc["schema_version"] != 11:
+    if doc["schema_version"] != 12:
         fail(f"unexpected schema_version {doc['schema_version']}")
 
     for section, fields in SECTION_FIELDS.items():
@@ -269,6 +276,19 @@ def main():
                     fail(f"{section}[{i}] hash_match claims equality "
                          "but the hashes differ")
                 continue
+            if section in ("facade_overhead", "metrics_overhead"):
+                # Both gates judge the median of paired per-round ratios
+                # (schema v12); a few rounds cannot outvote a hiccup.
+                if entry["rounds"] <= 0 or entry["min_ratio"] <= 0:
+                    fail(f"{section}[{i}] has non-positive rounds or "
+                         "min_ratio")
+                if not doc["smoke"] and entry["rounds"] < 7:
+                    fail(f"{section}[{i}] ran only {entry['rounds']} "
+                         "rounds; full mode needs at least 7")
+                median_ratio = 1.0 + entry["overhead_pct"] / 100.0
+                if entry["min_ratio"] > median_ratio + 1e-6:
+                    fail(f"{section}[{i}] min_ratio exceeds the median "
+                         "ratio overhead_pct implies")
             if section == "facade_overhead":
                 if (entry["points"] <= 0
                         or entry["direct_points_per_sec"] <= 0
@@ -458,7 +478,7 @@ def main():
             if not entry["spec"].startswith(entry["algorithm"] + ":"):
                 fail(f"{section}[{i}].spec '{entry['spec']}' does not "
                      f"resolve to algorithm '{entry['algorithm']}'")
-    print(f"{sys.argv[1]}: valid operb-bench-throughput v11 "
+    print(f"{sys.argv[1]}: valid operb-bench-throughput v12 "
           f"({len(doc['steady_state'])} steady-state entries, "
           f"{len(doc['batched_vs_pointwise'])} batched-vs-pointwise "
           "entries, "

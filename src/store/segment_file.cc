@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <limits>
@@ -27,11 +28,12 @@ std::uint32_t HilbertCell(double v, double lo, double hi) {
   return static_cast<std::uint32_t>(u * (kHilbertSide - 1));
 }
 
-/// `pending` in seal order: grouped into one run per object (arrival
-/// order kept within the run), runs ordered by the Hilbert index of
-/// their first start point over the extent of those points, ties by
-/// id. A run whose first start point is not finite sorts last.
-std::vector<traj::TimedSegment> OrderForSeal(
+/// The seal order of `pending`, as indices into it: grouped into one run
+/// per object (arrival order kept within the run), runs ordered by the
+/// Hilbert index of their first start point over the extent of those
+/// points, ties by id. A run whose first start point is not finite sorts
+/// last.
+std::vector<std::size_t> OrderForSeal(
     std::span<const traj::TimedSegment> pending) {
   // (id, arrival index) pairs are unique, so an unstable sort of them is
   // a stable sort by id.
@@ -76,15 +78,50 @@ std::vector<traj::TimedSegment> OrderForSeal(
     return a.key != b.key ? a.key < b.key : a.id < b.id;
   });
 
-  std::vector<traj::TimedSegment> ordered;
-  ordered.reserve(pending.size());
+  std::vector<std::size_t> order;
+  order.reserve(pending.size());
   for (const Run& r : runs) {
     for (std::size_t i = r.begin; i < r.end; ++i) {
-      ordered.push_back(pending[by_id[i].second]);
+      order.push_back(by_id[i].second);
     }
   }
-  return ordered;
+  return order;
 }
+
+/// One step of the Hilbert curve over a 16 x 16 sub-grid: entry
+/// [state][x << 4 | y] holds the four quadrant digits of cell (x, y) in
+/// its low 8 bits and the orientation state the next finer sub-grid is
+/// read in above them. A state is the reflection the curve has built up
+/// so far: bit 0 mirrors both axes, bit 1 swaps them. The two commute,
+/// so composing a step's reflection is an XOR of states.
+using HilbertTable = std::array<std::array<std::uint16_t, 256>, 4>;
+
+constexpr HilbertTable MakeHilbertTable() {
+  HilbertTable table{};
+  for (std::uint32_t state = 0; state < 4; ++state) {
+    for (std::uint32_t cell = 0; cell < 256; ++cell) {
+      std::uint32_t s = state;
+      std::uint32_t digits = 0;
+      for (int bit = 3; bit >= 0; --bit) {
+        std::uint32_t rx = (cell >> (4 + bit)) & 1;
+        std::uint32_t ry = (cell >> bit) & 1;
+        if ((s & 1) != 0) {
+          rx ^= 1;
+          ry ^= 1;
+        }
+        if ((s & 2) != 0) std::swap(rx, ry);
+        digits = (digits << 2) | ((3 * rx) ^ ry);
+        // As in the bit-at-a-time loop: when ry == 0 swap the axes, and
+        // mirror both first if rx == 1.
+        if (ry == 0) s ^= rx == 1 ? 3 : 2;
+      }
+      table[state][cell] = static_cast<std::uint16_t>(digits | (s << 8));
+    }
+  }
+  return table;
+}
+
+constexpr HilbertTable kHilbertTable = MakeHilbertTable();
 
 /// Reads exactly `n` bytes at `offset`; false on an error or early end
 /// of file.
@@ -108,21 +145,15 @@ bool PreadFull(int fd, std::uint8_t* out, std::size_t n,
 }  // namespace
 
 std::uint64_t HilbertIndex(std::uint32_t x, std::uint32_t y) {
-  constexpr std::uint32_t kMask = kHilbertSide - 1;
+  static_assert(kHilbertSide == std::uint32_t{1} << 16,
+                "the table walks the grid four bits per axis at a time");
   std::uint64_t d = 0;
-  for (std::uint32_t s = kHilbertSide / 2; s > 0; s /= 2) {
-    const std::uint32_t rx = (x & s) != 0 ? 1 : 0;
-    const std::uint32_t ry = (y & s) != 0 ? 1 : 0;
-    d += std::uint64_t{s} * s * ((3 * rx) ^ ry);
-    // Rotate the quadrant so the curve stays continuous: when ry == 0,
-    // mirror both axes if rx == 1 (kMask - v == v ^ kMask on the grid),
-    // then swap them.
-    const std::uint32_t mirror = (0u - (rx & (ry ^ 1))) & kMask;
-    x ^= mirror;
-    y ^= mirror;
-    const std::uint32_t swap = (x ^ y) & (0u - (ry ^ 1));
-    x ^= swap;
-    y ^= swap;
+  std::uint32_t state = 0;
+  for (int shift = 12; shift >= 0; shift -= 4) {
+    const std::uint16_t step =
+        kHilbertTable[state][((x >> shift) & 15) << 4 | ((y >> shift) & 15)];
+    d = (d << 8) | (step & 0xFF);
+    state = step >> 8;
   }
   return d;
 }
@@ -170,24 +201,29 @@ Status SegmentFileWriter::Append(const traj::TimedSegment& segment) {
 
 Status SegmentFileWriter::SealLocked() {
   if (pending_.empty()) return Status::OK();
-  const std::vector<traj::TimedSegment> ordered = OrderForSeal(pending_);
-  pending_.clear();
+  const std::vector<std::size_t> order = OrderForSeal(pending_);
 
   // Cut into equal segment counts that each encode to about the budget;
   // a run may continue into the next block, never into another seal.
-  const std::size_t n = ordered.size();
+  // Each block is gathered from pending_ in seal order, so pending_ is
+  // cleared only once every block is written.
+  const std::size_t n = pending_.size();
   const double blocks_wanted = static_cast<double>(n) *
                                estimated_segment_bytes_ /
                                static_cast<double>(block_budget_bytes_);
   const std::size_t blocks = std::clamp<std::size_t>(
       static_cast<std::size_t>(std::lround(blocks_wanted)), 1, n);
   const std::uint64_t payload_before = stats_.payload_bytes;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * n / blocks;
-    const std::size_t hi = (b + 1) * n / blocks;
-    OPERB_RETURN_IF_ERROR(WriteBlockLocked(
-        std::span<const traj::TimedSegment>(ordered).subspan(lo, hi - lo)));
+  Status written;
+  for (std::size_t b = 0; b < blocks && written.ok(); ++b) {
+    block_.clear();
+    for (std::size_t i = b * n / blocks; i < (b + 1) * n / blocks; ++i) {
+      block_.push_back(pending_[order[i]]);
+    }
+    written = WriteBlockLocked(block_);
   }
+  pending_.clear();
+  OPERB_RETURN_IF_ERROR(written);
   estimated_segment_bytes_ =
       static_cast<double>(stats_.payload_bytes - payload_before) /
       static_cast<double>(n);
@@ -196,26 +232,26 @@ Status SegmentFileWriter::SealLocked() {
 
 Status SegmentFileWriter::WriteBlockLocked(
     std::span<const traj::TimedSegment> block) {
-  std::vector<std::uint8_t> payload;
-  codec::EncodeSegmentBlock(block, &payload);
+  // The frame is the u32 length prefix, the payload and the footer; the
+  // payload is encoded in place behind a prefix filled in afterwards.
+  frame_.assign(4, 0);
+  codec::EncodeSegmentBlock(block, &frame_);
+  const std::span<const std::uint8_t> payload =
+      std::span<const std::uint8_t>(frame_).subspan(4);
   if (payload.size() > std::numeric_limits<std::uint32_t>::max()) {
     // Unreachable while StoreWriterOptions::Validate caps the budget at
     // 1 GiB; refuse to write a wrapped length prefix if it regresses.
     return Status::Internal("store block payload exceeds the u32 frame");
   }
   const BlockFooter footer = MakeFooter(block, payload);
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + payload.size() + kBlockFooterBytes);
   const std::uint32_t len = footer.payload_bytes;
   for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    frame_[i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  EncodeFooter(footer, &frame);
+  EncodeFooter(footer, &frame_);
 
   const Status written = [&] {
-    OPERB_RETURN_IF_ERROR(file_->Append(frame));
+    OPERB_RETURN_IF_ERROR(file_->Append(frame_));
     return file_->Flush();
   }();
   if (!written.ok()) {
@@ -223,12 +259,12 @@ Status SegmentFileWriter::WriteBlockLocked(
                            written.message());
   }
   ++stats_.blocks;
-  stats_.payload_bytes += payload.size();
-  stats_.file_bytes += frame.size();
+  stats_.payload_bytes += footer.payload_bytes;
+  stats_.file_bytes += frame_.size();
   StoreWriteMetrics& m = GetStoreWriteMetrics();
   m.blocks_sealed->Increment();
   m.file_flushes->Increment();
-  m.bytes_written->Add(frame.size());
+  m.bytes_written->Add(frame_.size());
   return Status::OK();
 }
 

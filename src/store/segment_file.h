@@ -64,7 +64,10 @@ std::uint64_t HilbertIndex(std::uint32_t x, std::uint32_t y);
 /// in arrival order; the runs are ordered by the Hilbert index of their
 /// first start point over the seal's own extent (ties by id, non-finite
 /// points last); and the ordered runs are cut into blocks of about
-/// `block_budget_bytes` each. Neighbouring objects therefore share
+/// `block_budget_bytes` each. The order is a permutation of the buffer's
+/// indices: each block is gathered from the buffer into one reused
+/// block buffer and encoded from there, so a seal never copies the whole
+/// buffer. Neighbouring objects therefore share
 /// blocks, and each footer's bounding box covers a small part of the
 /// shard's extent. Every block is delta-encoded by
 /// codec::EncodeSegmentBlock, framed with a length prefix and a
@@ -106,10 +109,11 @@ class SegmentFileWriter {
 
   /// Blocks' worth of segments one seal buffers before it orders and
   /// cuts them, so an open writer holds kBlocksPerSeal x the block
-  /// budget (64 KiB at the default 2 KiB). The seal size fixes how many
-  /// nearby objects are clustered together; the block count fixes how
-  /// finely that place is cut (DESIGN.md §8).
-  static constexpr std::size_t kBlocksPerSeal = 32;
+  /// budget (128 KiB at the default 2 KiB). The seal size fixes how many
+  /// nearby objects are clustered together and how long a stretch of
+  /// time a block spans; the block count fixes how finely that place is
+  /// cut (DESIGN.md §8).
+  static constexpr std::size_t kBlocksPerSeal = 64;
 
   /// Buffers one segment; seals kBlocksPerSeal blocks when the buffer
   /// fills.
@@ -131,8 +135,8 @@ class SegmentFileWriter {
   SegmentFileWriter(std::unique_ptr<WritableFile> file,
                     std::size_t block_budget_bytes);
 
-  /// Orders the pending buffer and writes it as one or more blocks.
-  /// Caller holds mu_.
+  /// Orders the pending buffer, writes it as one or more blocks and
+  /// empties it. Caller holds mu_.
   Status SealLocked();
 
   /// Encodes and writes one block. Caller holds mu_.
@@ -144,6 +148,12 @@ class SegmentFileWriter {
   std::mutex mu_;
   /// Segments appended since the last seal, in arrival order.
   std::vector<traj::TimedSegment> pending_;
+  /// The block being sealed, gathered from pending_ in seal order; kept
+  /// so that seals reuse its capacity.
+  std::vector<traj::TimedSegment> block_;
+  /// The block's encoded frame (length prefix, payload, footer); kept
+  /// for the same reason.
+  std::vector<std::uint8_t> frame_;
   /// Bytes/segment estimate used against the block budget, updated from
   /// each seal's actual encoding.
   double estimated_segment_bytes_ = 48.0;

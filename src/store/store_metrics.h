@@ -18,6 +18,8 @@ struct StoreWriteMetrics {
   obs::Counter* file_flushes;
   obs::Counter* bytes_written;
   obs::Counter* manifest_commits;
+  /// StoreWriter hand-overs that waited for the background thread.
+  obs::Counter* handover_waits;
   obs::Counter* compaction_passes;
   obs::Counter* compaction_bytes_read;
   obs::Counter* compaction_bytes_written;
@@ -37,6 +39,7 @@ inline StoreWriteMetrics& GetStoreWriteMetrics() {
         r.GetCounter("store.file_flushes"),
         r.GetCounter("store.bytes_written"),
         r.GetCounter("store.manifest_commits"),
+        r.GetCounter("store.write.handover_waits"),
         r.GetCounter("store.compaction.passes"),
         r.GetCounter("store.compaction.bytes_read"),
         r.GetCounter("store.compaction.bytes_written"),

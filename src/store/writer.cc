@@ -161,8 +161,12 @@ void StoreWriter::HandOver(std::size_t shard, Inbox& inbox) {
   Chunk* chunk = nullptr;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    chunk_done_.wait(lock,
-                     [this] { return chunks_in_flight_ < kMaxChunksInFlight; });
+    if (chunks_in_flight_ >= kMaxChunksInFlight) {
+      ++stats_.handover_waits;
+      GetStoreWriteMetrics().handover_waits->Increment();
+      chunk_done_.wait(
+          lock, [this] { return chunks_in_flight_ < kMaxChunksInFlight; });
+    }
     ++chunks_in_flight_;
     if (spare_chunks_.empty()) {
       chunk = new Chunk();

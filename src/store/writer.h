@@ -72,6 +72,9 @@ struct StoreWriterStats {
   /// per byte of the segments' natural in-memory representation. < 1
   /// means the delta codec more than pays for the block framing.
   double write_amplification = 0.0;
+  /// Hand-overs that found StoreWriter::kMaxChunksInFlight chunks
+  /// waiting and so waited for the background thread.
+  std::uint64_t handover_waits = 0;
 };
 
 /// In-memory bytes a TimedSegment occupies in its natural struct form
@@ -128,8 +131,10 @@ class StoreWriter {
   static constexpr std::size_t kChunkSegments = 256;
 
   /// Chunks handed over but not yet fed to their shard file, at most;
-  /// a hand-over beyond this waits.
-  static constexpr std::size_t kMaxChunksInFlight = 16;
+  /// a hand-over beyond this waits. 32 chunks (8192 segments) absorb
+  /// the burst of appends that arrive while one 128 KiB seal is being
+  /// ordered and written (DESIGN.md §8).
+  static constexpr std::size_t kMaxChunksInFlight = 32;
 
   /// Equivalent to Close(): no background task outlives the writer.
   ~StoreWriter();

@@ -5,13 +5,17 @@
 #include <algorithm>
 #include <cfloat>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string_view>
 #include <system_error>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 namespace operb::traj {
 
@@ -325,6 +329,46 @@ Status WriteContentToFile(const std::string& content,
   return Status::OK();
 }
 
+/// True when `a` and `b` print the same `%.9g` text. Such values differ
+/// by at most one unit in their ninth significant digit, about 1e-8 of
+/// their magnitude, so values farther apart than twice that are told
+/// apart without formatting them.
+bool SameNineDigitText(double a, double b) {
+  if (!(std::abs(a - b) <= 2e-8 * std::max(std::abs(a), std::abs(b)))) {
+    return false;
+  }
+  char text_a[32];
+  char text_b[32];
+  const int na = std::snprintf(text_a, sizeof(text_a), "%.9g", a);
+  const int nb = std::snprintf(text_b, sizeof(text_b), "%.9g", b);
+  return std::string_view(text_a, static_cast<std::size_t>(na)) ==
+         std::string_view(text_b, static_cast<std::size_t>(nb));
+}
+
+/// The rows of `updates` whose `%.9g` time text ties that of the same
+/// object's previous or next row; empty when there are none.
+std::vector<bool> RowsInPerObjectTimeTies(
+    std::span<const ObjectUpdate> updates) {
+  constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
+  struct LastRow {
+    double t = 0.0;
+    std::size_t row = kNoRow;
+  };
+  std::unordered_map<ObjectId, LastRow> last_rows;
+  std::vector<bool> exact;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const ObjectUpdate& u = updates[i];
+    LastRow& last = last_rows[u.object_id];
+    if (last.row != kNoRow && SameNineDigitText(last.t, u.point.t)) {
+      if (exact.empty()) exact.resize(updates.size());
+      exact[last.row] = true;
+      exact[i] = true;
+    }
+    last = LastRow{u.point.t, i};
+  }
+  return exact;
+}
+
 }  // namespace
 
 std::string WriteCsvString(const Trajectory& trajectory) {
@@ -521,13 +565,22 @@ Result<std::vector<ObjectUpdate>> ReadMultiObjectCsv(const std::string& path) {
 }
 
 std::string WriteMultiObjectCsvString(std::span<const ObjectUpdate> updates) {
+  // As in WriteCsvString, a row whose `%.9g` time text ties its object's
+  // previous row's takes a `%.17g` time, and so does that previous row;
+  // rows of different objects may share a time text.
+  const std::vector<bool> exact = RowsInPerObjectTimeTies(updates);
   std::string out = "# object_id,t_seconds,x_meters,y_meters\n";
   out.reserve(out.size() + updates.size() * 48);
   char buf[160];
-  for (const ObjectUpdate& u : updates) {
-    const int n = std::snprintf(buf, sizeof(buf), "%llu,%.9g,%.9g,%.9g\n",
-                                static_cast<unsigned long long>(u.object_id),
-                                u.point.t, u.point.x, u.point.y);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const ObjectUpdate& u = updates[i];
+    const auto id = static_cast<unsigned long long>(u.object_id);
+    const int n =
+        !exact.empty() && exact[i]
+            ? std::snprintf(buf, sizeof(buf), "%llu,%.17g,%.9g,%.9g\n", id,
+                            u.point.t, u.point.x, u.point.y)
+            : std::snprintf(buf, sizeof(buf), "%llu,%.9g,%.9g,%.9g\n", id,
+                            u.point.t, u.point.x, u.point.y);
     out.append(buf, static_cast<std::size_t>(n));
   }
   return out;

@@ -110,7 +110,10 @@ Result<std::vector<ObjectUpdate>> ParseMultiObjectCsv(
 Result<std::vector<ObjectUpdate>> ReadMultiObjectCsv(const std::string& path);
 
 /// In-memory/file writers for the same row format. Round-trips through
-/// ParseMultiObjectCsv with %.9g precision.
+/// ParseMultiObjectCsv with %.9g precision, except that a row whose
+/// %.9g time ties the same object's previous or next row's writes its
+/// time with %.17g, so that one object's close epoch times (~1.7e9 s,
+/// printed to 10 s) stay strictly increasing for GroupUpdatesByObject.
 std::string WriteMultiObjectCsvString(std::span<const ObjectUpdate> updates);
 Status WriteMultiObjectCsv(std::span<const ObjectUpdate> updates,
                            const std::string& path);

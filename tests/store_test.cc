@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,6 +38,7 @@
 #include "datagen/rng.h"
 #include "eval/verifier.h"
 #include "geo/bbox.h"
+#include "obs/metrics.h"
 #include "store/compactor.h"
 #include "store/env.h"
 #include "store/format.h"
@@ -1882,8 +1885,8 @@ TEST(StoreLayoutTest, FleetAnswersMatchBruteForceAndBlocksClusterByPlace) {
       << "fixture too small to form many blocks per shard";
 
   // The pruning guard: each block covers a small part of its shard. A
-  // seal cuts its extent into kBlocksPerSeal = 32 places (ideal share
-  // 1/32); this fixture measures a median of 0.029.
+  // seal cuts its extent into kBlocksPerSeal = 64 places (ideal share
+  // 1/64); this fixture measures a median of 0.013.
   EXPECT_LE(MedianFooterAreaShare(path), 1.0 / 16);
 
   for (traj::ObjectId id = 0; id < 600; ++id) {
@@ -2149,11 +2152,6 @@ TEST(StoreLayoutTest, SmallBlocksCompactToLargerBudgetIdentically) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Background sealing: StoreWriter hands chunks of appends to the Env's
-// background thread, which feeds the unchanged SegmentFileWriters.
-// ---------------------------------------------------------------------
-
 /// The Hilbert index loop with explicit branches, kept as the reference
 /// the branch-free store::HilbertIndex must match.
 std::uint64_t ReferenceHilbertIndex(std::uint32_t x, std::uint32_t y) {
@@ -2192,6 +2190,177 @@ TEST(StoreLayoutTest, HilbertIndexMatchesTheReferenceLoop) {
         << "cell (" << x << ", " << y << ")";
   }
 }
+
+/// The cell of `v` along an axis whose extent is [lo, hi], as the
+/// writer computes it.
+std::uint32_t ReferenceHilbertCell(double v, double lo, double hi) {
+  const double span = hi * 0.5 - lo * 0.5;
+  if (!(span > 0.0)) return 0;
+  const double u = std::clamp((v * 0.5 - lo * 0.5) / span, 0.0, 1.0);
+  return static_cast<std::uint32_t>(u * (store::kHilbertSide - 1));
+}
+
+/// The seal order as a copy of the buffer: a stable sort by id, so each
+/// object is one run in arrival order; runs ordered by the Hilbert index
+/// of their first start point over those points' extent, ties by id; a
+/// run whose first start point is not finite last.
+std::vector<traj::TimedSegment> ReferenceSealOrder(
+    const std::vector<traj::TimedSegment>& pending,
+    std::size_t* equal_key_runs) {
+  std::vector<traj::TimedSegment> by_id = pending;
+  std::stable_sort(by_id.begin(), by_id.end(),
+                   [](const traj::TimedSegment& a,
+                      const traj::TimedSegment& b) {
+                     return a.object_id < b.object_id;
+                   });
+  struct Run {
+    std::uint64_t key;
+    traj::ObjectId id;
+    std::vector<traj::TimedSegment> segments;
+  };
+  std::vector<Run> runs;
+  for (const traj::TimedSegment& s : by_id) {
+    if (runs.empty() || runs.back().id != s.object_id) {
+      runs.push_back(Run{0, s.object_id, {}});
+    }
+    runs.back().segments.push_back(s);
+  }
+  auto finite = [](geo::Vec2 p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  geo::BoundingBox extent;
+  for (const Run& r : runs) {
+    if (finite(r.segments.front().segment.start)) {
+      extent.Extend(r.segments.front().segment.start);
+    }
+  }
+  for (Run& r : runs) {
+    const geo::Vec2 p = r.segments.front().segment.start;
+    r.key = finite(p)
+                ? ReferenceHilbertIndex(
+                      ReferenceHilbertCell(p.x, extent.min_x, extent.max_x),
+                      ReferenceHilbertCell(p.y, extent.min_y, extent.max_y))
+                : std::numeric_limits<std::uint64_t>::max();
+  }
+  std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+    return a.key != b.key ? a.key < b.key : a.id < b.id;
+  });
+  std::vector<traj::TimedSegment> ordered;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (i > 0 && runs[i].key == runs[i - 1].key &&
+        runs[i].key != std::numeric_limits<std::uint64_t>::max()) {
+      ++*equal_key_runs;
+    }
+    ordered.insert(ordered.end(), runs[i].segments.begin(),
+                   runs[i].segments.end());
+  }
+  return ordered;
+}
+
+TEST(StoreLayoutTest, SealOrderMatchesReferenceOrdering) {
+  // A fleet whose runs cross block cuts, plus:
+  // - objects 1000..1003 always start at one point, so their runs share
+  //   a Hilbert key in every seal, and arrive in descending id order, so
+  //   only the tie by id orders them;
+  // - objects whose first start point is NaN or infinite in the first
+  //   seal, and object 1004, whose every segment starts at NaN.
+  std::vector<traj::TimedSegment> feed = FleetFeed(60, 120, 41);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (traj::TimedSegment& s : feed) {
+    if (s.segment.first_index == 0 && s.object_id % 7 == 3) {
+      s.segment.start = s.object_id % 2 == 0 ? geo::Vec2{kNaN, 5.0}
+                                             : geo::Vec2{5.0, kInf};
+    }
+  }
+  std::vector<traj::TimedSegment> mixed;
+  for (std::size_t i = 0; i < feed.size(); ++i) {
+    mixed.push_back(feed[i]);
+    if (i % 9 != 0) continue;
+    for (traj::ObjectId id = 1004; id >= 1000; --id) {
+      traj::TimedSegment s = feed[i];
+      s.object_id = id;
+      s.segment.start = id == 1004 ? geo::Vec2{kNaN, kNaN}
+                                   : geo::Vec2{4e4, 6e4};
+      mixed.push_back(s);
+    }
+  }
+
+  constexpr std::size_t kBudget = 1024;
+  const std::string path = TempPath("store_layout_seal_order.seg");
+  {
+    auto writer = store::SegmentFileWriter::Create(
+        path, testutil::kGoldenZeta, kBudget);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const traj::TimedSegment& s : mixed) {
+      ASSERT_TRUE(writer.value()->Append(s).ok());
+    }
+    ASSERT_TRUE(writer.value()->Close().ok());
+  }
+  const auto file = store::SegmentFileReader::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const std::vector<store::BlockRef>& refs = file.value()->blocks();
+
+  // Replays the writer's seal points and cuts: a seal starts once the
+  // buffer's estimated encoding reaches kBlocksPerSeal budgets, the
+  // estimate being the previous seal's payload bytes per segment.
+  double estimate = 48.0;
+  std::vector<traj::TimedSegment> pending;
+  std::size_t next_block = 0;
+  std::size_t seals = 0;
+  std::size_t equal_key_runs = 0;
+  std::size_t runs_across_cuts = 0;
+  const auto check_seal = [&] {
+    const std::vector<traj::TimedSegment> want =
+        ReferenceSealOrder(pending, &equal_key_runs);
+    const std::size_t n = want.size();
+    const std::size_t blocks = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::lround(
+            static_cast<double>(n) * estimate / static_cast<double>(kBudget))),
+        1, n);
+    std::uint64_t payload = 0;
+    for (std::size_t b = 0; b < blocks; ++b, ++next_block) {
+      ASSERT_LT(next_block, refs.size()) << "seal " << seals;
+      const std::size_t lo = b * n / blocks;
+      const std::size_t hi = (b + 1) * n / blocks;
+      const auto got = file.value()->ReadBlock(next_block);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectBitIdentical(
+          *got,
+          std::vector<traj::TimedSegment>(want.begin() + lo,
+                                          want.begin() + hi),
+          "seal " + std::to_string(seals) + " block " + std::to_string(b));
+      if (b > 0 && want[lo - 1].object_id == want[lo].object_id) {
+        ++runs_across_cuts;
+      }
+      payload += refs[next_block].footer.payload_bytes;
+    }
+    estimate = static_cast<double>(payload) / static_cast<double>(n);
+    pending.clear();
+    ++seals;
+  };
+  for (const traj::TimedSegment& s : mixed) {
+    pending.push_back(s);
+    if (static_cast<double>(pending.size()) * estimate >=
+        static_cast<double>(kBudget *
+                            store::SegmentFileWriter::kBlocksPerSeal)) {
+      check_seal();
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Close() seals what is left: a partial seal.
+  ASSERT_FALSE(pending.empty()) << "the feed must end in a partial seal";
+  check_seal();
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(next_block, refs.size());
+  EXPECT_GE(seals, 3u);
+  EXPECT_GT(equal_key_runs, 0u);
+  EXPECT_GT(runs_across_cuts, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Background sealing: StoreWriter hands chunks of appends to the Env's
+// background thread, which feeds the unchanged SegmentFileWriters.
+// ---------------------------------------------------------------------
 
 /// Writes `feed` through a StoreWriter with `num_shards` shards and
 /// feeds each shard's subsequence straight into a SegmentFileWriter;
@@ -2245,7 +2414,7 @@ TEST(StoreWriterSealTest, FilesMatchADirectSegmentFileFeed) {
   const std::vector<traj::TimedSegment> small = FleetFeed(12, 8, 31);
   ASSERT_LT(small.size(), store::StoreWriter::kChunkSegments);
   // Many chunks per shard, and many seals per shard file.
-  const std::vector<traj::TimedSegment> large = FleetFeed(500, 80, 32);
+  const std::vector<traj::TimedSegment> large = FleetFeed(1200, 80, 32);
   for (const std::size_t shards : {1u, 4u}) {
     const std::string tag = std::to_string(shards) + " shard(s)";
     ExpectSameBytesAsDirectFeed(small, shards, "small feed, " + tag);
@@ -2253,6 +2422,105 @@ TEST(StoreWriterSealTest, FilesMatchADirectSegmentFileFeed) {
         ExpectSameBytesAsDirectFeed(large, shards, "large feed, " + tag);
     EXPECT_GT(blocks, 4 * store::SegmentFileWriter::kBlocksPerSeal)
         << "the large feed must span several seals per shard, " << tag;
+  }
+}
+
+/// An Env whose background tasks wait until Release(): held tasks, and
+/// every task scheduled after, then go to the default Env in order.
+class HoldingEnv final : public store::Env {
+ public:
+  Result<std::unique_ptr<store::WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return store::Env::Default()->NewWritableFile(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return store::Env::Default()->Rename(from, to);
+  }
+  Status Remove(const std::string& path) override {
+    return store::Env::Default()->Remove(path);
+  }
+  void Schedule(std::function<void()> task) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (released_) {
+      store::Env::Default()->Schedule(std::move(task));
+    } else {
+      held_.push_back(std::move(task));
+    }
+  }
+
+  std::size_t held() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return held_.size();
+  }
+
+  void Release() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    for (std::function<void()>& task : held_) {
+      store::Env::Default()->Schedule(std::move(task));
+    }
+    held_.clear();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::function<void()>> held_;
+  bool released_ = false;
+};
+
+TEST(StoreWriterSealTest, CountsHandOverWaitsOnlyAtTheCap) {
+  constexpr std::size_t kCap = store::StoreWriter::kMaxChunksInFlight;
+  constexpr std::size_t kChunk = store::StoreWriter::kChunkSegments;
+  const obs::Counter* registry_waits =
+      obs::MetricsRegistry::Global().GetCounter("store.write.handover_waits");
+  const std::vector<traj::TimedSegment> feed =
+      FleetFeed(100, (kCap + 1) * kChunk / 100 + 1, 36);
+  for (const bool past_cap : {false, true}) {
+    SCOPED_TRACE(past_cap ? "one chunk past the cap" : "up to the cap");
+    const std::string dir = TempPath("seal_handover_waits.store");
+    std::filesystem::remove_all(dir);
+    HoldingEnv env;
+    store::StoreWriterOptions options;
+    options.zeta = testutil::kGoldenZeta;
+    options.env = &env;
+    auto writer = store::StoreWriter::Create(dir, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    // One shard, so every kChunk appends hand over one chunk.
+    const std::size_t appends = (past_cap ? kCap + 1 : kCap) * kChunk;
+    ASSERT_LE(appends, feed.size());
+    const std::uint64_t waits_before = registry_waits->Value();
+    std::atomic<std::size_t> failed_appends{0};
+    std::thread appender([&] {
+      for (std::size_t i = 0; i < appends; ++i) {
+        if (!writer.value()->Append(feed[i]).ok()) failed_appends.fetch_add(1);
+      }
+    });
+    if (past_cap) {
+      // The last hand-over finds kCap chunks held, so it must wait; it
+      // counts before waiting.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (registry_waits->Value() == waits_before &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(env.held(), kCap);
+    } else {
+      appender.join();
+      EXPECT_EQ(env.held(), kCap);
+    }
+    env.Release();
+    if (appender.joinable()) appender.join();
+    EXPECT_EQ(failed_appends.load(), 0u);
+    ASSERT_TRUE(writer.value()->Close().ok());
+    EXPECT_EQ(writer.value()->stats().segments, appends);
+    if (past_cap) {
+      EXPECT_GE(writer.value()->stats().handover_waits, 1u);
+      EXPECT_GT(registry_waits->Value(), waits_before);
+    } else {
+      EXPECT_EQ(writer.value()->stats().handover_waits, 0u);
+      EXPECT_EQ(registry_waits->Value(), waits_before);
+    }
   }
 }
 

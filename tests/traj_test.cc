@@ -454,6 +454,61 @@ TEST_F(IoTest, WriteCsvStringKeepsCloseEpochTimesInOrder) {
   EXPECT_EQ(WriteCsvString(grid), want);
 }
 
+TEST_F(IoTest, WriteMultiObjectCsvStringKeepsCloseEpochTimesInOrder) {
+  std::mt19937_64 rng(1701);
+  std::uniform_real_distribution<double> coord(-5e4, 5e4);
+  std::uniform_real_distribution<double> step(0.5, 30.0);
+  constexpr int kObjects = 40;
+  // Each object's clock; rows of all objects interleave at random.
+  std::vector<double> clock(kObjects);
+  for (double& c : clock) c = 1.7e9 + static_cast<double>(rng() % 100000);
+  std::vector<ObjectUpdate> updates;
+  for (int i = 0; i < 20000; ++i) {
+    const int id = static_cast<int>(rng() % kObjects);
+    double& time = clock[static_cast<std::size_t>(id)];
+    if (rng() % 50 == 0) {
+      // A run of 3-5 updates 1 s apart, starting on a grid point, so
+      // all of them print the same `%.9g` text.
+      time = std::ceil(time / 10.0) * 10.0 + 10.0;
+      const int run = 3 + static_cast<int>(rng() % 3);
+      for (int k = 0; k < run; ++k) {
+        updates.push_back(ObjectUpdate{static_cast<ObjectId>(id),
+                                       {coord(rng), coord(rng), time + k}});
+      }
+      time += run;
+    }
+    updates.push_back(ObjectUpdate{static_cast<ObjectId>(id),
+                                   {coord(rng), coord(rng), time += step(rng)}});
+  }
+  const auto parsed = ParseMultiObjectCsv(WriteMultiObjectCsvString(updates));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), updates.size());
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    ASSERT_EQ((*parsed)[i].object_id, updates[i].object_id) << "row " << i;
+    EXPECT_LE(std::abs((*parsed)[i].point.t - updates[i].point.t), 5.0)
+        << "row " << i;
+  }
+  const auto grouped = GroupUpdatesByObject(*parsed);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(grouped->size(), static_cast<std::size_t>(kObjects));
+  // Times on the 10 s grid never tie within an object, although every
+  // object shares them, so every row keeps its `%.9g` text.
+  std::vector<ObjectUpdate> grid;
+  std::string want = "# object_id,t_seconds,x_meters,y_meters\n";
+  for (int i = 0; i < 100; ++i) {
+    for (ObjectId id = 0; id < 3; ++id) {
+      const ObjectUpdate u{id, {coord(rng), coord(rng), 1.7e9 + 10.0 * i}};
+      grid.push_back(u);
+      char row[160];
+      want.append(row, static_cast<std::size_t>(std::snprintf(
+                           row, sizeof(row), "%llu,%.9g,%.9g,%.9g\n",
+                           static_cast<unsigned long long>(id), u.point.t,
+                           u.point.x, u.point.y)));
+    }
+  }
+  EXPECT_EQ(WriteMultiObjectCsvString(grid), want);
+}
+
 TEST_F(IoTest, RepresentationCsvWrites) {
   PiecewiseRepresentation rep;
   rep.Append(Seg({0, 0}, {10, 0}, 0, 3));
