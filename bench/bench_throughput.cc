@@ -10,7 +10,10 @@
 //                        (plt) on in-memory content, and
 //                        ParseMultiObjectCsv (multi_csv) on a fleet feed
 //                        of at least 2 MiB per usable CPU (its parallel
-//                        parts)
+//                        parts); and the writers that are their inverse,
+//                        WriteCsvString on the csv trace (csv_write) and
+//                        WriteMultiObjectCsvString on the multi_csv feed
+//                        (multi_csv_write, its parallel parts)
 //   steady_state       — each algorithm's sink-path compression throughput
 //                        (segments stream to a counting sink; no buffer)
 //   batched_vs_pointwise — OPERB point-wise Push vs span Push on the
@@ -62,7 +65,7 @@
 //
 // Every simplifier-bearing record carries the resolved canonical spec
 // string of what ran; the header records the machine (nproc, CPU model,
-// compiler) the numbers came from (schema version 12).
+// compiler) the numbers came from (schema version 13).
 //
 // `--smoke` shrinks every dataset to a single fast pass (for CI), `--out
 // PATH` overrides the default ./BENCH_throughput.json. Later PRs
@@ -347,29 +350,45 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------------------
   std::vector<JsonRecord> ingest;
   const std::size_t ingest_points = smoke ? 2000 : 200000;
-  const auto measure_ingest = [&ingest](const char* format,
+  const auto add_ingest_row = [&ingest](const char* format,
                                         const char* profile,
-                                        const std::string& content,
-                                        auto&& parse) {
+                                        std::size_t points, std::size_t bytes,
+                                        const Timing& tm) {
+    JsonRecord rec;
+    rec.Str("format", format);
+    rec.Str("profile", profile);
+    rec.Int("points", static_cast<long long>(points));
+    rec.Int("bytes", static_cast<long long>(bytes));
+    rec.Int("passes", tm.passes);
+    rec.Num("seconds_per_pass", tm.seconds_per_pass);
+    rec.Num("points_per_sec",
+            static_cast<double>(points) / tm.seconds_per_pass);
+    rec.Num("mb_per_sec",
+            static_cast<double>(bytes) / 1e6 / tm.seconds_per_pass);
+    ingest.push_back(rec);
+    std::printf("ingest %s: %zu points, %.2f M points/s\n", format, points,
+                static_cast<double>(points) / tm.seconds_per_pass / 1e6);
+  };
+  const auto measure_ingest = [&add_ingest_row](const char* format,
+                                                const char* profile,
+                                                const std::string& content,
+                                                auto&& parse) {
     std::size_t parsed = 0;
     const Timing tm = TimeLoop([&] {
       auto r = parse(content);
       parsed = r.ok() ? r.value().size() : 0;
     });
-    JsonRecord rec;
-    rec.Str("format", format);
-    rec.Str("profile", profile);
-    rec.Int("points", static_cast<long long>(parsed));
-    rec.Int("bytes", static_cast<long long>(content.size()));
-    rec.Int("passes", tm.passes);
-    rec.Num("seconds_per_pass", tm.seconds_per_pass);
-    rec.Num("points_per_sec",
-            static_cast<double>(parsed) / tm.seconds_per_pass);
-    rec.Num("mb_per_sec",
-            static_cast<double>(content.size()) / 1e6 / tm.seconds_per_pass);
-    ingest.push_back(rec);
-    std::printf("ingest %s: %zu points, %.2f M points/s\n", format, parsed,
-                static_cast<double>(parsed) / tm.seconds_per_pass / 1e6);
+    add_ingest_row(format, profile, parsed, content.size(), tm);
+  };
+  // The writers, the parsers' inverse: `points` in, the bytes of one
+  // pass's text out.
+  const auto measure_write = [&add_ingest_row](const char* format,
+                                               const char* profile,
+                                               std::size_t points,
+                                               auto&& write) {
+    std::size_t bytes = 0;
+    const Timing tm = TimeLoop([&] { bytes = write().size(); });
+    add_ingest_row(format, profile, points, bytes, tm);
   };
   {
     datagen::Rng rng(bench::kBenchSeed);
@@ -378,6 +397,8 @@ int main(int argc, char** argv) {
         ingest_points, &rng);
     measure_ingest("csv", "SerCar", traj::WriteCsvString(t),
                    [](const std::string& c) { return traj::ParseCsv(c); });
+    measure_write("csv_write", "SerCar", t.size(),
+                  [&t] { return traj::WriteCsvString(t); });
     // The same points at round-trip precision: 16-17 significant digits
     // overflow the exact fast path, so nearly every field goes to
     // std::from_chars and a slowdown there shows here.
@@ -409,10 +430,14 @@ int main(int argc, char** argv) {
                   datagen::DatasetProfile::For(datagen::DatasetKind::kSerCar),
                   per_object, &rng)});
     }
+    const std::vector<traj::ObjectUpdate> updates =
+        traj::InterleaveRoundRobin(objects);
     measure_ingest(
-        "multi_csv", "SerCar",
-        traj::WriteMultiObjectCsvString(traj::InterleaveRoundRobin(objects)),
+        "multi_csv", "SerCar", traj::WriteMultiObjectCsvString(updates),
         [](const std::string& c) { return traj::ParseMultiObjectCsv(c); });
+    measure_write("multi_csv_write", "SerCar", updates.size(), [&updates] {
+      return traj::WriteMultiObjectCsvString(updates);
+    });
   }
 
   // ------------------------------------------------------------------
@@ -1509,7 +1534,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"operb-bench-throughput\",\n"
-               "  \"schema_version\": 12,\n"
+               "  \"schema_version\": 13,\n"
                "  \"smoke\": %s,\n"
                "  \"unix_time\": %lld,\n"
                "  \"zeta\": %g,\n"

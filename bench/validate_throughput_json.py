@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates BENCH_throughput.json against the operb-bench-throughput
-schema (version 12). Stdlib-only so CI needs no extra packages.
+schema (version 13). Stdlib-only so CI needs no extra packages.
 
 Beyond shape checks, the store section carries semantic gates: the
 R-tree index must never skip fewer blocks than the flat footer scan, the
@@ -36,6 +36,9 @@ row must have run at least 5 passes. Since v12 the facade_overhead and
 metrics_overhead rows record `rounds` and `min_ratio`: overhead_pct is
 the median of the per-round candidate/baseline time ratios, not a
 best-of-3 pair, and a full-mode row must have run at least 7 rounds.
+Since v13 the ingest section also times the writers, the parsers'
+inverse: format "csv_write" (WriteCsvString) and "multi_csv_write"
+(WriteMultiObjectCsvString) must both be present with points > 0.
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -243,7 +246,7 @@ def main():
             fail(f"top-level key '{key}' has wrong type")
     if doc["schema"] != "operb-bench-throughput":
         fail(f"unexpected schema '{doc['schema']}'")
-    if doc["schema_version"] != 12:
+    if doc["schema_version"] != 13:
         fail(f"unexpected schema_version {doc['schema_version']}")
 
     for section, fields in SECTION_FIELDS.items():
@@ -437,8 +440,8 @@ def main():
              f"{dense[0]['speedup']:.2f}x is below the 2x gate")
 
     # A failed parse records 0 points, so every ingest row must have
-    # parsed something; the multi-object parser and ParseCsv's from_chars
-    # fallback have rows of their own.
+    # parsed (or written) something; the multi-object parser, ParseCsv's
+    # from_chars fallback and the two writers have rows of their own.
     for i, entry in enumerate(doc["ingest"]):
         if entry["points"] <= 0 or entry["bytes"] <= 0:
             fail(f"ingest[{i}] ({entry['format']}) parsed nothing")
@@ -447,6 +450,11 @@ def main():
         fail("ingest is missing the multi_csv (ParseMultiObjectCsv) row")
     if "csv_17g" not in formats:
         fail("ingest is missing the csv_17g (from_chars fallback) row")
+    if "csv_write" not in formats:
+        fail("ingest is missing the csv_write (WriteCsvString) row")
+    if "multi_csv_write" not in formats:
+        fail("ingest is missing the multi_csv_write "
+             "(WriteMultiObjectCsvString) row")
 
     algos = {e["algorithm"] for e in doc["steady_state"]}
     if len(algos) < 10:
@@ -478,7 +486,7 @@ def main():
             if not entry["spec"].startswith(entry["algorithm"] + ":"):
                 fail(f"{section}[{i}].spec '{entry['spec']}' does not "
                      f"resolve to algorithm '{entry['algorithm']}'")
-    print(f"{sys.argv[1]}: valid operb-bench-throughput v12 "
+    print(f"{sys.argv[1]}: valid operb-bench-throughput v13 "
           f"({len(doc['steady_state'])} steady-state entries, "
           f"{len(doc['batched_vs_pointwise'])} batched-vs-pointwise "
           "entries, "

@@ -3,11 +3,11 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -278,11 +278,15 @@ struct CsvPart {
   std::size_t bad_line = 0;   ///< 1-based line of the first bad row, or 0
 };
 
-/// Cuts `content` at line starts into one part per usable CPU, each at
-/// least about kMinPartBytes, so small inputs stay one part.
+/// How many parts `bytes` of CSV text split into: one per usable CPU,
+/// each at least about kMinPartBytes, so small inputs stay one part.
+std::size_t PartsFor(std::size_t bytes) {
+  return std::clamp<std::size_t>(bytes / kMinPartBytes, 1, UsableCpus());
+}
+
+/// Cuts `content` at line starts into PartsFor(content.size()) parts.
 std::vector<CsvPart> SplitAtLineStarts(std::string_view content) {
-  const std::size_t want = std::clamp<std::size_t>(
-      content.size() / kMinPartBytes, 1, UsableCpus());
+  const std::size_t want = PartsFor(content.size());
   const char* const end = content.data() + content.size();
   std::vector<CsvPart> parts;
   parts.reserve(want);
@@ -329,6 +333,51 @@ Status WriteContentToFile(const std::string& content,
   return Status::OK();
 }
 
+/// The precision of every written coordinate, and of a time whose text
+/// ties no neighbour's: `%.9g`.
+constexpr int kRowDigits = 9;
+/// Round-trip precision: `%.17g` reads back as the same double.
+constexpr int kExactDigits = 17;
+
+/// One CSV row built in a stack buffer, its fields comma-separated.
+/// Numbers go through std::to_chars, which is specified to print what
+/// printf prints in the C locale: a double in chars_format::general at
+/// precision p gives the bytes of `%.<p>g` (libstdc++ formats it with
+/// Ryu-printf), an unsigned integer those of `%llu`. There is no format
+/// string to parse and no locale to consult, so a row costs a fraction
+/// of one snprintf call.
+class CsvRow {
+ public:
+  CsvRow& Add(double value, int precision) {
+    Separate();
+    end_ = std::to_chars(end_, buf_.data() + buf_.size(), value,
+                         std::chars_format::general, precision)
+               .ptr;
+    return *this;
+  }
+  CsvRow& Add(std::uint64_t value) {
+    Separate();
+    end_ = std::to_chars(end_, buf_.data() + buf_.size(), value).ptr;
+    return *this;
+  }
+  /// Ends the row with '\n' and returns it; valid while the row lives.
+  std::string_view Line() {
+    *end_++ = '\n';
+    return {buf_.data(), static_cast<std::size_t>(end_ - buf_.data())};
+  }
+
+ private:
+  void Separate() {
+    if (end_ != buf_.data()) *end_++ = ',';
+  }
+
+  // The widest row, WriteTaggedSegmentsCsvString's, is three 20-digit
+  // integers, two flags, four 24-character doubles
+  // (`-2.2250738585072014e-308`) and nine separators: 167 bytes.
+  std::array<char, 192> buf_;
+  char* end_ = buf_.data();
+};
+
 /// True when `a` and `b` print the same `%.9g` text. Such values differ
 /// by at most one unit in their ninth significant digit, about 1e-8 of
 /// their magnitude, so values farther apart than twice that are told
@@ -337,12 +386,9 @@ bool SameNineDigitText(double a, double b) {
   if (!(std::abs(a - b) <= 2e-8 * std::max(std::abs(a), std::abs(b)))) {
     return false;
   }
-  char text_a[32];
-  char text_b[32];
-  const int na = std::snprintf(text_a, sizeof(text_a), "%.9g", a);
-  const int nb = std::snprintf(text_b, sizeof(text_b), "%.9g", b);
-  return std::string_view(text_a, static_cast<std::size_t>(na)) ==
-         std::string_view(text_b, static_cast<std::size_t>(nb));
+  CsvRow text_a;
+  CsvRow text_b;
+  return text_a.Add(a, kRowDigits).Line() == text_b.Add(b, kRowDigits).Line();
 }
 
 /// The rows of `updates` whose `%.9g` time text ties that of the same
@@ -381,21 +427,23 @@ std::string WriteCsvString(const Trajectory& trajectory) {
   // exactly; the previous row is still the output's tail, so it is
   // rewritten in place. A row with a unique time text keeps its bytes.
   const auto append_exact_time = [&out](const geo::Point& p) {
-    char buf[128];
-    const int n =
-        std::snprintf(buf, sizeof(buf), "%.9g,%.9g,%.17g\n", p.x, p.y, p.t);
-    out.append(buf, static_cast<std::size_t>(n));
+    CsvRow row;
+    out.append(row.Add(p.x, kRowDigits)
+                   .Add(p.y, kRowDigits)
+                   .Add(p.t, kExactDigits)
+                   .Line());
   };
-  char row[128];
   char previous_time[32] = {};
   std::size_t previous_time_size = 0;
   std::size_t previous_start = 0;
   bool previous_exact = false;
   for (std::size_t i = 0; i < trajectory.size(); ++i) {
     const geo::Point& p = trajectory[i];
-    const int n =
-        std::snprintf(row, sizeof(row), "%.9g,%.9g,%.9g\n", p.x, p.y, p.t);
-    const std::string_view line(row, static_cast<std::size_t>(n));
+    CsvRow row;
+    const std::string_view line = row.Add(p.x, kRowDigits)
+                                      .Add(p.y, kRowDigits)
+                                      .Add(p.t, kRowDigits)
+                                      .Line();
     const std::string_view time = line.substr(line.rfind(',') + 1);
     const bool tie =
         i > 0 && time == std::string_view(previous_time, previous_time_size);
@@ -416,13 +464,7 @@ std::string WriteCsvString(const Trajectory& trajectory) {
 }
 
 Status WriteCsv(const Trajectory& trajectory, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  const std::string content = WriteCsvString(trajectory);
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.flush();
-  if (!out) return Status::IOError("write failure on " + path);
-  return Status::OK();
+  return WriteContentToFile(WriteCsvString(trajectory), path);
 }
 
 Result<Trajectory> ParseCsv(const std::string& content) {
@@ -567,23 +609,49 @@ Result<std::vector<ObjectUpdate>> ReadMultiObjectCsv(const std::string& path) {
 std::string WriteMultiObjectCsvString(std::span<const ObjectUpdate> updates) {
   // As in WriteCsvString, a row whose `%.9g` time text ties its object's
   // previous row's takes a `%.17g` time, and so does that previous row;
-  // rows of different objects may share a time text.
+  // rows of different objects may share a time text. The ties are found
+  // over all rows first, since a tied pair may straddle two parts.
   const std::vector<bool> exact = RowsInPerObjectTimeTies(updates);
-  std::string out = "# object_id,t_seconds,x_meters,y_meters\n";
-  out.reserve(out.size() + updates.size() * 48);
-  char buf[160];
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const ObjectUpdate& u = updates[i];
-    const auto id = static_cast<unsigned long long>(u.object_id);
-    const int n =
-        !exact.empty() && exact[i]
-            ? std::snprintf(buf, sizeof(buf), "%llu,%.17g,%.9g,%.9g\n", id,
-                            u.point.t, u.point.x, u.point.y)
-            : std::snprintf(buf, sizeof(buf), "%llu,%.9g,%.9g,%.9g\n", id,
-                            u.point.t, u.point.x, u.point.y);
-    out.append(buf, static_cast<std::size_t>(n));
+  // Rows run about 40 bytes; 48 leaves room for longer ids and times.
+  constexpr std::size_t kRowBytes = 48;
+  // The longest row: a 20-digit id, a 24-character `%.17g` time, two
+  // 16-character `%.9g` coordinates, three commas and the '\n'.
+  constexpr std::size_t kMaxRowBytes = 80;
+  const std::size_t parts = PartsFor(updates.size() * kRowBytes);
+  const auto first_row = [&](std::size_t k) {
+    return updates.size() * k / parts;
+  };
+  // Part k formats rows [first_row(k), first_row(k + 1)) into texts[k].
+  // Part 0 is the output: it starts with the header and reserves room
+  // for every row, so the later parts are appended without moving it.
+  // This thread allocates the other parts' buffers, large enough that
+  // the part threads never allocate: glibc's malloc_trim does not return
+  // the free top of a thread's own arena, and buffers allocated there
+  // left about 56 MB of a 2M-row feed's parts resident after the call.
+  std::vector<std::string> texts(parts);
+  texts[0] = "# object_id,t_seconds,x_meters,y_meters\n";
+  texts[0].reserve(texts[0].size() + updates.size() * kRowBytes);
+  for (std::size_t k = 1; k < parts; ++k) {
+    texts[k].reserve((first_row(k + 1) - first_row(k)) * kMaxRowBytes);
   }
-  return out;
+  ForEachPart(parts, [&](std::size_t k) {
+    std::string& out = texts[k];
+    const std::size_t end = first_row(k + 1);
+    for (std::size_t i = first_row(k); i < end; ++i) {
+      const ObjectUpdate& u = updates[i];
+      CsvRow row;
+      out.append(
+          row.Add(u.object_id)
+              .Add(u.point.t, !exact.empty() && exact[i] ? kExactDigits
+                                                         : kRowDigits)
+              .Add(u.point.x, kRowDigits)
+              .Add(u.point.y, kRowDigits)
+              .Line());
+    }
+  });
+  std::string& out = texts[0];
+  for (std::size_t k = 1; k < parts; ++k) out += texts[k];
+  return std::move(out);
 }
 
 Status WriteMultiObjectCsv(std::span<const ObjectUpdate> updates,
@@ -597,15 +665,19 @@ std::string WriteTaggedSegmentsCsvString(
       "# object_id,first_index,last_index,start_is_patch,end_is_patch,"
       "start_x,start_y,end_x,end_y\n";
   out.reserve(out.size() + segments.size() * 80);
-  char buf[240];
   for (const TaggedSegment& ts : segments) {
     const RepresentedSegment& s = ts.segment;
-    const int n = std::snprintf(
-        buf, sizeof(buf), "%llu,%zu,%zu,%d,%d,%.17g,%.17g,%.17g,%.17g\n",
-        static_cast<unsigned long long>(ts.object_id), s.first_index,
-        s.last_index, s.start_is_patch ? 1 : 0, s.end_is_patch ? 1 : 0,
-        s.start.x, s.start.y, s.end.x, s.end.y);
-    out.append(buf, static_cast<std::size_t>(n));
+    CsvRow row;
+    out.append(row.Add(ts.object_id)
+                   .Add(std::uint64_t{s.first_index})
+                   .Add(std::uint64_t{s.last_index})
+                   .Add(std::uint64_t{s.start_is_patch})
+                   .Add(std::uint64_t{s.end_is_patch})
+                   .Add(s.start.x, kExactDigits)
+                   .Add(s.start.y, kExactDigits)
+                   .Add(s.end.x, kExactDigits)
+                   .Add(s.end.y, kExactDigits)
+                   .Line());
   }
   return out;
 }
@@ -617,24 +689,25 @@ Status WriteTaggedSegmentsCsv(std::span<const TaggedSegment> segments,
 
 Status WriteRepresentationCsv(const PiecewiseRepresentation& representation,
                               const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << "# x,y,first_index,last_index\n";
-  char buf[160];
+  std::string out = "# x,y,first_index,last_index\n";
+  out.reserve(out.size() + (representation.size() + 1) * 40);
+  const auto append_row = [&out](geo::Vec2 at, std::size_t first,
+                                 std::size_t last) {
+    CsvRow row;
+    out.append(row.Add(at.x, kRowDigits)
+                   .Add(at.y, kRowDigits)
+                   .Add(std::uint64_t{first})
+                   .Add(std::uint64_t{last})
+                   .Line());
+  };
   for (const RepresentedSegment& s : representation) {
-    std::snprintf(buf, sizeof(buf), "%.9g,%.9g,%zu,%zu\n", s.start.x,
-                  s.start.y, s.first_index, s.last_index);
-    out << buf;
+    append_row(s.start, s.first_index, s.last_index);
   }
   if (!representation.empty()) {
     const RepresentedSegment& last = representation[representation.size() - 1];
-    std::snprintf(buf, sizeof(buf), "%.9g,%.9g,%zu,%zu\n", last.end.x,
-                  last.end.y, last.last_index, last.last_index);
-    out << buf;
+    append_row(last.end, last.last_index, last.last_index);
   }
-  out.flush();
-  if (!out) return Status::IOError("write failure on " + path);
-  return Status::OK();
+  return WriteContentToFile(out, path);
 }
 
 }  // namespace operb::traj

@@ -32,9 +32,17 @@ namespace operb::traj {
 /// Corruption.
 ///
 /// The single-trace parsers (ParseCsv, ParseCsvPoints, ParseGeoLifePlt)
-/// run on the calling thread: they read one device's trace, whose caller
-/// often times it in thread CPU time, and moving the work to other
-/// threads would hide that cost rather than remove it.
+/// and WriteCsvString run on the calling thread: they handle one
+/// device's trace, whose caller often times it in thread CPU time, and
+/// moving the work to other threads would hide that cost rather than
+/// remove it.
+///
+/// Every writer here formats its numbers with std::to_chars, which is
+/// specified to print the bytes printf prints in the C locale: a double
+/// at precision 9 or 17 in chars_format::general is `%.9g` or `%.17g`,
+/// an integer is `%llu`/`%zu`. The files are the ones snprintf wrote,
+/// byte for byte, at a fraction of its cost and with no dependence on the
+/// process locale.
 Status WriteCsv(const Trajectory& trajectory, const std::string& path);
 Result<Trajectory> ReadCsv(const std::string& path);
 
@@ -114,6 +122,14 @@ Result<std::vector<ObjectUpdate>> ReadMultiObjectCsv(const std::string& path);
 /// %.9g time ties the same object's previous or next row's writes its
 /// time with %.17g, so that one object's close epoch times (~1.7e9 s,
 /// printed to 10 s) stay strictly increasing for GroupUpdatesByObject.
+///
+/// Like the parser, the writer splits a fleet across CPUs: after one
+/// serial pass that finds the tied times over all rows (a tied pair may
+/// fall on either side of a cut), it cuts the rows into one contiguous
+/// range per usable CPU, each about 1 MiB of output or more (so small
+/// inputs stay on the calling thread), formats every range into a
+/// buffer of its own and joins the buffers in order. The bytes do not
+/// depend on the CPU count.
 std::string WriteMultiObjectCsvString(std::span<const ObjectUpdate> updates);
 Status WriteMultiObjectCsv(std::span<const ObjectUpdate> updates,
                            const std::string& path);

@@ -1,18 +1,22 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <charconv>
 #include <clocale>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <locale>
 #include <random>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -523,6 +527,228 @@ TEST_F(IoTest, RepresentationCsvWrites) {
   EXPECT_EQ(rows, 1 + 2 + 1);  // header + segments + final endpoint
 }
 
+// The reference writers below print every row with snprintf, as the
+// writers did before they formatted with std::to_chars; the writers must
+// match them byte for byte.
+
+std::string PrintfXyt(const geo::Point& p, bool exact_time) {
+  char row[128];
+  const int n =
+      exact_time
+          ? std::snprintf(row, sizeof(row), "%.9g,%.9g,%.17g\n", p.x, p.y, p.t)
+          : std::snprintf(row, sizeof(row), "%.9g,%.9g,%.9g\n", p.x, p.y, p.t);
+  return std::string(row, static_cast<std::size_t>(n));
+}
+
+/// "" when `got` equals `want`, else the first line where they differ as
+/// each has it. Comparing megabytes with EXPECT_EQ would have gtest diff
+/// them line by line, in time and memory quadratic in the line count.
+std::string FirstDifference(std::string_view got, std::string_view want) {
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(),
+                                    want.end());
+  if (g == got.end() && w == want.end()) return "";
+  const auto line = [](std::string_view text, std::size_t at) {
+    const std::size_t begin = text.rfind('\n', at == 0 ? 0 : at - 1);
+    const std::size_t first = begin == std::string_view::npos ? 0 : begin + 1;
+    return std::string(text.substr(first, text.find('\n', first) - first));
+  };
+  const auto at = static_cast<std::size_t>(g - got.begin());
+  return "byte " + std::to_string(at) + ": got \"" + line(got, at) +
+         "\", want \"" + line(want, at) + "\"";
+}
+
+std::string PrintfNineDigits(double value) {
+  char text[64];
+  const int n = std::snprintf(text, sizeof(text), "%.9g", value);
+  return std::string(text, static_cast<std::size_t>(n));
+}
+
+/// WriteCsvString's bytes: a row whose `%.9g` time text equals the
+/// previous row's takes a `%.17g` time, and so does that previous row.
+std::string ReferenceCsv(const Trajectory& t) {
+  std::vector<bool> exact(t.size());
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    if (PrintfNineDigits(t[i].t) == PrintfNineDigits(t[i - 1].t)) {
+      exact[i - 1] = exact[i] = true;
+    }
+  }
+  std::string out = "# x_meters,y_meters,t_seconds\n";
+  for (std::size_t i = 0; i < t.size(); ++i) out += PrintfXyt(t[i], exact[i]);
+  return out;
+}
+
+/// WriteMultiObjectCsvString's bytes: as ReferenceCsv, but a row's time
+/// is compared with its own object's previous row.
+std::string ReferenceMultiObjectCsv(std::span<const ObjectUpdate> updates) {
+  std::vector<bool> exact(updates.size());
+  std::unordered_map<ObjectId, std::size_t> last_row;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const auto last = last_row.find(updates[i].object_id);
+    if (last != last_row.end() &&
+        PrintfNineDigits(updates[last->second].point.t) ==
+            PrintfNineDigits(updates[i].point.t)) {
+      exact[last->second] = exact[i] = true;
+    }
+    last_row[updates[i].object_id] = i;
+  }
+  std::string out = "# object_id,t_seconds,x_meters,y_meters\n";
+  char row[160];
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const ObjectUpdate& u = updates[i];
+    const auto id = static_cast<unsigned long long>(u.object_id);
+    const int n = exact[i] ? std::snprintf(row, sizeof(row),
+                                           "%llu,%.17g,%.9g,%.9g\n", id,
+                                           u.point.t, u.point.x, u.point.y)
+                           : std::snprintf(row, sizeof(row),
+                                           "%llu,%.9g,%.9g,%.9g\n", id,
+                                           u.point.t, u.point.x, u.point.y);
+    out.append(row, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+std::string ReferenceTaggedSegmentsCsv(
+    std::span<const TaggedSegment> segments) {
+  std::string out =
+      "# object_id,first_index,last_index,start_is_patch,end_is_patch,"
+      "start_x,start_y,end_x,end_y\n";
+  char row[256];
+  for (const TaggedSegment& ts : segments) {
+    const RepresentedSegment& s = ts.segment;
+    const int n = std::snprintf(
+        row, sizeof(row), "%llu,%zu,%zu,%d,%d,%.17g,%.17g,%.17g,%.17g\n",
+        static_cast<unsigned long long>(ts.object_id), s.first_index,
+        s.last_index, s.start_is_patch ? 1 : 0, s.end_is_patch ? 1 : 0,
+        s.start.x, s.start.y, s.end.x, s.end.y);
+    out.append(row, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+std::string ReferenceRepresentationCsv(const PiecewiseRepresentation& rep) {
+  std::string out = "# x,y,first_index,last_index\n";
+  char row[160];
+  const auto append = [&](geo::Vec2 at, std::size_t first, std::size_t last) {
+    out.append(row, static_cast<std::size_t>(
+                        std::snprintf(row, sizeof(row), "%.9g,%.9g,%zu,%zu\n",
+                                      at.x, at.y, first, last)));
+  };
+  for (const RepresentedSegment& s : rep) {
+    append(s.start, s.first_index, s.last_index);
+  }
+  if (!rep.empty()) {
+    const RepresentedSegment& last = rep[rep.size() - 1];
+    append(last.end, last.last_index, last.last_index);
+  }
+  return out;
+}
+
+/// Doubles whose printf text is hard to get right: the edge values, then
+/// `count` seeded ones in turn from random bit patterns (any sign, NaN
+/// payloads, subnormals), meter and second magnitudes, 10-digit integers
+/// ending in 5 (exact ties at the ninth digit) and runs of epoch times a
+/// fraction of a second apart (ties of `%.9g` time text).
+std::vector<double> FormatterInputs(std::size_t count) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Epoch times first: 1700000001, the double below 1700000005 and
+  // 1700000005 itself all print `1.7e+09`.
+  std::vector<double> values = {
+      1700000001.0, std::nextafter(1700000005.0, 0.0), 1700000005.0,
+      1700000009.75, 1700000010.0, 1.7e9, 0.0, -0.0, kInf, -kInf, kNaN, -kNaN,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN, -DBL_MIN,
+      DBL_MIN - std::numeric_limits<double>::denorm_min(), DBL_MAX, -DBL_MAX,
+      1e22, 1e23, -1e23, 1234567895.0, 1234567885.0, 999999999.5,
+      9999999995.0, 0.1, 1e-5, 123456789.0, 1e15, 1e16, 1e17, 2.5, 0.5};
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> meters(-2e5, 2e5);
+  std::uniform_real_distribution<double> seconds(0.0, 2e9);
+  double epoch = 1.7e9;
+  for (std::size_t i = 0; values.size() < count; ++i) {
+    switch (i % 5) {
+      case 0: {
+        const std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        values.push_back(v);
+        break;
+      }
+      case 1:
+        values.push_back(meters(rng));
+        break;
+      case 2:
+        values.push_back(seconds(rng));
+        break;
+      case 3:
+        values.push_back(
+            static_cast<double>((1000000000 + rng() % 8999999999) / 10 * 10 +
+                                5));
+        break;
+      default:
+        // Three samples 0.25-1 s apart, often inside one 10 s cell.
+        for (int k = 0; k < 3; ++k) {
+          values.push_back(epoch += 0.25 * static_cast<double>(1 + rng() % 4));
+        }
+        break;
+    }
+  }
+  return values;
+}
+
+TEST_F(IoTest, WritersMatchPrintfFormatting) {
+  const std::vector<double> v = FormatterInputs(120000);
+  const std::size_t n = v.size();
+  std::mt19937_64 rng(2025);
+  const auto index = [&rng](std::size_t i) -> std::size_t {
+    switch (i % 4) {
+      case 0:
+        return std::numeric_limits<std::size_t>::max();
+      case 1:
+        return 0;
+      default:
+        return static_cast<std::size_t>(rng() >> (rng() % 64));
+    }
+  };
+  const ObjectId ids[] = {0, 1, std::numeric_limits<ObjectId>::max(), 42,
+                          12345678901234567890u};
+  // Every value appears in every column.
+  Trajectory trajectory;
+  std::vector<ObjectUpdate> updates;
+  std::vector<TaggedSegment> tagged;
+  PiecewiseRepresentation representation;
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::Point p{v[i], v[(i + n / 3) % n], v[(i + 2 * n / 3) % n]};
+    trajectory.AppendUnchecked({p.y, p.t, p.x});
+    // Runs of 8 rows per object, so the epoch runs tie within objects.
+    updates.push_back({ids[i / 8 % 5], {p.y, p.t, p.x}});
+    TaggedSegment ts;
+    ts.object_id = i < 5 ? ids[i] : rng() >> (rng() % 64);
+    ts.segment = Seg({p.x, p.y}, {p.t, v[(i + 1) % n]}, index(i), index(i + 1));
+    ts.segment.start_is_patch = i % 3 == 0;
+    ts.segment.end_is_patch = i % 2 == 0;
+    tagged.push_back(ts);
+    representation.Append(ts.segment);
+  }
+  // The first rows' times tie, so they take `%.17g`; the reference must
+  // agree on which rows do.
+  const std::string csv = WriteCsvString(trajectory);
+  EXPECT_NE(csv.find(",1700000005\n"), std::string::npos);
+  EXPECT_EQ(FirstDifference(csv, ReferenceCsv(trajectory)), "");
+  const std::string multi_csv = WriteMultiObjectCsvString(updates);
+  EXPECT_NE(multi_csv.find("\n0,1700000005,"), std::string::npos);
+  EXPECT_EQ(FirstDifference(multi_csv, ReferenceMultiObjectCsv(updates)), "");
+  EXPECT_EQ(FirstDifference(WriteTaggedSegmentsCsvString(tagged),
+                            ReferenceTaggedSegmentsCsv(tagged)),
+            "");
+  ASSERT_TRUE(WriteRepresentationCsv(representation, Path("rep.csv")).ok());
+  std::ifstream in(Path("rep.csv"), std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(
+      FirstDifference(written, ReferenceRepresentationCsv(representation)), "");
+}
+
 // ---------------------------------------------------------------------------
 // Multi-object streams (id,t,x,y CSV + grouping).
 // ---------------------------------------------------------------------------
@@ -722,6 +948,82 @@ TEST_F(IoTest, MultiObjectCsvPartsHandleEmptyAndCommentOnlyInputs) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r->empty());
   }
+}
+
+/// The writer cuts a fleet's rows into parts formatted on their own
+/// threads. The tied `%.9g` times are found over all rows, so a tied pair
+/// on either side of a cut still takes `%.17g` on both rows, and the
+/// parts are joined in order: the bytes are those of the serial writer.
+TEST_F(IoTest, MultiObjectCsvPartsWriteTheSerialBytes) {
+  std::mt19937_64 rng(1702);
+  std::uniform_real_distribution<double> coord(-5e4, 5e4);
+  // Objects 0-39 write their times in isolated tied pairs: 1 s and 1.5 s
+  // past a 20 s grid point, which both print that grid point. A pair cut
+  // apart, formatted part by part, would lose its `%.17g` times. Objects
+  // 40-99 step 11-40 s, so none of their times tie.
+  constexpr ObjectId kObjects = 100;
+  constexpr ObjectId kPairedObjects = 40;
+  std::vector<double> clock(kObjects);
+  for (double& c : clock) c = 1.7e9 + 10.0 * static_cast<double>(rng() % 10000);
+  std::vector<std::size_t> rows_written(kObjects, 0);
+  std::vector<ObjectUpdate> updates(170000);
+  for (ObjectUpdate& u : updates) {
+    u.object_id = rng() % 2 == 0
+                      ? rng() % kPairedObjects
+                      : kPairedObjects + rng() % (kObjects - kPairedObjects);
+    const std::size_t m = rows_written[u.object_id]++;
+    double& t = clock[u.object_id];
+    if (u.object_id >= kPairedObjects) {
+      t += 11.0 + static_cast<double>(rng() % 30);
+    } else if (m % 2 == 0) {
+      t = 1.7e9 + 20.0 * static_cast<double>(m / 2) + 1.0;
+    } else {
+      t += 0.5;
+    }
+    u.point = {coord(rng), coord(rng), t};
+  }
+  // Every tied run is a pair, and wherever the rows are cut, one of the
+  // pairs straddles the cut: count, for every cut c, the tied pairs
+  // (prev, row) with prev < c <= row. At 1 MiB a part or more the rows
+  // make at most 7 parts, so every cut lies past row n/8.
+  std::vector<int> ties(updates.size(), 0);
+  std::vector<int> straddling(updates.size() + 1, 0);
+  std::unordered_map<ObjectId, std::size_t> last_row;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const auto last = last_row.find(updates[i].object_id);
+    if (last != last_row.end() &&
+        PrintfNineDigits(updates[last->second].point.t) ==
+            PrintfNineDigits(updates[i].point.t)) {
+      ASSERT_EQ(++ties[last->second], 1) << "row " << last->second;
+      ++ties[i];
+      ++straddling[last->second + 1];
+      --straddling[i + 1];
+    }
+    last_row[updates[i].object_id] = i;
+  }
+  int open = 0;
+  for (std::size_t c = 0; c < updates.size(); ++c) {
+    open += straddling[c];
+    if (c >= updates.size() / 8) {
+      ASSERT_GT(open, 0) << "no tied pair straddles a cut before row " << c;
+    }
+  }
+
+  const std::string csv = WriteMultiObjectCsvString(updates);
+  // Above 2 MiB, so two usable CPUs or more give two parts or more.
+  ASSERT_GT(csv.size(), std::size_t{2} << 20);
+  EXPECT_EQ(FirstDifference(csv, ReferenceMultiObjectCsv(updates)), "");
+  const auto parsed = ParseMultiObjectCsv(csv);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), updates.size());
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    ASSERT_EQ((*parsed)[i].object_id, updates[i].object_id) << "row " << i;
+    ASSERT_LE(std::abs((*parsed)[i].point.t - updates[i].point.t), 5.0)
+        << "row " << i;
+  }
+  const auto grouped = GroupUpdatesByObject(*parsed);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(grouped->size(), static_cast<std::size_t>(kObjects));
 }
 
 /// What the row parsers' number grammar makes of one whole field: optional
