@@ -43,18 +43,21 @@
 //                        both overhead gates judge the median of the
 //                        per-round time ratios over 7 interleaved rounds
 //   store              — the sharded trajectory store (src/store): write
-//                        a spatially spread fleet's segments into a
+//                        the stack benchmark's fleet at a small size
+//                        (objects sharing space, samples merged in time
+//                        order through a one-shard engine) into a
 //                        manifest-driven shard directory (write
 //                        amplification, file bytes), measure open
-//                        latency (footer scan + R-tree build), serve a
-//                        window query through both the R-tree index and
-//                        the flat footer scan (index-vs-scan skip
-//                        evidence; the run FAILS if the index visits
-//                        more than 25% of the nodes the flat scan
-//                        would), a per-object reconstruction, then one
-//                        compaction pass (its write amplification and
-//                        block densification) and the same query after
-//                        it (must match byte-for-byte counts)
+//                        latency (footer scan + R-tree build), serve 64
+//                        small windows through both the R-tree index and
+//                        the flat footer scan (blocks and segments read
+//                        per window, index-vs-scan skip evidence; the
+//                        run FAILS if the index visits more than 25% of
+//                        the nodes the flat scan would), a per-object
+//                        reconstruction, then one compaction pass (its
+//                        write amplification and block densification)
+//                        and the same windows after it (must match the
+//                        same segment count)
 //   checkpoint         — StreamEngine::Checkpoint on a live engine
 //                        halfway through a fleet feed: snapshot write
 //                        latency and file size (bytes per live state),
@@ -65,7 +68,7 @@
 //
 // Every simplifier-bearing record carries the resolved canonical spec
 // string of what ran; the header records the machine (nproc, CPU model,
-// compiler) the numbers came from (schema version 13).
+// compiler) the numbers came from (schema version 14).
 //
 // `--smoke` shrinks every dataset to a single fast pass (for CI), `--out
 // PATH` overrides the default ./BENCH_throughput.json. Later PRs
@@ -77,6 +80,7 @@
 #include <sched.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -96,8 +100,10 @@
 #include "common/stopwatch.h"
 #include "engine/stream_engine.h"
 #include "core/operb.h"
+#include "datagen/rng.h"
 #include "eval/verifier.h"
 #include "geo/bbox.h"
+#include "inputs.h"
 #include <filesystem>
 #include <fstream>
 
@@ -889,62 +895,82 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // Store: persist a spatially spread fleet's simplified segments, then
-  // serve a window query (skip-scan) and a per-object reconstruction.
-  // Objects are laid out along a line 50 km apart and appended
-  // object-major, so block footers carve the fleet spatially and a
-  // window over the first object's area must skip blocks — the recorded
-  // numbers are the store's pruning evidence, not just its speed.
+  // Store: persist a fleet's simplified segments, then serve window
+  // queries (skip-scan) and a per-object reconstruction. The fleet is
+  // the stack benchmark's (stackbench/inputs.h) at a small size and the
+  // same density: objects share space and time, their samples are
+  // merged in timestamp order and fed through a one-shard engine, so the
+  // store receives segments in the order a live fleet emits them and
+  // every seal mixes many nearby objects — the layout the block
+  // clustering and the read path are built for.
   // ------------------------------------------------------------------
   std::vector<JsonRecord> store_records;
   {
-    const std::size_t store_objects = smoke ? 16 : 200;
-    const std::size_t store_per_object = smoke ? 200 : 5000;
-    api::SimplifierSpec store_spec;
-    store_spec.zeta = kZeta;  // default algorithm: OPERB, guarded
-    auto streaming_made =
-        api::AlgorithmRegistry::Global().MakeStreaming(store_spec);
-    if (!streaming_made.ok()) {
-      std::fprintf(stderr, "bench_throughput: %s\n",
-                   streaming_made.status().ToString().c_str());
-      return 1;
+    stackbench::FleetSpec fleet_spec;
+    fleet_spec.objects = smoke ? 1000 : 10000;
+    fleet_spec.total_points = smoke ? 20000 : 200000;
+    // 100k objects over a 100 km square in the stack benchmark.
+    fleet_spec.area_m =
+        1e5 * std::sqrt(static_cast<double>(fleet_spec.objects) / 1e5);
+    fleet_spec.seed = bench::kBenchSeed;
+    const std::vector<stackbench::FleetObject> fleet =
+        stackbench::GenerateFleet(fleet_spec);
+    std::vector<std::size_t> fleet_begin(fleet.size(), 0);
+    std::vector<std::size_t> fleet_end;
+    for (const stackbench::FleetObject& o : fleet) {
+      fleet_end.push_back(o.points.size());
     }
-    const auto streaming = std::move(streaming_made).value();
+    const std::vector<traj::ObjectUpdate> merged =
+        stackbench::MergeByTime(fleet, fleet_begin, fleet_end);
+    const std::size_t store_objects = fleet.size();
+    const std::size_t store_points = merged.size();
+
+    engine::StreamEngineOptions store_eopts;
+    store_eopts.spec.zeta = kZeta;  // default algorithm: OPERB, guarded
+    // One shard on one worker: segments arrive in push order, so the
+    // appended sequence (and the store) is the same on every run.
+    store_eopts.num_shards = 1;
+    const api::SimplifierSpec store_spec = store_eopts.spec;
     std::vector<traj::TimedSegment> segments;
-    std::size_t store_points = 0;
-    geo::BoundingBox first_region;
-    std::vector<traj::TimedSegment>* out = &segments;
-    traj::ObjectId current_id = 0;
-    const traj::Trajectory* current = nullptr;
-    streaming->SetSink([&](const traj::RepresentedSegment& s) {
-      out->push_back({current_id, s, (*current)[s.first_index].t,
-                      (*current)[s.last_index].t});
-    });
-    for (std::size_t k = 0; k < store_objects; ++k) {
-      datagen::Rng rng(bench::kBenchSeed + k);
-      traj::Trajectory t = datagen::GenerateTrajectory(
-          datagen::DatasetProfile::For(datagen::DatasetKind::kSerCar),
-          store_per_object, &rng);
-      for (geo::Point& p : t.mutable_points()) {
-        p.x += static_cast<double>(k) * 50000.0;  // spatial spread
+    {
+      auto made = engine::StreamEngine::Create(
+          store_eopts,
+          [&segments](const traj::TimedSegment& s) { segments.push_back(s); });
+      if (!made.ok()) {
+        std::fprintf(stderr, "bench_throughput: %s\n",
+                     made.status().ToString().c_str());
+        return 1;
       }
-      store_points += t.size();
-      if (k == 0) {
-        for (const geo::Point& p : t) first_region.Extend(p.pos());
+      made.value()->Push(std::span<const traj::ObjectUpdate>(merged));
+      made.value()->Close();
+    }
+
+    // Stack-benchmark-sized windows (1 km square, 10 minutes) centred on
+    // seeded samples; one pass queries them all.
+    struct StoreWindow {
+      geo::BoundingBox box;
+      double t_min = 0.0;
+      double t_max = 0.0;
+    };
+    constexpr std::size_t kStoreWindows = 64;
+    std::vector<StoreWindow> windows;
+    {
+      datagen::Rng rng(bench::kBenchSeed ^ 0x51D0ULL);
+      for (std::size_t k = 0; k < kStoreWindows; ++k) {
+        const auto& pts = fleet[rng.NextBelow(fleet.size())].points;
+        const geo::Point& p = pts[rng.NextBelow(pts.size())];
+        StoreWindow w;
+        w.box.Extend(geo::Vec2{p.x - 500.0, p.y - 500.0});
+        w.box.Extend(geo::Vec2{p.x + 500.0, p.y + 500.0});
+        w.t_min = p.t - 300.0;
+        w.t_max = p.t + 300.0;
+        windows.push_back(w);
       }
-      current_id = k;
-      current = &t;
-      streaming->Push(std::span<const geo::Point>(t.points()));
-      streaming->Finish();
-      streaming->Reset();
     }
 
     const std::string store_path = "bench_store.tmp";
     store::StoreWriterOptions wopts;
     wopts.zeta = kZeta;
-    // Full runs measure the shipped block layout; the smoke fleet is too
-    // small to form enough default-sized blocks for the pruning gates.
-    if (smoke) wopts.block_budget_bytes = 4096;
     wopts.num_shards = smoke ? 2 : 4;
     store::StoreWriterStats wstats;
     bool write_ok = true;
@@ -979,28 +1005,42 @@ int main(int argc, char** argv) {
     }
     const std::size_t index_nodes = reader.value()->index_node_count();
 
-    constexpr double kInf = std::numeric_limits<double>::infinity();
+    // Every window once; the stats and the matched count are totals
+    // over the window set.
+    bool query_ok = true;
+    const auto query_windows = [&](const store::StoreReader& r,
+                                   store::ScanMode mode,
+                                   store::StoreQueryStats* total,
+                                   std::size_t* matched) {
+      *total = store::StoreQueryStats();
+      *matched = 0;
+      for (const StoreWindow& w : windows) {
+        store::StoreQueryStats one;
+        auto answer = r.QueryWindow(w.box, w.t_min, w.t_max, &one, mode);
+        query_ok = query_ok && answer.ok();
+        *matched += answer.ok() ? answer->size() : 0;
+        total->blocks_total += one.blocks_total;
+        total->blocks_skipped += one.blocks_skipped;
+        total->blocks_scanned += one.blocks_scanned;
+        total->segments_scanned += one.segments_scanned;
+        total->index_nodes_visited += one.index_nodes_visited;
+      }
+    };
     store::StoreQueryStats window_stats;
     std::size_t window_matched = 0;
-    bool query_ok = true;
     const Timing qt = TimeLoop([&] {
-      auto r = reader.value()->QueryWindow(first_region, -kInf, kInf,
-                                           &window_stats,
-                                           store::ScanMode::kIndexed);
-      query_ok = query_ok && r.ok();
-      window_matched = r.ok() ? r->size() : 0;
+      query_windows(*reader.value(), store::ScanMode::kIndexed,
+                    &window_stats, &window_matched);
     });
-    // The same window through the flat footer scan — the index's verify
+    // The same windows through the flat footer scan — the index's verify
     // oracle and the baseline its pruning is judged against.
     store::StoreQueryStats flat_stats;
     std::size_t flat_matched = 0;
     const Timing ft = TimeLoop([&] {
-      auto r = reader.value()->QueryWindow(first_region, -kInf, kInf,
-                                           &flat_stats,
-                                           store::ScanMode::kFlatScan);
-      query_ok = query_ok && r.ok();
-      flat_matched = r.ok() ? r->size() : 0;
+      query_windows(*reader.value(), store::ScanMode::kFlatScan, &flat_stats,
+                    &flat_matched);
     });
+    // Fleet ids run 1..objects.
     std::size_t reconstructed = 0;
     const Timing rt = TimeLoop([&] {
       auto r = reader.value()->ReconstructObject(store_objects / 2);
@@ -1066,13 +1106,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     store::StoreQueryStats post_stats;
-    auto post_window = post_reader.value()->QueryWindow(
-        first_region, -kInf, kInf, &post_stats, store::ScanMode::kIndexed);
+    std::size_t post_matched = 0;
+    query_windows(*post_reader.value(), store::ScanMode::kIndexed,
+                  &post_stats, &post_matched);
     std::filesystem::remove_all(store_path);
-    if (!post_window.ok() || post_window->size() != window_matched) {
+    if (!query_ok || post_matched != window_matched) {
       std::fprintf(stderr,
                    "bench_throughput: compaction changed the window "
-                   "query's answer\n");
+                   "queries' answers\n");
       return 1;
     }
 
@@ -1093,16 +1134,21 @@ int main(int argc, char** argv) {
     rec.Num("write_segments_per_sec",
             static_cast<double>(wstats.segments) / wt.seconds_per_pass);
     rec.Num("open_seconds_per_pass", ot.seconds_per_pass);
-    rec.Num("window_query_seconds", qt.seconds_per_pass);
+    rec.Int("windows", static_cast<long long>(windows.size()));
+    rec.Num("window_query_seconds",
+            qt.seconds_per_pass / static_cast<double>(windows.size()));
     rec.Int("window_blocks_skipped",
             static_cast<long long>(window_stats.blocks_skipped));
     rec.Int("window_blocks_scanned",
             static_cast<long long>(window_stats.blocks_scanned));
     rec.Int("window_index_nodes_visited",
             static_cast<long long>(window_stats.index_nodes_visited));
+    rec.Int("window_segments_scanned",
+            static_cast<long long>(window_stats.segments_scanned));
     rec.Int("window_segments_matched",
             static_cast<long long>(window_matched));
-    rec.Num("flat_window_query_seconds", ft.seconds_per_pass);
+    rec.Num("flat_window_query_seconds",
+            ft.seconds_per_pass / static_cast<double>(windows.size()));
     rec.Int("flat_window_blocks_skipped",
             static_cast<long long>(flat_stats.blocks_skipped));
     rec.Int("flat_window_blocks_scanned",
@@ -1125,23 +1171,23 @@ int main(int argc, char** argv) {
             static_cast<long long>(cstats.files_after));
     rec.Num("post_compact_open_seconds", pot.seconds_per_pass);
     rec.Int("post_compact_window_segments_matched",
-            static_cast<long long>(post_window->size()));
+            static_cast<long long>(post_matched));
     store_records.push_back(rec);
     std::printf(
         "store: %zu objects, %llu segments -> %llu blocks in %zu shards "
-        "(%llu bytes, write amp %.3f); open %.3f ms; window skipped "
-        "%llu/%llu blocks via %llu/%zu index nodes in %.3f ms (flat "
-        "%.3f ms), reconstruct %.3f ms; compaction %llu shards, write "
+        "(%llu bytes, write amp %.3f); open %.3f ms; per window: %.1f "
+        "blocks and %.0f segments read, %.1f index nodes, %.3f ms (flat "
+        "%.3f ms); reconstruct %.3f ms; compaction %llu shards, write "
         "amp %.3f, open after %.3f ms\n",
         store_objects, static_cast<unsigned long long>(wstats.segments),
         static_cast<unsigned long long>(wstats.blocks), wopts.num_shards,
         static_cast<unsigned long long>(wstats.file_bytes),
         wstats.write_amplification, ot.seconds_per_pass * 1e3,
-        static_cast<unsigned long long>(window_stats.blocks_skipped),
-        static_cast<unsigned long long>(window_stats.blocks_total),
-        static_cast<unsigned long long>(window_stats.index_nodes_visited),
-        index_nodes, qt.seconds_per_pass * 1e3, ft.seconds_per_pass * 1e3,
-        rt.seconds_per_pass * 1e3,
+        static_cast<double>(window_stats.blocks_scanned) / kStoreWindows,
+        static_cast<double>(window_stats.segments_scanned) / kStoreWindows,
+        static_cast<double>(window_stats.index_nodes_visited) / kStoreWindows,
+        qt.seconds_per_pass * 1e3 / kStoreWindows,
+        ft.seconds_per_pass * 1e3 / kStoreWindows, rt.seconds_per_pass * 1e3,
         static_cast<unsigned long long>(cstats.shards_compacted),
         cstats.write_amplification, pot.seconds_per_pass * 1e3);
   }
@@ -1534,7 +1580,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"operb-bench-throughput\",\n"
-               "  \"schema_version\": 13,\n"
+               "  \"schema_version\": 14,\n"
                "  \"smoke\": %s,\n"
                "  \"unix_time\": %lld,\n"
                "  \"zeta\": %g,\n"

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates BENCH_throughput.json against the operb-bench-throughput
-schema (version 13). Stdlib-only so CI needs no extra packages.
+schema (version 14). Stdlib-only so CI needs no extra packages.
 
 Beyond shape checks, the store section carries semantic gates: the
 R-tree index must never skip fewer blocks than the flat footer scan, the
@@ -39,6 +39,12 @@ best-of-3 pair, and a full-mode row must have run at least 7 rounds.
 Since v13 the ingest section also times the writers, the parsers'
 inverse: format "csv_write" (WriteCsvString) and "multi_csv_write"
 (WriteMultiObjectCsvString) must both be present with points > 0.
+Since v14 the store row queries a set of `windows` small windows over a
+fleet whose objects share space and time, and its window_* and
+flat_window_* counts are totals over that set (so skipped + scanned
+equals blocks x windows); window_segments_scanned counts the segments
+decoded, which can be no fewer than those matched; the query times are
+per window.
 
 Usage: validate_throughput_json.py PATH
 Exit codes: 0 valid, 1 invalid, 2 usage/IO error.
@@ -164,10 +170,12 @@ SECTION_FIELDS = {
         "append_seconds_per_pass": NUMBER,
         "write_segments_per_sec": NUMBER,
         "open_seconds_per_pass": NUMBER,
+        "windows": int,
         "window_query_seconds": NUMBER,
         "window_blocks_skipped": int,
         "window_blocks_scanned": int,
         "window_index_nodes_visited": int,
+        "window_segments_scanned": int,
         "window_segments_matched": int,
         "flat_window_query_seconds": NUMBER,
         "flat_window_blocks_skipped": int,
@@ -246,7 +254,7 @@ def main():
             fail(f"top-level key '{key}' has wrong type")
     if doc["schema"] != "operb-bench-throughput":
         fail(f"unexpected schema '{doc['schema']}'")
-    if doc["schema_version"] != 13:
+    if doc["schema_version"] != 14:
         fail(f"unexpected schema_version {doc['schema_version']}")
 
     for section, fields in SECTION_FIELDS.items():
@@ -336,11 +344,17 @@ def main():
                 if entry["window_blocks_skipped"] < 1:
                     fail(f"{section}[{i}] window query skipped no blocks "
                          "(footer pruning broken)")
+                if entry["windows"] < 1:
+                    fail(f"{section}[{i}] queried no windows")
                 if (entry["window_blocks_skipped"]
                         + entry["window_blocks_scanned"]
-                        != entry["blocks"]):
+                        != entry["blocks"] * entry["windows"]):
                     fail(f"{section}[{i}] skip/scan counts do not cover "
-                         "the block count")
+                         "the block count of every window")
+                if (entry["window_segments_scanned"]
+                        < entry["window_segments_matched"]):
+                    fail(f"{section}[{i}] matched more segments than it "
+                         "decoded")
                 # Index soundness and pruning gates (schema v5): the
                 # R-tree must skip at least as many blocks as the flat
                 # footer scan, agree with it on the matched segments,
@@ -486,7 +500,7 @@ def main():
             if not entry["spec"].startswith(entry["algorithm"] + ":"):
                 fail(f"{section}[{i}].spec '{entry['spec']}' does not "
                      f"resolve to algorithm '{entry['algorithm']}'")
-    print(f"{sys.argv[1]}: valid operb-bench-throughput v13 "
+    print(f"{sys.argv[1]}: valid operb-bench-throughput v14 "
           f"({len(doc['steady_state'])} steady-state entries, "
           f"{len(doc['batched_vs_pointwise'])} batched-vs-pointwise "
           "entries, "

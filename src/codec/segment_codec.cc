@@ -4,25 +4,23 @@
 #include <cstddef>
 #include <string>
 
-#include "codec/varint.h"
-
 namespace operb::codec {
 
 namespace {
 
-/// Predecessor state threaded through a block: the previous segment's
-/// trailing fields, shared by encoder and decoder so the XOR/delta chains
-/// agree. Runs do not reset it — a cross-run XOR is just a longer varint.
-struct Chain {
-  std::uint64_t last_index = 0;
-  std::uint64_t end_x = 0, end_y = 0;  // bit patterns
-  std::uint64_t t_end = 0;
-};
+using segment_codec_internal::Chain;
 
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-double FromBits(std::uint64_t v) { return std::bit_cast<double>(v); }
 
 }  // namespace
+
+namespace segment_codec_internal {
+
+Status BlockCorruption(const char* what) {
+  return Status::Corruption(std::string("segment block: ") + what);
+}
+
+}  // namespace segment_codec_internal
 
 void EncodeSegmentBlock(std::span<const traj::TimedSegment> segments,
                         std::vector<std::uint8_t>* out) {
@@ -73,78 +71,9 @@ void EncodeSegmentBlock(std::span<const traj::TimedSegment> segments,
 
 Result<std::vector<traj::TimedSegment>> DecodeSegmentBlock(
     std::span<const std::uint8_t> data) {
-  std::size_t pos = 0;
-  std::uint64_t runs = 0;
-  if (!GetVarint(data, &pos, &runs)) {
-    return Status::Corruption("segment block: truncated run count");
-  }
-  // Each run needs at least 2 bytes of header; each segment at least 9
-  // bytes of payload. A cheap plausibility gate before reserving.
-  if (runs > data.size()) {
-    return Status::Corruption("segment block: implausible run count");
-  }
   std::vector<traj::TimedSegment> out;
-  Chain prev;
-  std::uint64_t prev_run_id = 0;
-  for (std::uint64_t r = 0; r < runs; ++r) {
-    std::uint64_t id_delta = 0, count = 0;
-    if (!GetVarint(data, &pos, &id_delta) ||
-        !GetVarint(data, &pos, &count)) {
-      return Status::Corruption("segment block: truncated run header " +
-                                std::to_string(r));
-    }
-    if (count > data.size()) {
-      return Status::Corruption("segment block: implausible run length");
-    }
-    const traj::ObjectId id =
-        prev_run_id + static_cast<std::uint64_t>(UnZigZag(id_delta));
-    prev_run_id = id;
-    for (std::uint64_t k = 0; k < count; ++k) {
-      std::uint64_t dfirst = 0, dlast = 0;
-      std::uint64_t sx = 0, sy = 0, ex = 0, ey = 0, t0 = 0, t1 = 0;
-      if (!GetVarint(data, &pos, &dfirst) || pos >= data.size()) {
-        return Status::Corruption("segment block: truncated segment");
-      }
-      if (!GetVarint(data, &pos, &dlast) || pos >= data.size()) {
-        return Status::Corruption("segment block: truncated segment");
-      }
-      const std::uint8_t flags = data[pos++];
-      if (flags > 3) {
-        return Status::Corruption("segment block: bad patch flags");
-      }
-      if (!GetVarint(data, &pos, &sx) || !GetVarint(data, &pos, &sy) ||
-          !GetVarint(data, &pos, &ex) || !GetVarint(data, &pos, &ey) ||
-          !GetVarint(data, &pos, &t0) || !GetVarint(data, &pos, &t1)) {
-        return Status::Corruption("segment block: truncated segment fields");
-      }
-      traj::TimedSegment ts;
-      ts.object_id = id;
-      const std::uint64_t first =
-          prev.last_index + static_cast<std::uint64_t>(UnZigZag(dfirst));
-      ts.segment.first_index = static_cast<std::size_t>(first);
-      ts.segment.last_index = static_cast<std::size_t>(first + dlast);
-      ts.segment.start_is_patch = (flags & 1) != 0;
-      ts.segment.end_is_patch = (flags & 2) != 0;
-      const std::uint64_t bsx = sx ^ prev.end_x;
-      const std::uint64_t bsy = sy ^ prev.end_y;
-      const std::uint64_t bex = ex ^ bsx;
-      const std::uint64_t bey = ey ^ bsy;
-      const std::uint64_t bt0 = t0 ^ prev.t_end;
-      const std::uint64_t bt1 = t1 ^ bt0;
-      ts.segment.start = {FromBits(bsx), FromBits(bsy)};
-      ts.segment.end = {FromBits(bex), FromBits(bey)};
-      ts.t_start = FromBits(bt0);
-      ts.t_end = FromBits(bt1);
-      prev.last_index = first + dlast;
-      prev.end_x = bex;
-      prev.end_y = bey;
-      prev.t_end = bt1;
-      out.push_back(ts);
-    }
-  }
-  if (pos != data.size()) {
-    return Status::Corruption("segment block: trailing bytes");
-  }
+  OPERB_RETURN_IF_ERROR(DecodeSegmentBlock(
+      data, [&out](const traj::TimedSegment& s) { out.push_back(s); }));
   return out;
 }
 

@@ -1,8 +1,11 @@
 #include "store/block_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+
+#include "common/check.h"
 
 namespace operb::store {
 
@@ -113,17 +116,20 @@ void BlockIndex::Build(std::vector<BlockIndexEntry> entries) {
     ++height_;
   }
   root_ = level.front();
+  OPERB_CHECK(height_ <= kMaxHeight);
 }
 
 void BlockIndex::Query(const geo::BoundingBox& window, double t_min,
                        double t_max, std::vector<std::uint32_t>* ordinals,
                        std::uint64_t* nodes_visited) const {
   if (nodes_.empty() || window.IsEmpty()) return;
-  std::vector<std::uint32_t> stack;
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
+  // Depth first: each level of the current path leaves at most
+  // kFanout - 1 siblings waiting, so a fixed array holds the stack.
+  std::array<std::uint32_t, 1 + (kFanout - 1) * kMaxHeight> stack;
+  std::size_t depth = 0;
+  stack[depth++] = root_;
+  while (depth > 0) {
+    const Node& node = nodes_[stack[--depth]];
     if (nodes_visited != nullptr) ++*nodes_visited;
     if (!Overlaps(node.t_min, node.t_max, t_min, t_max) ||
         !Overlaps(node.min_x, node.max_x, window.min_x, window.max_x) ||
@@ -143,7 +149,7 @@ void BlockIndex::Query(const geo::BoundingBox& window, double t_min,
       }
     } else {
       for (std::uint32_t i = 0; i < node.count; ++i) {
-        stack.push_back(node.first + i);
+        stack[depth++] = node.first + i;
       }
     }
   }

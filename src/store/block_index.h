@@ -44,6 +44,16 @@ class BlockIndex {
   /// Node capacity (children per internal node, entries per leaf).
   static constexpr std::size_t kFanout = 8;
 
+  /// Levels of the tallest tree Build() can make: ordinals are u32, so a
+  /// tree holds at most 2^32 entries, and each level above the leaves
+  /// has kFanout times fewer nodes. Bounds Query()'s fixed-size stack.
+  static constexpr std::size_t kMaxHeight = [] {
+    std::uint64_t nodes = (std::uint64_t{1} << 32) / kFanout;  // leaves
+    std::size_t levels = 1;
+    for (; nodes > 1; nodes = (nodes + kFanout - 1) / kFanout) ++levels;
+    return levels;
+  }();
+
   /// (Re)builds the tree from `entries`. An empty vector clears it.
   void Build(std::vector<BlockIndexEntry> entries);
 
@@ -53,7 +63,8 @@ class BlockIndex {
   /// `nodes_visited` (if non-null) is incremented once per tree node
   /// whose box/interval was tested — the number the acceptance criterion
   /// compares against the flat scan's footer count. `window` must be
-  /// non-empty and already inflated by the caller.
+  /// non-empty and already inflated by the caller. Allocates nothing
+  /// beyond `ordinals`' own growth.
   void Query(const geo::BoundingBox& window, double t_min, double t_max,
              std::vector<std::uint32_t>* ordinals,
              std::uint64_t* nodes_visited) const;

@@ -187,10 +187,22 @@ void StoreReader::AdoptFile(std::unique_ptr<SegmentFileReader> file,
   files_.push_back(std::move(file));
 }
 
-Result<std::vector<traj::TimedSegment>> StoreReader::ReadBlock(
-    std::size_t ordinal) const {
-  const GlobalBlock& b = blocks_[ordinal];
-  return files_[b.file]->ReadBlock(b.block);
+template <typename Visit>
+Status StoreReader::ScanBlocks(std::span<const std::uint32_t> candidates,
+                               StoreQueryStats* stats, Visit&& visit) const {
+  std::uint32_t largest = 0;
+  for (const std::uint32_t ordinal : candidates) {
+    largest = std::max(largest, FooterOf(ordinal).payload_bytes);
+  }
+  std::vector<std::uint8_t> payload;
+  payload.reserve(largest);
+  for (const std::uint32_t ordinal : candidates) {
+    const GlobalBlock& b = blocks_[ordinal];
+    ++stats->blocks_scanned;
+    OPERB_RETURN_IF_ERROR(files_[b.file]->ScanBlock(b.block, &payload, visit));
+    stats->segments_scanned += FooterOf(ordinal).segment_count;
+  }
+  return Status::OK();
 }
 
 Result<std::vector<traj::TimedSegment>> StoreReader::ReconstructObject(
@@ -200,30 +212,29 @@ Result<std::vector<traj::TimedSegment>> StoreReader::ReconstructObject(
   StoreQueryStats local;
   local.blocks_total = blocks_.size();
   local.open_retries = open_info_.open_retries;
-  std::vector<traj::TimedSegment> out;
   // The shard partition prunes every other shard's blocks without a
   // footer test — they count as skipped, keeping the invariant
   // skipped + scanned == total.
-  const std::vector<std::uint32_t>& candidates =
+  const std::vector<std::uint32_t>& shard =
       shard_blocks_[traj::ShardOfObject(object_id, shard_blocks_.size())];
-  for (const std::uint32_t ordinal : candidates) {
+  std::vector<std::uint32_t> candidates;
+  candidates.reserve(shard.size());
+  for (const std::uint32_t ordinal : shard) {
     const BlockFooter& f = FooterOf(ordinal);
-    if (object_id < f.object_min || object_id > f.object_max ||
-        !IntervalsOverlap(f.t_min, f.t_max, t_min, t_max)) {
-      continue;
-    }
-    ++local.blocks_scanned;
-    OPERB_ASSIGN_OR_RETURN(const std::vector<traj::TimedSegment> segments,
-                           ReadBlock(ordinal));
-    local.segments_scanned += segments.size();
-    for (const traj::TimedSegment& s : segments) {
-      if (s.object_id == object_id &&
-          IntervalsOverlap(s.t_start, s.t_end, t_min, t_max)) {
-        out.push_back(s);
-        ++local.segments_matched;
-      }
+    if (object_id >= f.object_min && object_id <= f.object_max &&
+        IntervalsOverlap(f.t_min, f.t_max, t_min, t_max)) {
+      candidates.push_back(ordinal);
     }
   }
+  std::vector<traj::TimedSegment> out;
+  OPERB_RETURN_IF_ERROR(
+      ScanBlocks(candidates, &local, [&](const traj::TimedSegment& s) {
+        if (s.object_id == object_id &&
+            IntervalsOverlap(s.t_start, s.t_end, t_min, t_max)) {
+          out.push_back(s);
+        }
+      }));
+  local.segments_matched = out.size();
   local.blocks_skipped = local.blocks_total - local.blocks_scanned;
   FoldQueryStats(local);
   if (stats != nullptr) *stats = local;
@@ -253,7 +264,10 @@ Result<std::vector<traj::TimedSegment>> StoreReader::QueryWindow(
   // Candidate selection: the R-tree and the flat footer scan apply the
   // same block-level predicates, so they select the same candidates —
   // the flat mode is the oracle the indexed mode is verified against.
+  // Reserving every block up front makes the list one allocation
+  // however many blocks the window admits.
   std::vector<std::uint32_t> candidates;
+  candidates.reserve(blocks_.size());
   if (mode == ScanMode::kIndexed && !index_.empty()) {
     index_.Query(inflated, t_min, t_max, &candidates,
                  &local.index_nodes_visited);
@@ -269,18 +283,13 @@ Result<std::vector<traj::TimedSegment>> StoreReader::QueryWindow(
     }
   }
 
-  for (const std::uint32_t ordinal : candidates) {
-    ++local.blocks_scanned;
-    OPERB_ASSIGN_OR_RETURN(const std::vector<traj::TimedSegment> segments,
-                           ReadBlock(ordinal));
-    local.segments_scanned += segments.size();
-    for (const traj::TimedSegment& s : segments) {
-      if (SegmentMatchesWindow(s, inflated, t_min, t_max)) {
-        out.push_back(s);
-        ++local.segments_matched;
-      }
-    }
-  }
+  OPERB_RETURN_IF_ERROR(
+      ScanBlocks(candidates, &local, [&](const traj::TimedSegment& s) {
+        if (SegmentMatchesWindow(s, inflated, t_min, t_max)) {
+          out.push_back(s);
+        }
+      }));
+  local.segments_matched = out.size();
   local.blocks_skipped = local.blocks_total - local.blocks_scanned;
 
   // Canonical result order: ascending object id, each object's segments

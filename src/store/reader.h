@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,13 @@ struct StoreQueryStats {
 ///
 /// Queries prune blocks whose footer metadata cannot match and decode
 /// only the survivors; a block's payload checksum is verified every
-/// time a query reads it. Per-object queries additionally prune
+/// time a query reads it. A query reads its surviving blocks into one
+/// payload buffer of its own, sized once for the largest, and decodes
+/// each block segment by segment straight into its filter, so only
+/// matching segments are copied into the answer and what a query
+/// allocates does not grow with the blocks it reads (DESIGN.md §8). A
+/// fault in any block it reads fails the whole query: the caller gets
+/// the Status and no partial answer. Per-object queries additionally prune
 /// whole shards: only the object's own shard (traj::ShardOfObject) is
 /// consulted. Window queries descend the R-tree by default; the flat
 /// footer scan remains available as the verification oracle
@@ -92,7 +99,8 @@ struct StoreQueryStats {
 /// emission order) — which is also why results are byte-identical
 /// across shard counts and before/after compaction.
 ///
-/// Queries are thread-safe (blocks are read with pread, no lock).
+/// Queries are thread-safe: blocks are read with pread into the
+/// calling query's own buffer, with no lock and no shared scratch.
 class StoreReader {
  public:
   /// Opens and index-scans the store directory at `path`. IOError when
@@ -191,9 +199,13 @@ class StoreReader {
         .footer;
   }
 
-  /// Reads, checksum-verifies and decodes block `ordinal`'s payload.
-  Result<std::vector<traj::TimedSegment>> ReadBlock(
-      std::size_t ordinal) const;
+  /// Scans the blocks `candidates` names, in that order, through
+  /// SegmentFileReader::ScanBlock into `visit`, reading every payload
+  /// into one buffer sized once for the largest of them. Counts the
+  /// blocks and segments it reads into `stats`.
+  template <typename Visit>
+  Status ScanBlocks(std::span<const std::uint32_t> candidates,
+                    StoreQueryStats* stats, Visit&& visit) const;
 
   double zeta_ = 0.0;
   std::uint64_t segment_count_ = 0;

@@ -357,23 +357,33 @@ SegmentFileReader::~SegmentFileReader() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<std::vector<traj::TimedSegment>> SegmentFileReader::ReadBlock(
-    std::size_t i) const {
+Status SegmentFileReader::ReadPayload(
+    std::size_t i, std::vector<std::uint8_t>* payload) const {
   const BlockRef& ref = blocks_[i];
-  std::vector<std::uint8_t> payload(ref.footer.payload_bytes);
-  if (!PreadFull(fd_, payload.data(), payload.size(), ref.payload_offset)) {
+  payload->resize(ref.footer.payload_bytes);
+  if (!PreadFull(fd_, payload->data(), payload->size(), ref.payload_offset)) {
     return Status::IOError("cannot read store block from " + path_);
   }
-  if (BlockChecksum(payload, ref.footer) != ref.footer.checksum) {
+  if (BlockChecksum(*payload, ref.footer) != ref.footer.checksum) {
     return Status::Corruption("store block " + std::to_string(i) +
                               " checksum mismatch in " + path_);
   }
-  OPERB_ASSIGN_OR_RETURN(std::vector<traj::TimedSegment> segments,
-                         codec::DecodeSegmentBlock(payload));
-  if (segments.size() != ref.footer.segment_count) {
-    return Status::Corruption("store block " + std::to_string(i) +
-                              " segment count mismatch in " + path_);
-  }
+  return Status::OK();
+}
+
+Status SegmentFileReader::SegmentCountMismatch(std::size_t i) const {
+  return Status::Corruption("store block " + std::to_string(i) +
+                            " segment count mismatch in " + path_);
+}
+
+Result<std::vector<traj::TimedSegment>> SegmentFileReader::ReadBlock(
+    std::size_t i) const {
+  std::vector<std::uint8_t> payload;
+  std::vector<traj::TimedSegment> segments;
+  OPERB_RETURN_IF_ERROR(
+      ScanBlock(i, &payload, [&segments](const traj::TimedSegment& s) {
+        segments.push_back(s);
+      }));
   return segments;
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/segment_codec.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "store/env.h"
@@ -171,10 +172,11 @@ class SegmentFileWriter {
 /// footer magic, footer-checksum mismatch, length-prefix/footer
 /// disagreement, inverted ranges) is Corruption — dropping it would
 /// silently lose committed data. Payload checksums are verified by
-/// ReadBlock(), on every read.
+/// ScanBlock(), on every read.
 ///
-/// ReadBlock() is thread-safe: it reads with pread at the block's
-/// offset, so concurrent reads share the descriptor without a lock.
+/// ScanBlock() and ReadBlock() are thread-safe: they read with pread at
+/// the block's offset, so concurrent reads share the descriptor without
+/// a lock, and every read lands in a buffer the caller owns.
 class SegmentFileReader {
  public:
   /// Opens and footer-scans `path`. IOError when unreadable, Corruption
@@ -197,11 +199,44 @@ class SegmentFileReader {
   /// Total file bytes the open scan saw.
   std::uint64_t file_bytes() const { return file_bytes_; }
 
-  /// Reads, checksum-verifies and decodes block `i`'s payload.
+  /// The read primitive: preads block `i`'s payload into `*payload`
+  /// (resized to fit; its capacity is reused, so a caller that passes
+  /// the same buffer for every block of a query allocates at most once),
+  /// verifies its checksum, and decodes it segment by segment into
+  /// `visit(const traj::TimedSegment&)`. IOError when the read fails;
+  /// Corruption on a checksum mismatch, any codec::DecodeSegmentBlock
+  /// verdict, or a decoded segment count that disagrees with the footer.
+  /// The visitor may have seen segments before a fault was found, so a
+  /// caller must drop what it gathered when this fails.
+  template <typename Visit>
+  Status ScanBlock(std::size_t i, std::vector<std::uint8_t>* payload,
+                   Visit&& visit) const {
+    OPERB_RETURN_IF_ERROR(ReadPayload(i, payload));
+    std::uint64_t decoded = 0;
+    OPERB_RETURN_IF_ERROR(codec::DecodeSegmentBlock(
+        *payload, [&](const traj::TimedSegment& s) {
+          ++decoded;
+          visit(s);
+        }));
+    if (decoded != blocks_[i].footer.segment_count) {
+      return SegmentCountMismatch(i);
+    }
+    return Status::OK();
+  }
+
+  /// Block `i`'s segments as a vector: ScanBlock into a fresh buffer,
+  /// for callers that want a whole block (the compactor, tests).
   Result<std::vector<traj::TimedSegment>> ReadBlock(std::size_t i) const;
 
  private:
   SegmentFileReader() = default;
+
+  /// ScanBlock's read half: pread and checksum check.
+  Status ReadPayload(std::size_t i, std::vector<std::uint8_t>* payload) const;
+
+  /// ScanBlock's verdict when block `i`'s decoded segments do not number
+  /// its footer's segment_count.
+  Status SegmentCountMismatch(std::size_t i) const;
 
   std::string path_;
   double zeta_ = 0.0;

@@ -1,13 +1,16 @@
 // Proves the sink path's zero-allocation claim: with a sink installed,
 // steady-state Push performs no heap allocation per point, for OPERB and
 // OPERB-A alike, alone and inside the streaming engine. Also checks that
-// ParseCsv allocates nothing but its output. The whole
+// ParseCsv allocates nothing but its output, and that store queries
+// allocate per query, not per block they read. The whole
 // binary's global operator new/delete are replaced by counting
 // forwarders; counting is switched on only around the measured Push
 // loop, so test-framework allocations don't pollute the numbers.
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <limits>
 #include <new>
 #include <span>
 #include <string>
@@ -21,7 +24,10 @@
 #include "datagen/profiles.h"
 #include "datagen/rng.h"
 #include "engine/stream_engine.h"
+#include "geo/bbox.h"
 #include "obs/metrics.h"
+#include "store/reader.h"
+#include "store/writer.h"
 #include "traj/io.h"
 #include "traj/multi_object.h"
 #include "traj/trajectory.h"
@@ -61,10 +67,30 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms too (std::stable_sort's scratch buffer uses them):
+// where a sanitizer supplies its own, an unreplaced one would hand the
+// replaced delete memory malloc never gave out.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { FreeOutOfLine(p); }
 void operator delete[](void* p) noexcept { FreeOutOfLine(p); }
 void operator delete(void* p, std::size_t) noexcept { FreeOutOfLine(p); }
 void operator delete[](void* p, std::size_t) noexcept { FreeOutOfLine(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  FreeOutOfLine(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  FreeOutOfLine(p);
+}
 
 namespace operb {
 namespace {
@@ -442,6 +468,113 @@ TEST(AllocationTest, ParseCsvAllocatesOnlyItsOutput) {
   }
   EXPECT_EQ(allocations, 1u);
   EXPECT_EQ(rows, t.size());
+}
+
+/// Store queries read every admitted block into one payload buffer per
+/// query and decode it straight into the query's filter, so what a
+/// query allocates follows its answer, not the number of blocks it
+/// reads. The store holds a 32 x 32 grid of objects 1 km apart. Each
+/// object lives alone in its own 100 s time slot, and both its id and
+/// its slot are shuffled against its place, so a block (a few
+/// neighbouring objects) spans a wide id range and a long time.
+TEST(AllocationTest, StoreQueriesAllocatePerQueryNotPerBlock) {
+  constexpr std::size_t kSide = 32;
+  constexpr std::size_t kObjects = kSide * kSide;
+  constexpr std::size_t kSegments = 8;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto slot_of = [](std::size_t cell) { return (cell * 577) % kObjects; };
+  const auto id_of = [](std::size_t cell) { return (cell * 389) % kObjects; };
+  const std::string path =
+      testing::TempDir() + "/allocation_store_queries.store";
+  std::filesystem::remove_all(path);
+  {
+    store::StoreWriterOptions options;
+    options.zeta = 1.0;
+    options.num_shards = 1;
+    options.block_budget_bytes = 1024;
+    auto writer = store::StoreWriter::Create(path, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (std::size_t cell = 0; cell < kObjects; ++cell) {
+      const double x0 = 1000.0 * static_cast<double>(cell % kSide);
+      const double y0 = 1000.0 * static_cast<double>(cell / kSide);
+      const double t0 = 100.0 * static_cast<double>(slot_of(cell));
+      for (std::size_t j = 0; j < kSegments; ++j) {
+        traj::TimedSegment s;
+        s.object_id = id_of(cell);
+        s.segment.first_index = 3 * j;
+        s.segment.last_index = 3 * j + 3;
+        s.segment.start = {x0 + 10.0 * j, y0 + 0.5 * j};
+        s.segment.end = {x0 + 10.0 * (j + 1), y0 + 0.5 * (j + 1)};
+        s.t_start = t0 + 10.0 * j;
+        s.t_end = t0 + 10.0 * (j + 1);
+        ASSERT_TRUE(writer.value()->Append(s).ok());
+      }
+    }
+    ASSERT_TRUE(writer.value()->Close().ok());
+  }
+  auto opened = store::StoreReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const store::StoreReader& reader = *opened.value();
+
+  // The target object sits mid-grid; t lies inside its fourth segment
+  // and inside no other object's life.
+  const std::size_t cell = kSide * (kSide / 2) + kSide / 2;
+  const double x = 1000.0 * static_cast<double>(cell % kSide) + 35.0;
+  const double y = 1000.0 * static_cast<double>(cell / kSide) + 1.75;
+  const double t = 100.0 * static_cast<double>(slot_of(cell)) + 35.0;
+  geo::BoundingBox everywhere;
+  everywhere.Extend(geo::Vec2{-1e6, -1e6});
+  everywhere.Extend(geo::Vec2{1e6, 1e6});
+  geo::BoundingBox nearby;
+  nearby.Extend(geo::Vec2{x - 1.0, y - 1.0});
+  nearby.Extend(geo::Vec2{x + 1.0, y + 1.0});
+
+  struct Measured {
+    std::size_t allocations = 0;
+    std::size_t segments = 0;
+    std::uint64_t blocks_scanned = 0;
+  };
+  const auto measure = [](auto query) {
+    Measured m;
+    store::StoreQueryStats stats;
+    query(&stats);  // warm: first-use statics, registry instruments
+    {
+      CountingScope scope;
+      const auto answer = query(&stats);
+      m.allocations = scope.count();
+      m.segments = answer.ok() ? answer->size() : 0;
+    }
+    m.blocks_scanned = stats.blocks_scanned;
+    return m;
+  };
+  const Measured wide = measure([&](store::StoreQueryStats* stats) {
+    return reader.QueryWindow(everywhere, t, t, stats);
+  });
+  const Measured narrow = measure([&](store::StoreQueryStats* stats) {
+    return reader.QueryWindow(nearby, t, t, stats);
+  });
+  ASSERT_GE(wide.blocks_scanned, 32u);
+  ASSERT_LE(narrow.blocks_scanned, 2u);
+  ASSERT_EQ(wide.segments, 1u);
+  ASSERT_EQ(narrow.segments, 1u);
+  EXPECT_EQ(wide.allocations, narrow.allocations)
+      << wide.blocks_scanned << " blocks against " << narrow.blocks_scanned;
+
+  // Lookups: a middle id falls inside almost every block's id range,
+  // the smallest id inside only its own block's.
+  const Measured middle = measure([&](store::StoreQueryStats* stats) {
+    return reader.ReconstructObject(kObjects / 2, -kInf, kInf, stats);
+  });
+  const Measured first = measure([&](store::StoreQueryStats* stats) {
+    return reader.ReconstructObject(0, -kInf, kInf, stats);
+  });
+  ASSERT_GE(middle.blocks_scanned, 32u);
+  ASSERT_LE(first.blocks_scanned, 2u);
+  ASSERT_EQ(middle.segments, kSegments);
+  ASSERT_EQ(first.segments, kSegments);
+  EXPECT_EQ(middle.allocations, first.allocations)
+      << middle.blocks_scanned << " blocks against " << first.blocks_scanned;
+  std::filesystem::remove_all(path);
 }
 
 /// Contrast check: the buffered path must still work (and will allocate),

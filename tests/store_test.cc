@@ -481,6 +481,148 @@ TEST(StoreTest, CorruptPayloadSurfacesAsCorruptionOnRead) {
             StatusCode::kCorruption);
 }
 
+/// One block frame of a segment file, split out for surgery.
+struct Frame {
+  std::size_t payload_at = 0;  ///< file offset of the payload
+  std::vector<std::uint8_t> payload;
+  store::BlockFooter footer;
+};
+
+/// The block frames of segment-file bytes, in file order.
+std::vector<Frame> SplitFrames(const std::string& file) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(file.data());
+  std::vector<Frame> frames;
+  std::size_t pos = store::kFileHeaderBytes;
+  while (pos + 4 <= file.size()) {
+    Frame f;
+    const std::uint32_t len = static_cast<std::uint32_t>(bytes[pos]) |
+                              static_cast<std::uint32_t>(bytes[pos + 1]) << 8 |
+                              static_cast<std::uint32_t>(bytes[pos + 2]) << 16 |
+                              static_cast<std::uint32_t>(bytes[pos + 3]) << 24;
+    f.payload_at = pos + 4;
+    f.payload.assign(bytes + f.payload_at, bytes + f.payload_at + len);
+    auto footer = store::DecodeFooter(std::span<const std::uint8_t>(
+        bytes + f.payload_at + len, store::kBlockFooterBytes));
+    EXPECT_TRUE(footer.ok()) << footer.status().ToString();
+    if (!footer.ok()) break;
+    f.footer = *footer;
+    frames.push_back(std::move(f));
+    pos += 4 + len + store::kBlockFooterBytes;
+  }
+  return frames;
+}
+
+/// Segment-file bytes: `file`'s header, then `frames`, each with its
+/// length, payload checksum and footer checksum recomputed, so the file
+/// passes every check short of decoding the payloads.
+std::string JoinFrames(const std::string& file, std::vector<Frame> frames) {
+  std::vector<std::uint8_t> out(file.begin(),
+                                file.begin() + store::kFileHeaderBytes);
+  for (Frame& f : frames) {
+    f.footer.payload_bytes = static_cast<std::uint32_t>(f.payload.size());
+    f.footer.checksum = store::BlockChecksum(f.payload, f.footer);
+    f.footer.footer_checksum = store::FooterChecksum(f.footer);
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(f.footer.payload_bytes >> (8 * i)));
+    }
+    out.insert(out.end(), f.payload.begin(), f.payload.end());
+    store::EncodeFooter(f.footer, &out);
+  }
+  return std::string(out.begin(), out.end());
+}
+
+TEST(StoreTest, CorruptBlockMidAnswerFailsTheWholeQuery) {
+  // One object over many small blocks; the middle one is damaged in
+  // each way a read can detect. Every query whose answer runs through
+  // it must fail whole, even after earlier blocks have matched.
+  const std::string path = TempPath("store_corrupt_mid.store");
+  const traj::Trajectory t =
+      testutil::Generated(datagen::DatasetKind::kSerCar, 3000, 17);
+  const std::vector<traj::TimedSegment> all =
+      SimplifyTimed(t, baselines::Algorithm::kOPERB, 5);
+  { WriteAndOpen(path, all, /*block_budget=*/1024); }
+  const std::string segment = OnlySegmentFile(path);
+  const std::string original = ReadFileBytes(segment);
+  const std::vector<Frame> frames = SplitFrames(original);
+  ASSERT_GE(frames.size(), 3u) << "fixture too small to form 3 blocks";
+  ASSERT_EQ(JoinFrames(original, frames), original);
+  const std::size_t mid = frames.size() / 2;
+  // The middle block's first instant: PositionAt there finds its answer
+  // at the end of the block before, and must still read the middle one.
+  const double t_mid = frames[mid].footer.t_min;
+  ASSERT_EQ(frames[mid - 1].footer.t_max, t_mid);
+
+  geo::BoundingBox everywhere;
+  everywhere.Extend(geo::Vec2{-1e9, -1e9});
+  everywhere.Extend(geo::Vec2{1e9, 1e9});
+  const auto expect_all_fail = [&](const std::string& damaged,
+                                   const std::string& label) {
+    WriteFileBytes(segment, damaged);
+    const auto reader = store::StoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << label << ": " << reader.status().ToString();
+    const store::StoreReader& r = *reader.value();
+    for (const store::ScanMode mode :
+         {store::ScanMode::kIndexed, store::ScanMode::kFlatScan}) {
+      EXPECT_EQ(r.QueryWindow(everywhere, -kInf, kInf, nullptr, mode)
+                    .status()
+                    .code(),
+                StatusCode::kCorruption)
+          << label << " window, mode " << static_cast<int>(mode);
+    }
+    EXPECT_EQ(r.ReconstructObject(5).status().code(),
+              StatusCode::kCorruption)
+        << label << " reconstruct";
+    EXPECT_EQ(r.PositionAt(5, t_mid).status().code(),
+              StatusCode::kCorruption)
+        << label << " position";
+  };
+
+  {
+    // Intact, the same queries answer.
+    const auto reader = store::StoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_TRUE(reader.value()->QueryWindow(everywhere).ok());
+    const auto full = reader.value()->ReconstructObject(5);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ExpectTimedEqual(*full, all, "intact");
+    EXPECT_TRUE(reader.value()->PositionAt(5, t_mid).ok());
+  }
+  {
+    // A flipped payload byte: the payload checksum no longer holds.
+    std::string damaged = original;
+    damaged[frames[mid].payload_at + frames[mid].payload.size() / 2] ^= 0x40;
+    expect_all_fail(damaged, "flipped byte");
+  }
+  {
+    // A bad patch flag behind a valid checksum: the decoder's verdict.
+    // The first segment's flag byte follows five varints: the run count,
+    // the run's id delta and length, and the segment's two index deltas.
+    std::vector<Frame> bad = frames;
+    const std::span<const std::uint8_t> payload(bad[mid].payload);
+    std::size_t pos = 0;
+    for (int field = 0; field < 5; ++field) {
+      std::uint64_t ignored = 0;
+      ASSERT_TRUE(codec::GetVarint(payload, &pos, &ignored));
+    }
+    ASSERT_LE(bad[mid].payload[pos], 3);
+    bad[mid].payload[pos] = 4;
+    expect_all_fail(JoinFrames(original, bad), "bad patch flag");
+  }
+  {
+    // A trailing byte behind a valid checksum.
+    std::vector<Frame> bad = frames;
+    bad[mid].payload.push_back(0);
+    expect_all_fail(JoinFrames(original, bad), "trailing byte");
+  }
+  {
+    // A footer whose segment count disagrees with its payload.
+    std::vector<Frame> bad = frames;
+    ++bad[mid].footer.segment_count;
+    expect_all_fail(JoinFrames(original, bad), "segment count");
+  }
+  WriteFileBytes(segment, original);
+}
+
 TEST(StoreTest, InvertedFooterRangesFailOpenWithStatus) {
   // A hand-crafted block whose checksums are internally consistent but
   // whose id range is inverted: the open scan must answer Corruption
@@ -1935,6 +2077,98 @@ TEST(StoreLayoutTest, FleetAnswersMatchBruteForceAndBlocksClusterByPlace) {
   EXPECT_GT(matched, 0u);
   // Footer boxes, not just time, do the skipping.
   EXPECT_LT(scanned * 4, total);
+}
+
+TEST(StoreQueryApiTest, ConcurrentQueriesMatchSerialAnswers) {
+  // Four threads share one reader. Each query reads its blocks into a
+  // buffer of its own, so concurrent answers equal the serial ones.
+  const std::string path = TempPath("store_concurrent_queries.store");
+  const std::vector<traj::TimedSegment> feed = FleetFeed(200, 30, 77);
+  WriteFeed(path, feed, /*num_shards=*/2, /*block_budget=*/1024);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto opened = store::StoreReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const store::StoreReader& reader = *opened.value();
+  ASSERT_GE(reader.block_count(), 16u);
+
+  // Mixed queries, each answered as a flat list of field bit patterns.
+  datagen::Rng rng(5);
+  std::vector<std::function<std::vector<std::uint64_t>()>> queries;
+  const auto flatten =
+      [](const Result<std::vector<traj::TimedSegment>>& r) {
+        std::vector<std::uint64_t> out;
+        if (!r.ok()) return std::vector<std::uint64_t>{~0ULL};
+        for (const traj::TimedSegment& s : *r) {
+          out.insert(out.end(),
+                     {s.object_id, s.segment.first_index,
+                      s.segment.last_index,
+                      std::bit_cast<std::uint64_t>(s.segment.start.x),
+                      std::bit_cast<std::uint64_t>(s.segment.start.y),
+                      std::bit_cast<std::uint64_t>(s.segment.end.x),
+                      std::bit_cast<std::uint64_t>(s.segment.end.y),
+                      std::bit_cast<std::uint64_t>(s.t_start),
+                      std::bit_cast<std::uint64_t>(s.t_end)});
+        }
+        return out;
+      };
+  for (int q = 0; q < 48; ++q) {
+    const traj::TimedSegment& probe = feed[rng.NextBelow(feed.size())];
+    const double half = rng.Uniform(200.0, 5000.0);
+    geo::BoundingBox window;
+    window.Extend(geo::Vec2{probe.segment.start.x - half,
+                            probe.segment.start.y - half});
+    window.Extend(geo::Vec2{probe.segment.start.x + half,
+                            probe.segment.start.y + half});
+    const double t = probe.t_start;
+    switch (q % 4) {
+      case 0:
+        queries.push_back([&, window, t] {
+          return flatten(reader.QueryWindow(window, t - 300.0, t + 300.0));
+        });
+        break;
+      case 1:
+        queries.push_back([&, window] {
+          return flatten(reader.QueryWindow(window, -kInf, kInf, nullptr,
+                                            store::ScanMode::kFlatScan));
+        });
+        break;
+      case 2:
+        queries.push_back([&, id = probe.object_id, t] {
+          return flatten(reader.ReconstructObject(id, t, t + 600.0));
+        });
+        break;
+      default:
+        queries.push_back([&, id = probe.object_id, t] {
+          const Result<geo::Point> p = reader.PositionAt(id, t);
+          if (!p.ok()) return std::vector<std::uint64_t>{~0ULL};
+          return std::vector<std::uint64_t>{std::bit_cast<std::uint64_t>(p->x),
+                                            std::bit_cast<std::uint64_t>(p->y),
+                                            std::bit_cast<std::uint64_t>(p->t)};
+        });
+    }
+  }
+  std::vector<std::vector<std::uint64_t>> serial;
+  for (const auto& query : queries) serial.push_back(query());
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < 4; ++k) {
+    threads.emplace_back([&, k] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const std::size_t q = (i + k * queries.size() / 4) % queries.size();
+          if (queries[q]() != serial[q]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  std::size_t answered = 0;
+  for (const auto& answer : serial) {
+    answered += answer.empty() || answer.front() != ~0ULL ? 1 : 0;
+  }
+  EXPECT_GE(answered, queries.size() / 2);
 }
 
 TEST(StoreLayoutTest, ObjectLongerThanASealKeepsItsOrder) {
