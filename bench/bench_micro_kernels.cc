@@ -96,18 +96,6 @@ void BM_FittingActivate(benchmark::State& state) {
 }
 BENCHMARK(BM_FittingActivate);
 
-void BM_OperbStreamPush(benchmark::State& state) {
-  const auto t = BenchTrajectory(20000);
-  for (auto _ : state) {
-    core::OperbStream stream(core::OperbOptions::Optimized(40.0));
-    for (const geo::Point& p : t) stream.Push(p);
-    stream.Finish();
-    benchmark::DoNotOptimize(stream.emitted().size());
-  }
-  state.SetItemsProcessed(state.iterations() * t.size());
-}
-BENCHMARK(BM_OperbStreamPush);
-
 /// Zero-allocation emission: segments go straight to a counting sink.
 void BM_OperbStreamPushSink(benchmark::State& state) {
   const auto t = BenchTrajectory(20000);

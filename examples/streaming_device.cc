@@ -60,23 +60,19 @@ int main() {
 
   core::OperbAStream compressor(core::OperbAOptions::Optimized(40.0));
 
+  // The sink runs the moment a segment is determined. In a real device
+  // this is the network send; a segment costs one point (its start — the
+  // previous segment supplied the shared end) and its two times.
   std::size_t transmitted_segments = 0;
+  compressor.SetSink([&transmitted_segments](const traj::RepresentedSegment&) {
+    ++transmitted_segments;
+  });
   for (const geo::Point& raw_fix : sensor_stream) {
     const auto clean_fix = cleaner.Push(raw_fix);
     if (!clean_fix.has_value()) continue;  // dropped by the cleaner
     compressor.Push(*clean_fix);
-    for (const traj::RepresentedSegment& segment : compressor.TakeEmitted()) {
-      // In a real device this is the network send; a segment costs one
-      // point (its start — the previous segment supplied the shared end).
-      ++transmitted_segments;
-      (void)segment;
-    }
   }
   compressor.Finish();
-  for (const traj::RepresentedSegment& segment : compressor.TakeEmitted()) {
-    ++transmitted_segments;
-    (void)segment;
-  }
 
   const traj::CleanerStats& cs = cleaner.stats();
   const core::OperbAStats stats = compressor.stats();

@@ -49,7 +49,7 @@ using FreeFunction = traj::PiecewiseRepresentation (*)(const traj::Trajectory&,
 // FNV-1a64 over everything from the magic (see StreamingSimplifier).
 // ---------------------------------------------------------------------
 
-constexpr std::uint8_t kStateVersion = 1;
+constexpr std::uint8_t kStateVersion = 2;
 constexpr std::uint32_t kOperbStateMagic = 0x5342'504Fu;     // "OPBS"
 constexpr std::uint32_t kOperbAStateMagic = 0x5341'504Fu;    // "OPAS"
 constexpr std::uint32_t kBufferedStateMagic = 0x5346'5542u;  // "BUFS"

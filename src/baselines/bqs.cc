@@ -153,6 +153,8 @@ traj::PiecewiseRepresentation RunBqs(const traj::Trajectory& trajectory,
     s.end = trajectory[hi].pos();
     s.first_index = lo;
     s.last_index = hi;
+    s.t_start = trajectory[lo].t;
+    s.t_end = trajectory[hi].t;
     out.Append(s);
   };
 

@@ -37,6 +37,8 @@ traj::RepresentedSegment MakeSegment(const traj::Trajectory& t,
   s.end = t[last].pos();
   s.first_index = first;
   s.last_index = last;
+  s.t_start = t[first].t;
+  s.t_end = t[last].t;
   return s;
 }
 

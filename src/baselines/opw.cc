@@ -44,6 +44,8 @@ traj::PiecewiseRepresentation SimplifyOpw(const traj::Trajectory& trajectory,
     s.end = trajectory[last].pos();
     s.first_index = first;
     s.last_index = last;
+    s.t_start = trajectory[first].t;
+    s.t_end = trajectory[last].t;
     out.Append(s);
     first = last;
     last = first + 1;
@@ -53,6 +55,8 @@ traj::PiecewiseRepresentation SimplifyOpw(const traj::Trajectory& trajectory,
   s.end = trajectory[n - 1].pos();
   s.first_index = first;
   s.last_index = n - 1;
+  s.t_start = trajectory[first].t;
+  s.t_end = trajectory[n - 1].t;
   out.Append(s);
   return out;
 }

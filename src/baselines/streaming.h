@@ -24,8 +24,10 @@ namespace operb::baselines {
 ///    first Push(). The sink survives Reset(), so a pooled state is wired
 ///    up exactly once.
 ///  - Push()/Finish() produce the same segment sequence as the matching
-///    Simplifier::Simplify() on the same points — bit-identical, which is
-///    what makes the engine testable against tests/golden/.
+///    Simplifier::Simplify() on the same points — bit-identical, times
+///    included (each segment carries the times of the points at its two
+///    indices, which is all the engine needs to time it), which is what
+///    makes the engine testable against tests/golden/.
 ///  - Reset() returns the state to "fresh trajectory" condition while
 ///    keeping its buffers' capacity, so pooled reuse performs no heap
 ///    allocation (asserted by allocation_test for the one-pass family).

@@ -54,7 +54,8 @@ void EncodeSegmentBlock(std::span<const traj::TimedSegment> segments,
 /// visitor may already have seen the segments before the fault, so a
 /// caller must drop what it gathered when this fails. On success the
 /// visited segments reproduce the encoder's input exactly (ids, indices,
-/// flags, coordinates, times).
+/// flags, coordinates, times); the record's times are written both to
+/// the TimedSegment and to its `segment`, so the two never disagree.
 template <typename Visit>
 Status DecodeSegmentBlock(std::span<const std::uint8_t> data, Visit&& visit);
 
@@ -141,6 +142,8 @@ Status DecodeSegmentBlock(std::span<const std::uint8_t> data, Visit&& visit) {
                         std::bit_cast<double>(bey)};
       ts.t_start = std::bit_cast<double>(bt0);
       ts.t_end = std::bit_cast<double>(bt1);
+      ts.segment.t_start = ts.t_start;
+      ts.segment.t_end = ts.t_end;
       prev.last_index = first + dlast;
       prev.end_x = bex;
       prev.end_y = bey;

@@ -27,34 +27,11 @@ void OperbStream::SetSink(traj::SegmentSink sink) {
   sink_ = std::move(sink);
 }
 
-std::vector<traj::RepresentedSegment> OperbStream::TakeEmitted() {
-  std::vector<traj::RepresentedSegment> out;
-  out.swap(emitted_);
-  last_take_size_ = out.size();
-  return out;
-}
-
-void OperbStream::TakeEmitted(std::vector<traj::RepresentedSegment>* out) {
-  out->clear();
-  out->swap(emitted_);  // emitted_ inherits the caller's old capacity
-  last_take_size_ = out->size();
-}
-
 void OperbStream::Emit(const traj::RepresentedSegment& s) {
-  last_emitted_ = s;
-  any_emitted_ = true;
+  last_segment_ = s;
+  any_segment_ = true;
   ++stats_.segments_emitted;
-  if (sink_) {
-    sink_(s);
-    return;
-  }
-  if (emitted_.capacity() == 0) {
-    // First growth (or a TakeEmitted() that moved the storage out): size
-    // from the emission history instead of libstdc++'s 1-element start — a
-    // polling caller tends to repeat batches of ~last_take_size_ segments.
-    emitted_.reserve(std::max<std::size_t>(8, last_take_size_));
-  }
-  emitted_.push_back(s);
+  if (sink_) sink_(s);
 }
 
 void OperbStream::Push(const geo::Point& p) {
@@ -67,12 +44,13 @@ void OperbStream::Push(const geo::Point& p) {
 
   if (mode_ == Mode::kIdle) {
     // The very first point anchors the first segment.
-    StartSegment(pos, idx, /*detached=*/false);
+    StartSegment(pos, idx, p.t, /*detached=*/false);
     covered_index_ = idx;
+    covered_time_ = p.t;
     mode_ = Mode::kSeek;
     return;
   }
-  ProcessPoint(pos, idx);
+  ProcessPoint(pos, idx, p.t);
 }
 
 void OperbStream::Push(std::span<const geo::Point> points) {
@@ -118,6 +96,7 @@ void OperbStream::ConsumeRun(std::span<const geo::Point> run) {
   last_index_ = next_index_ - 1;
   last_pos_ = run.back().pos();
   covered_index_ = last_index_;
+  covered_time_ = run.back().t;
 }
 
 std::size_t OperbStream::AbsorbRun(std::span<const geo::Point> points) {
@@ -130,7 +109,8 @@ std::size_t OperbStream::AbsorbRun(std::span<const geo::Point> points) {
   if (k == 0) return 0;
   ConsumeRun(points.first(k));
   stats_.points_absorbed += k;
-  pending_.last_index = last_index_;
+  pending_.last_index = covered_index_;
+  pending_.t_end = covered_time_;
   return k;
 }
 
@@ -189,7 +169,7 @@ bool OperbStream::DistanceOk(double offset) const {
   return std::fabs(offset) <= options_.zeta / 2.0;
 }
 
-void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
+void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx, double t) {
   // A point may be re-dispatched once: when it breaks the current segment
   // it continues against the freshly started one (still O(1) per point).
   for (int pass = 0; pass < 3; ++pass) {
@@ -201,7 +181,9 @@ void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
             geo::PointToLineDistanceDir(pos, pending_.start, pending_unit_);
         if (options_.opt_absorb && d <= options_.zeta) {
           pending_.last_index = idx;
+          pending_.t_end = t;
           covered_index_ = idx;
+          covered_time_ = t;
           ++stats_.points_absorbed;
           return;
         }
@@ -221,6 +203,7 @@ void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
                 : options_.zeta * options_.activation_slack_factor;
         if (r <= threshold) {
           covered_index_ = idx;
+          covered_time_ = t;
           // A pre-direction point sits within `r` of any line through the
           // anchor; charge it to the drift budget.
           fitting_->NoteDriftDistance(r);
@@ -230,7 +213,6 @@ void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
             // point (all consumed points are within `threshold` of the
             // anchor, so the bound holds for any segment through it).
             SetActive(pos, idx, r);
-            covered_index_ = idx;
             mode_ = Mode::kExtend;
             BreakSegment();
             return;
@@ -241,6 +223,7 @@ void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
         fitting_->Activate(pos);
         SetActive(pos, idx, r);
         covered_index_ = idx;
+        covered_time_ = t;
         mode_ = Mode::kExtend;
         return;
       }
@@ -268,6 +251,7 @@ void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
               fitting_->ObserveOffset(offset);
             }
             covered_index_ = idx;
+            covered_time_ = t;
             ++points_in_segment_;
             return;
           }
@@ -290,6 +274,7 @@ void OperbStream::ProcessPoint(geo::Vec2 pos, std::size_t idx) {
             if (guard_engaged_) fitting_->ObservePoint(pos);
             SetActive(pos, idx, r);
             covered_index_ = idx;
+            covered_time_ = t;
             ++points_in_segment_;
             return;
           }
@@ -322,6 +307,8 @@ void OperbStream::BreakSegment() {
   pending_.last_index = covered_index_;
   pending_.start_is_patch = anchor_detached_;
   pending_.end_is_patch = false;  // finalized in EmitPending
+  pending_.t_start = segment_first_time_;
+  pending_.t_end = covered_time_;
   pending_end_index_ = active_index_;
   const geo::Vec2 d = pending_.end - pending_.start;
   const double len = d.Norm();
@@ -332,14 +319,16 @@ void OperbStream::BreakSegment() {
 void OperbStream::EmitPending() {
   pending_.end_is_patch = (pending_.last_index != pending_end_index_);
   Emit(pending_);
-  StartSegment(pending_.end, pending_.last_index, pending_.end_is_patch);
+  StartSegment(pending_.end, pending_.last_index, pending_.t_end,
+               pending_.end_is_patch);
   mode_ = Mode::kSeek;
 }
 
 void OperbStream::StartSegment(geo::Vec2 anchor, std::size_t chain_index,
-                               bool detached) {
+                               double chain_time, bool detached) {
   anchor_pos_ = anchor;
   segment_first_index_ = chain_index;
+  segment_first_time_ = chain_time;
   anchor_detached_ = detached;
   points_in_segment_ = 1;  // the anchor itself
   fitting_.emplace(anchor, options_);
@@ -347,14 +336,13 @@ void OperbStream::StartSegment(geo::Vec2 anchor, std::size_t chain_index,
 
 void OperbStream::Reset() {
   mode_ = Mode::kIdle;
-  emitted_.clear();  // keeps capacity for the next trajectory
-  last_take_size_ = 0;
   stats_ = OperbStats{};
-  last_emitted_ = traj::RepresentedSegment{};
-  any_emitted_ = false;
+  last_segment_ = traj::RepresentedSegment{};
+  any_segment_ = false;
   fitting_.reset();
   anchor_pos_ = geo::Vec2{};
   segment_first_index_ = 0;
+  segment_first_time_ = 0.0;
   anchor_detached_ = false;
   points_in_segment_ = 0;
   active_pos_ = geo::Vec2{};
@@ -364,6 +352,7 @@ void OperbStream::Reset() {
   pending_end_index_ = 0;
   pending_unit_ = geo::Vec2{};
   covered_index_ = 0;
+  covered_time_ = 0.0;
   next_index_ = 0;
   last_pos_ = geo::Vec2{};
   last_index_ = 0;
@@ -371,22 +360,18 @@ void OperbStream::Reset() {
 
 void OperbStream::Serialize(std::vector<std::uint8_t>* out) const {
   serial::PutU8(static_cast<std::uint8_t>(mode_), out);
-  serial::PutU32(static_cast<std::uint32_t>(emitted_.size()), out);
-  for (const traj::RepresentedSegment& s : emitted_) {
-    traj::SerializeSegment(s, out);
-  }
-  serial::PutU64(last_take_size_, out);
   serial::PutU64(stats_.points_processed, out);
   serial::PutU64(stats_.segments_emitted, out);
   serial::PutU64(stats_.points_absorbed, out);
   serial::PutU64(stats_.cap_breaks, out);
-  traj::SerializeSegment(last_emitted_, out);
-  serial::PutU8(any_emitted_ ? 1 : 0, out);
+  traj::SerializeTimedSegment(last_segment_, out);
+  serial::PutU8(any_segment_ ? 1 : 0, out);
   serial::PutU8(fitting_.has_value() ? 1 : 0, out);
   if (fitting_.has_value()) fitting_->SerializeTo(out);
   serial::PutF64(anchor_pos_.x, out);
   serial::PutF64(anchor_pos_.y, out);
   serial::PutU64(segment_first_index_, out);
+  serial::PutF64(segment_first_time_, out);
   serial::PutU8(anchor_detached_ ? 1 : 0, out);
   serial::PutU64(points_in_segment_, out);
   serial::PutF64(active_pos_.x, out);
@@ -394,11 +379,12 @@ void OperbStream::Serialize(std::vector<std::uint8_t>* out) const {
   serial::PutU64(active_index_, out);
   serial::PutF64(ra_unit_.x, out);
   serial::PutF64(ra_unit_.y, out);
-  traj::SerializeSegment(pending_, out);
+  traj::SerializeTimedSegment(pending_, out);
   serial::PutU64(pending_end_index_, out);
   serial::PutF64(pending_unit_.x, out);
   serial::PutF64(pending_unit_.y, out);
   serial::PutU64(covered_index_, out);
+  serial::PutF64(covered_time_, out);
   serial::PutU64(next_index_, out);
   serial::PutF64(last_pos_.x, out);
   serial::PutF64(last_pos_.y, out);
@@ -408,40 +394,29 @@ void OperbStream::Serialize(std::vector<std::uint8_t>* out) const {
 Status OperbStream::Deserialize(std::span<const std::uint8_t> in,
                                 std::size_t* pos) {
   std::uint8_t mode = 0;
-  std::uint32_t emitted_count = 0;
-  if (!serial::GetU8(in, pos, &mode) ||
-      !serial::GetU32(in, pos, &emitted_count)) {
+  if (!serial::GetU8(in, pos, &mode)) {
     return Status::Corruption("truncated OPERB stream state");
   }
   if (mode > static_cast<std::uint8_t>(Mode::kFinished)) {
     return Status::Corruption("OPERB stream mode out of range");
   }
   mode_ = static_cast<Mode>(mode);
-  emitted_.clear();
-  emitted_.reserve(emitted_count);
-  for (std::uint32_t i = 0; i < emitted_count; ++i) {
-    traj::RepresentedSegment s;
-    OPERB_RETURN_IF_ERROR(traj::DeserializeSegment(in, pos, &s));
-    emitted_.push_back(s);
-  }
-  std::uint64_t last_take = 0;
   std::uint64_t points_processed = 0;
   std::uint64_t segments_emitted = 0;
   std::uint64_t points_absorbed = 0;
   std::uint64_t cap_breaks = 0;
-  if (!serial::GetU64(in, pos, &last_take) ||
-      !serial::GetU64(in, pos, &points_processed) ||
+  if (!serial::GetU64(in, pos, &points_processed) ||
       !serial::GetU64(in, pos, &segments_emitted) ||
       !serial::GetU64(in, pos, &points_absorbed) ||
       !serial::GetU64(in, pos, &cap_breaks)) {
     return Status::Corruption("truncated OPERB stream state");
   }
-  last_take_size_ = static_cast<std::size_t>(last_take);
   stats_.points_processed = static_cast<std::size_t>(points_processed);
   stats_.segments_emitted = static_cast<std::size_t>(segments_emitted);
   stats_.points_absorbed = static_cast<std::size_t>(points_absorbed);
   stats_.cap_breaks = static_cast<std::size_t>(cap_breaks);
-  OPERB_RETURN_IF_ERROR(traj::DeserializeSegment(in, pos, &last_emitted_));
+  OPERB_RETURN_IF_ERROR(
+      traj::DeserializeTimedSegment(in, pos, &last_segment_));
   std::uint8_t any_emitted = 0;
   std::uint8_t has_fitting = 0;
   if (!serial::GetU8(in, pos, &any_emitted) ||
@@ -451,7 +426,7 @@ Status OperbStream::Deserialize(std::span<const std::uint8_t> in,
   if (any_emitted > 1 || has_fitting > 1) {
     return Status::Corruption("OPERB stream flag out of range");
   }
-  any_emitted_ = any_emitted != 0;
+  any_segment_ = any_emitted != 0;
   if (has_fitting != 0) {
     // Placeholder anchor: DeserializeFrom overwrites the dynamic fields,
     // the constructor re-derives the option-dependent parameters.
@@ -471,6 +446,7 @@ Status OperbStream::Deserialize(std::span<const std::uint8_t> in,
   if (!serial::GetF64(in, pos, &anchor_pos_.x) ||
       !serial::GetF64(in, pos, &anchor_pos_.y) ||
       !serial::GetU64(in, pos, &segment_first) ||
+      !serial::GetF64(in, pos, &segment_first_time_) ||
       !serial::GetU8(in, pos, &anchor_detached) ||
       !serial::GetU64(in, pos, &points_in_segment) ||
       !serial::GetF64(in, pos, &active_pos_.x) ||
@@ -483,11 +459,13 @@ Status OperbStream::Deserialize(std::span<const std::uint8_t> in,
   if (anchor_detached > 1) {
     return Status::Corruption("OPERB stream flag out of range");
   }
-  OPERB_RETURN_IF_ERROR(traj::DeserializeSegment(in, pos, &pending_));
+  OPERB_RETURN_IF_ERROR(traj::DeserializeTimedSegment(in, pos, &pending_));
   if (!serial::GetU64(in, pos, &pending_end) ||
       !serial::GetF64(in, pos, &pending_unit_.x) ||
       !serial::GetF64(in, pos, &pending_unit_.y) ||
-      !serial::GetU64(in, pos, &covered) || !serial::GetU64(in, pos, &next) ||
+      !serial::GetU64(in, pos, &covered) ||
+      !serial::GetF64(in, pos, &covered_time_) ||
+      !serial::GetU64(in, pos, &next) ||
       !serial::GetF64(in, pos, &last_pos_.x) ||
       !serial::GetF64(in, pos, &last_pos_.y) ||
       !serial::GetU64(in, pos, &last)) {
@@ -519,6 +497,8 @@ void OperbStream::Finish() {
     s.first_index = segment_first_index_;
     s.last_index = covered_index_;
     s.start_is_patch = anchor_detached_;
+    s.t_start = segment_first_time_;
+    s.t_end = covered_time_;
     if (mode_ == Mode::kExtend) {
       s.end = active_pos_;
       s.end_is_patch = (covered_index_ != active_index_);
@@ -532,8 +512,10 @@ void OperbStream::Finish() {
     Emit(s);
   }
   // Closing segment: guarantee the representation ends at the last sample.
-  if (options_.emit_closing_segment && any_emitted_) {
-    const traj::RepresentedSegment tail = last_emitted_;
+  // Every pushed point is consumed, so the last one is the covered one.
+  OPERB_DCHECK(covered_index_ == last_index_);
+  if (options_.emit_closing_segment && any_segment_) {
+    const traj::RepresentedSegment tail = last_segment_;
     if (tail.end_is_patch || tail.last_index != last_index_) {
       traj::RepresentedSegment close;
       close.start = tail.end;
@@ -542,6 +524,8 @@ void OperbStream::Finish() {
       close.last_index = last_index_;
       close.start_is_patch = tail.end_is_patch;
       close.end_is_patch = false;
+      close.t_start = tail.t_end;
+      close.t_end = covered_time_;
       Emit(close);
     }
   }

@@ -30,31 +30,19 @@ struct OperbStats {
 /// One-pass streaming OPERB (Section 4.3 with the Section 4.4
 /// optimizations).
 ///
-/// Usage (zero-allocation sink path — preferred):
+/// Usage (every segment goes to the sink; no heap allocation per point):
 ///
 ///   OperbStream stream(OperbOptions::Optimized(40.0));
 ///   stream.SetSink([](const traj::RepresentedSegment& seg) { Send(seg); });
 ///   for (const geo::Point& p : samples) stream.Push(p);   // or Push(span)
 ///   stream.Finish();
 ///
-/// Usage (buffered path):
-///
-///   OperbStream stream(OperbOptions::Optimized(40.0));
-///   std::vector<traj::RepresentedSegment> batch;
-///   for (const geo::Point& p : samples) {
-///     stream.Push(p);
-///     stream.TakeEmitted(&batch);   // reuses `batch`'s capacity
-///     for (const auto& seg : batch) Send(seg);
-///   }
-///   stream.Finish();
-///   stream.TakeEmitted(&batch);
-///   for (const auto& seg : batch) Send(seg);
-///
 /// Each pushed point is examined once (one distance check against the
 /// fitted line L plus one against the current candidate segment R_a),
 /// giving O(n) total time and O(1) working state — the properties
-/// Theorem 5 claims. Segments become available as soon as they are
-/// determined, so a sensor can transmit them immediately.
+/// Theorem 5 claims. Segments reach the sink as soon as they are
+/// determined, stamped with their end points' times, so a sensor can
+/// transmit them immediately.
 ///
 /// Deviations from the paper's pseudocode (documented in DESIGN.md):
 ///  - Figure 7 line 3 also updates P_e (required for Example 5's output);
@@ -66,11 +54,10 @@ class OperbStream {
   /// Precondition: options.Validate().ok().
   explicit OperbStream(const OperbOptions& options);
 
-  /// Installs the zero-allocation emission path: every determined segment
-  /// is handed to `sink` immediately instead of being buffered in
-  /// emitted(). With a sink installed, steady-state Push() performs no
-  /// heap allocation. Must be called before the first Push(); passing an
-  /// empty function restores the buffered path.
+  /// Installs the emission path: every determined segment is handed to
+  /// `sink` immediately. Steady-state Push() performs no heap allocation.
+  /// Must be called before the first Push(); a stream without a sink
+  /// drops its segments.
   void SetSink(traj::SegmentSink sink);
 
   /// Feeds the next trajectory point. Timestamps must be strictly
@@ -90,32 +77,16 @@ class OperbStream {
 
   /// Returns the stream to its freshly-constructed state so a pooled
   /// instance can simplify another trajectory without reallocation: the
-  /// options, the installed sink and the emitted-buffer capacity survive,
-  /// everything else is cleared. Performs no heap allocation (the engine's
-  /// state pool relies on this; see allocation_test).
+  /// options and the installed sink survive, everything else is cleared.
+  /// Performs no heap allocation (the engine's state pool relies on this;
+  /// see allocation_test).
   void Reset();
-
-  /// Returns the segments emitted since the previous call and clears the
-  /// internal buffer. Prefer the out-parameter overload in loops (it
-  /// recycles the caller's capacity) or SetSink() (no buffer at all).
-  std::vector<traj::RepresentedSegment> TakeEmitted();
-
-  /// Swap-based TakeEmitted: `*out` receives the emitted segments and the
-  /// internal buffer inherits `out`'s old capacity, so a caller polling in
-  /// a loop stops paying an allocation per drained batch.
-  void TakeEmitted(std::vector<traj::RepresentedSegment>* out);
-
-  /// Emitted-but-not-yet-taken segments (no transfer; always empty while
-  /// a sink is installed).
-  const std::vector<traj::RepresentedSegment>& emitted() const {
-    return emitted_;
-  }
 
   const OperbStats& stats() const { return stats_; }
   const OperbOptions& options() const { return options_; }
 
   /// Appends the complete dynamic state (mode, counters, current-segment
-  /// geometry, the fitting function, pending/undrained segments) as
+  /// geometry and times, the fitting function, the pending segment) as
   /// byte-stable fields — everything Reset() clears, nothing it keeps:
   /// options and the sink are configuration, re-established at
   /// construction. Serializing then Deserializing into a stream built
@@ -135,7 +106,7 @@ class OperbStream {
     kFinished,
   };
 
-  void ProcessPoint(geo::Vec2 pos, std::size_t idx);
+  void ProcessPoint(geo::Vec2 pos, std::size_t idx, double t);
 
   // Batched fast paths of Push(span). Each consumes the longest prefix of
   // `points` that the point-wise path would consume without a mode change,
@@ -148,7 +119,7 @@ class OperbStream {
   std::size_t ExtendRun(std::span<const geo::Point> points);
   /// Points the current segment can still take before the cap break.
   std::size_t CapRoom() const;
-  /// Index and stats bookkeeping for a consumed run.
+  /// Index, time and stats bookkeeping for a consumed run.
   void ConsumeRun(std::span<const geo::Point> run);
   /// kExtend's distance condition for a point at `offset` from L, shared
   /// by ProcessPoint and ExtendRun so the two cannot drift apart.
@@ -159,32 +130,29 @@ class OperbStream {
   /// everything consumed so far and transitions to kAbsorb or restarts.
   void BreakSegment();
   void EmitPending();
-  /// Routes one determined segment to the sink (if installed) or the
-  /// emitted_ buffer, and tracks it as the latest emission for Finish().
+  /// Routes one determined segment to the sink (if installed) and tracks
+  /// it as the latest emission for Finish().
   void Emit(const traj::RepresentedSegment& s);
   /// Starts a fresh segment whose geometric start is `anchor` and whose
-  /// covered range chains at `chain_index`.
-  void StartSegment(geo::Vec2 anchor, std::size_t chain_index, bool detached);
+  /// covered range chains at `chain_index`, the point stamped `chain_time`.
+  void StartSegment(geo::Vec2 anchor, std::size_t chain_index,
+                    double chain_time, bool detached);
 
   OperbOptions options_;
   bool guard_engaged_ = false;
   Mode mode_ = Mode::kIdle;
   traj::SegmentSink sink_;
-  std::vector<traj::RepresentedSegment> emitted_;
-  /// Size of the last drained batch — sizing hint for emitted_ when the
-  /// caller's swap left it without capacity.
-  std::size_t last_take_size_ = 0;
   OperbStats stats_;
-  /// Latest emission (valid when any_emitted_): Finish() chains its
-  /// closing segment off this instead of peeking at emitted_, which the
-  /// sink path never fills.
-  traj::RepresentedSegment last_emitted_;
-  bool any_emitted_ = false;
+  /// Latest emission (valid when any_segment_): Finish() chains its
+  /// closing segment off it.
+  traj::RepresentedSegment last_segment_;
+  bool any_segment_ = false;
 
   // Current segment state.
   std::optional<FittingFunction> fitting_;
   geo::Vec2 anchor_pos_;
   std::size_t segment_first_index_ = 0;
+  double segment_first_time_ = 0.0;  ///< time at segment_first_index_
   bool anchor_detached_ = false;
   std::size_t points_in_segment_ = 0;
 
@@ -203,6 +171,7 @@ class OperbStream {
 
   // Coverage/bookkeeping.
   std::size_t covered_index_ = 0;  ///< last consumed original index
+  double covered_time_ = 0.0;      ///< time at covered_index_
   std::size_t next_index_ = 0;
   geo::Vec2 last_pos_;
   std::size_t last_index_ = 0;

@@ -11,20 +11,8 @@ LazyPatcher::LazyPatcher(const OperbAOptions& options) : options_(options) {
 }
 
 void LazyPatcher::SetSink(traj::SegmentSink sink) {
-  OPERB_CHECK_MSG(!x_.has_value() && emitted_.empty(),
-                  "SetSink after the first Accept");
+  OPERB_CHECK_MSG(!x_.has_value(), "SetSink after the first Accept");
   sink_ = std::move(sink);
-}
-
-std::vector<traj::RepresentedSegment> LazyPatcher::TakeEmitted() {
-  std::vector<traj::RepresentedSegment> out;
-  out.swap(emitted_);
-  return out;
-}
-
-void LazyPatcher::TakeEmitted(std::vector<traj::RepresentedSegment>* out) {
-  out->clear();
-  out->swap(emitted_);
 }
 
 void LazyPatcher::Accept(traj::RepresentedSegment segment) {
@@ -83,7 +71,6 @@ void LazyPatcher::Finish() {
 }
 
 void LazyPatcher::Reset() {
-  emitted_.clear();
   x_.reset();
   y_.reset();
   anomalous_segments_ = 0;
@@ -91,31 +78,16 @@ void LazyPatcher::Reset() {
 }
 
 void LazyPatcher::Serialize(std::vector<std::uint8_t>* out) const {
-  serial::PutU32(static_cast<std::uint32_t>(emitted_.size()), out);
-  for (const traj::RepresentedSegment& s : emitted_) {
-    traj::SerializeSegment(s, out);
-  }
   serial::PutU8(x_.has_value() ? 1 : 0, out);
-  if (x_.has_value()) traj::SerializeSegment(*x_, out);
+  if (x_.has_value()) traj::SerializeTimedSegment(*x_, out);
   serial::PutU8(y_.has_value() ? 1 : 0, out);
-  if (y_.has_value()) traj::SerializeSegment(*y_, out);
+  if (y_.has_value()) traj::SerializeTimedSegment(*y_, out);
   serial::PutU64(anomalous_segments_, out);
   serial::PutU64(patches_applied_, out);
 }
 
 Status LazyPatcher::Deserialize(std::span<const std::uint8_t> in,
                                 std::size_t* pos) {
-  std::uint32_t emitted_count = 0;
-  if (!serial::GetU32(in, pos, &emitted_count)) {
-    return Status::Corruption("truncated lazy-patcher state");
-  }
-  emitted_.clear();
-  emitted_.reserve(emitted_count);
-  for (std::uint32_t i = 0; i < emitted_count; ++i) {
-    traj::RepresentedSegment s;
-    OPERB_RETURN_IF_ERROR(traj::DeserializeSegment(in, pos, &s));
-    emitted_.push_back(s);
-  }
   for (std::optional<traj::RepresentedSegment>* slot : {&x_, &y_}) {
     std::uint8_t present = 0;
     if (!serial::GetU8(in, pos, &present)) {
@@ -126,7 +98,7 @@ Status LazyPatcher::Deserialize(std::span<const std::uint8_t> in,
     }
     if (present != 0) {
       traj::RepresentedSegment s;
-      OPERB_RETURN_IF_ERROR(traj::DeserializeSegment(in, pos, &s));
+      OPERB_RETURN_IF_ERROR(traj::DeserializeTimedSegment(in, pos, &s));
       *slot = s;
     } else {
       slot->reset();
@@ -170,14 +142,6 @@ void OperbAStream::Finish() {
 void OperbAStream::Reset() {
   inner_.Reset();
   patcher_.Reset();
-}
-
-std::vector<traj::RepresentedSegment> OperbAStream::TakeEmitted() {
-  return patcher_.TakeEmitted();
-}
-
-void OperbAStream::TakeEmitted(std::vector<traj::RepresentedSegment>* out) {
-  patcher_.TakeEmitted(out);
 }
 
 OperbAStats OperbAStream::stats() const {

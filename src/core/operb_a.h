@@ -43,34 +43,29 @@ class LazyPatcher {
  public:
   explicit LazyPatcher(const OperbAOptions& options);
 
-  /// Installs the zero-allocation emission path (same contract as
-  /// OperbStream::SetSink): must be called before the first Accept().
+  /// Installs the emission path (same contract as OperbStream::SetSink):
+  /// must be called before the first Accept().
   void SetSink(traj::SegmentSink sink);
 
-  /// Feeds the next determined segment; emitted segments go to the sink,
-  /// or accumulate in emitted() when none is installed.
+  /// Feeds the next determined segment; emitted segments go to the sink.
+  /// A patch moves an endpoint but never an index, so each segment's
+  /// times pass through unchanged.
   void Accept(traj::RepresentedSegment segment);
 
   /// Flushes the buffer (trailing anomalous segments are emitted as-is).
   void Finish();
 
   /// Clears the lazy buffer and the counters so a pooled instance can
-  /// filter another segment stream. Keeps the options, the sink and the
-  /// emitted-buffer capacity; performs no heap allocation.
+  /// filter another segment stream. Keeps the options and the sink;
+  /// performs no heap allocation.
   void Reset();
-
-  std::vector<traj::RepresentedSegment> TakeEmitted();
-  void TakeEmitted(std::vector<traj::RepresentedSegment>* out);
-  const std::vector<traj::RepresentedSegment>& emitted() const {
-    return emitted_;
-  }
 
   std::size_t anomalous_segments() const { return anomalous_segments_; }
   std::size_t patches_applied() const { return patches_applied_; }
 
-  /// Appends the dynamic state (lazy buffer, undrained emissions,
-  /// counters) as byte-stable fields; options and sink are configuration
-  /// and not written (same contract as OperbStream::Serialize).
+  /// Appends the dynamic state (lazy buffer, counters) as byte-stable
+  /// fields; options and sink are configuration and not written (same
+  /// contract as OperbStream::Serialize).
   void Serialize(std::vector<std::uint8_t>* out) const;
 
   /// Overwrites the dynamic state from `in`, advancing `*pos`.
@@ -81,16 +76,11 @@ class LazyPatcher {
     return s.PointCount() == 2;
   }
   void Emit(const traj::RepresentedSegment& s) {
-    if (sink_) {
-      sink_(s);
-    } else {
-      emitted_.push_back(s);
-    }
+    if (sink_) sink_(s);
   }
 
   OperbAOptions options_;
   traj::SegmentSink sink_;
-  std::vector<traj::RepresentedSegment> emitted_;
   std::optional<traj::RepresentedSegment> x_;  ///< pending predecessor
   std::optional<traj::RepresentedSegment> y_;  ///< pending anomalous segment
   std::size_t anomalous_segments_ = 0;
@@ -98,8 +88,8 @@ class LazyPatcher {
 };
 
 /// One-pass streaming OPERB-A (Section 5): OPERB's segment stream piped
-/// through the lazy patching policy. Same Push/Finish/TakeEmitted contract
-/// as OperbStream; output segments are delayed by at most two segments
+/// through the lazy patching policy. Same Push/Finish/sink contract as
+/// OperbStream; output segments are delayed by at most two segments
 /// (the lazy buffer), and the working state remains O(1).
 class OperbAStream {
  public:
@@ -110,8 +100,8 @@ class OperbAStream {
   OperbAStream(const OperbAStream&) = delete;
   OperbAStream& operator=(const OperbAStream&) = delete;
 
-  /// Zero-allocation emission path (same contract as
-  /// OperbStream::SetSink): must be called before the first Push().
+  /// Emission path (same contract as OperbStream::SetSink): must be
+  /// called before the first Push().
   void SetSink(traj::SegmentSink sink);
 
   void Push(const geo::Point& p);
@@ -119,12 +109,9 @@ class OperbAStream {
   void Finish();
 
   /// Resets the inner OPERB stream and the patcher for the next
-  /// trajectory (same contract as OperbStream::Reset: options, sink and
-  /// buffer capacity survive; no heap allocation).
+  /// trajectory (same contract as OperbStream::Reset: options and sink
+  /// survive; no heap allocation).
   void Reset();
-
-  std::vector<traj::RepresentedSegment> TakeEmitted();
-  void TakeEmitted(std::vector<traj::RepresentedSegment>* out);
 
   OperbAStats stats() const;
   const OperbAOptions& options() const { return options_; }

@@ -21,7 +21,7 @@ traj::Trajectory SimulateFreeWalk(std::size_t num_points,
   // tends to keep its current direction while wandering.
   double heading_drift = 0.0;
   double t = params.start_time_s;
-  double last_emitted_t = -1.0;
+  double last_t = -1.0;
   GaussMarkovNoise gps_error(params.gps_noise_m,
                              params.gps_noise_correlation_s);
 
@@ -48,9 +48,9 @@ traj::Trajectory SimulateFreeWalk(std::size_t num_points,
       continue;
     }
     const geo::Vec2 sample = pos + error;
-    if (t <= last_emitted_t) t = last_emitted_t + 1e-3;
+    if (t <= last_t) t = last_t + 1e-3;
     out.AppendUnchecked({sample.x, sample.y, t});
-    last_emitted_t = t;
+    last_t = t;
   }
   return out;
 }

@@ -70,7 +70,7 @@ traj::Trajectory SimulateVehicle(const std::vector<geo::Vec2>& waypoints,
 
   PolylineCursor cursor(waypoints);
   double t = params.start_time_s;
-  double last_emitted_t = -1.0;
+  double last_t = -1.0;
   // Smoothly varying speed factor (AR(1) around 1.0).
   double speed_factor = 1.0;
   GaussMarkovNoise gps_error(params.gps_noise_m,
@@ -106,9 +106,9 @@ traj::Trajectory SimulateVehicle(const std::vector<geo::Vec2>& waypoints,
     geo::Vec2 pos = cursor.Position() + error;
     // Guard the strictly-increasing-time invariant against degenerate
     // jitter draws.
-    if (t <= last_emitted_t) t = last_emitted_t + 1e-3;
+    if (t <= last_t) t = last_t + 1e-3;
     out.AppendUnchecked({pos.x, pos.y, t});
-    last_emitted_t = t;
+    last_t = t;
   }
   return out;
 }

@@ -24,7 +24,7 @@ namespace {
 constexpr std::size_t kConsumerBatch = 256;
 /// Lines ProcessBatch prefetches per pooled state. OPERB's adapter
 /// (src/api/register_algorithms.cc) is a vtable pointer and a name
-/// around a 576-byte core::OperbStream, about 600 bytes: ten lines.
+/// around a 592-byte core::OperbStream, 616 bytes: ten lines.
 /// Prefetching only the first two lost about half the gain.
 constexpr std::size_t kCacheLine = 64;
 constexpr std::size_t kStatePrefetchLines = 10;
@@ -39,12 +39,12 @@ constexpr std::chrono::microseconds kDrainPoll{50};
 /// Engine checkpoint file framing (DESIGN.md §9): 8-byte magic, version
 /// byte, embedded spec string and shard count (the compatibility keys),
 /// engine counters, per-shard state sections, trailing FNV-1a64. Each
-/// live object's record carries its tail clock, so a restored engine
-/// keeps emitting correctly timed segments. Version 1, which had no
-/// clocks, is refused.
+/// live object's record is its id, last event time and state blob; the
+/// blob's segments carry their own times. Versions 1 and 2 are refused
+/// (2 followed each blob with a tail clock).
 constexpr std::uint8_t kCheckpointMagic[8] = {'O', 'P', 'R', 'B',
                                               'C', 'K', 'P', '1'};
-constexpr std::uint8_t kCheckpointVersion = 2;
+constexpr std::uint8_t kCheckpointVersion = 3;
 
 /// Caller-side wait inside a tail snapshot: spin first (the worker
 /// usually answers within microseconds), then sleep-poll.
@@ -210,13 +210,12 @@ class StreamEngine::Shard {
   }
 
   /// Group prefetch (DESIGN.md §6 "Batch prefetch"): with ~10^5 live
-  /// objects every update lands on a cold slot, state and tail clock,
-  /// so the whole batch's loads are started before any of them is used.
-  /// Pass one prefetches each update's home slot; pass two, with those
-  /// slots arriving, finds each point's live slot and prefetches its
-  /// state, its clock entry and the clock's append position. Read-only:
-  /// an id not yet in the table is skipped, and a slot the batch itself
-  /// grows, finishes or reuses only makes a hint stale.
+  /// objects every update lands on a cold slot and state, so the whole
+  /// batch's loads are started before any of them is used. Pass one
+  /// prefetches each update's home slot; pass two, with those slots
+  /// arriving, finds each point's live slot and prefetches its state.
+  /// Read-only: an id not yet in the table is skipped, and a slot the
+  /// batch itself grows, finishes or reuses only makes a hint stale.
   /// Always inlined: GCC rates a call to a function that only prefetches
   /// as free of side effects and deletes it.
   [[gnu::always_inline]] void PrefetchBatch(const Update* updates,
@@ -236,9 +235,6 @@ class StreamEngine::Shard {
         __builtin_prefetch(
             reinterpret_cast<const void*>(state + line * kCacheLine));
       }
-      // Reading the clock entry for its append position loads the entry.
-      const TailClock& clock = clocks_[s->state];
-      __builtin_prefetch(clock.times.data() + clock.times.size());
     }
   }
 
@@ -247,12 +243,9 @@ class StreamEngine::Shard {
       case Kind::kPoint: {
         Slot& s = FindOrCreate(u.id);
         current_id_ = u.id;
-        current_state_ = s.state;
-        // The clock entry must exist before Push: the state may emit a
-        // segment ending at this very point.
-        clocks_[s.state].Append(u.point.t);
         states_[s.state]->Push(u.point);
         s.last_time = u.point.t;
+        ++s.points;
         break;
       }
       case Kind::kFinish: {
@@ -280,22 +273,16 @@ class StreamEngine::Shard {
   }
 
   /// Span-path mirror of the kPoint case in Process(): one slot lookup
-  /// and one state Push for the whole same-id run. All of the run's
-  /// timestamps are appended to the tail clock BEFORE the Push — the
-  /// state may emit mid-span, and TailClock::At addresses by absolute
-  /// point index, so entries past the emitted segment are simply not
-  /// read yet. Side effects (current_id_/current_state_, last_time,
-  /// clock contents at every emission point) match the point-wise path
+  /// and one state Push for the whole same-id run. Side effects
+  /// (current_id_, last_time, the point count) match the point-wise path
   /// exactly.
   void ProcessPointRun(traj::ObjectId id, const geo::Point* pts,
                        std::size_t n) {
     Slot& s = FindOrCreate(id);
     current_id_ = id;
-    current_state_ = s.state;
-    TailClock& clock = clocks_[s.state];
-    for (std::size_t k = 0; k < n; ++k) clock.Append(pts[k].t);
     states_[s.state]->Push(std::span<const geo::Point>(pts, n));
     s.last_time = pts[n - 1].t;
+    s.points += n;
   }
 
   /// Mailbox side of the tail snapshots. Any thread submits; the
@@ -353,10 +340,9 @@ class StreamEngine::Shard {
   /// hook first, then every live (and matching, when filtered) slot
   /// that the request's summary filter cannot rule out is cloned — its
   /// state serialized into the scratch state and finished — and the
-  /// clone's emissions, timed via the slot's tail clock (read, never
-  /// advanced), go to the request's visitor in ascending object-id
-  /// order. The live state is never touched, so processing resumes as
-  /// if the snapshot had not happened.
+  /// clone's emissions go to the request's visitor in ascending
+  /// object-id order. The live state is never touched, so processing
+  /// resumes as if the snapshot had not happened.
   void HandleSnapshot(const TailSnapshotRequest& req) {
     if (req.on_shard != nullptr) (*req.on_shard)(req.shard);
     // Summaries are grown here, not per state at creation, so engines
@@ -370,7 +356,7 @@ class StreamEngine::Shard {
     } else {
       for (const Slot& s : slots_) {
         if (s.status != kOccupied) continue;
-        if (RuledOut(s.state, *req.may_match)) {
+        if (RuledOut(s, *req.may_match)) {
           ++skipped;
           continue;
         }
@@ -392,8 +378,7 @@ class StreamEngine::Shard {
   /// Appends this shard's checkpoint section: live objects in ascending
   /// id order (canonical, so equal engine states serialize to equal
   /// bytes regardless of table history), each as id + last event time +
-  /// length-prefixed simplifier state blob + tail clock, then the shard
-  /// counters.
+  /// length-prefixed simplifier state blob, then the shard counters.
   /// Caller must hold the drain barrier (Checkpoint() does) — the
   /// owning worker is then provably idle.
   void SerializeState(std::vector<std::uint8_t>* out) const {
@@ -413,15 +398,6 @@ class StreamEngine::Shard {
       states_[s->state]->Serialize(&blob);
       serial::PutU32(static_cast<std::uint32_t>(blob.size()), out);
       out->insert(out->end(), blob.begin(), blob.end());
-      // The tail clock, logically (base index, window) — physical
-      // compaction offsets never leak into the bytes, keeping equal
-      // states byte-equal.
-      const TailClock& clock = clocks_[s->state];
-      serial::PutU64(clock.base, out);
-      serial::PutU64(clock.size(), out);
-      for (std::size_t i = 0; i < clock.size(); ++i) {
-        serial::PutF64(clock.At(clock.base + i), out);
-      }
     }
     serial::PutU64(segments_, out);
     serial::PutU64(objects_opened_, out);
@@ -478,18 +454,6 @@ class StreamEngine::Shard {
             "checkpoint state blob length disagrees with its contents");
       }
       *pos += blob_len;
-      TailClock& clock = clocks_[s.state];
-      clock.Clear();
-      std::uint64_t times = 0;
-      if (!serial::GetU64(in, pos, &clock.base) ||
-          !serial::GetU64(in, pos, &times)) {
-        return TruncatedCheckpoint();
-      }
-      for (std::uint64_t t = 0; t < times; ++t) {
-        double value = 0.0;
-        if (!serial::GetF64(in, pos, &value)) return TruncatedCheckpoint();
-        clock.Append(value);
-      }
     }
     if (!serial::GetU64(in, pos, &segments_) ||
         !serial::GetU64(in, pos, &objects_opened_) ||
@@ -517,13 +481,17 @@ class StreamEngine::Shard {
   static constexpr std::uint8_t kTombstone = 2;
 
   /// Open-addressing slot: object id -> pooled state index, plus the
-  /// event time of the object's latest point (for watermark eviction).
+  /// event time of the object's latest point (for watermark eviction)
+  /// and the points pushed since the slot opened (what a tail summary is
+  /// keyed on).
   struct Slot {
     traj::ObjectId id = 0;
-    std::uint32_t state = 0;
     double last_time = 0.0;
+    std::uint64_t points = 0;
+    std::uint32_t state = 0;
     std::uint8_t status = kEmpty;
   };
+  static_assert(sizeof(Slot) == 32, "two slots per cache line");
 
   std::size_t Mask() const { return slots_.size() - 1; }
 
@@ -565,6 +533,7 @@ class StreamEngine::Shard {
         target.id = id;
         target.state = AcquireState();
         target.last_time = 0.0;
+        target.points = 0;
         target.status = kOccupied;
         ++live_;
         ++objects_opened_;
@@ -624,32 +593,23 @@ class StreamEngine::Shard {
         algorithm_->streaming(options_.spec);
     OPERB_CHECK_MSG(state != nullptr, "streaming factory returned null");
     states_.push_back(std::move(state));
-    clocks_.emplace_back();
     states_.back()->SetSink([this](const traj::RepresentedSegment& seg) {
       ++segments_;
-      TailClock& clock = clocks_[current_state_];
       if (*sink_) {
-        (*sink_)(traj::TimedSegment{current_id_, seg,
-                                    clock.At(seg.first_index),
-                                    clock.At(seg.last_index)});
+        (*sink_)(traj::TimedSegment{current_id_, seg, seg.t_start, seg.t_end});
       }
-      // The next segment starts at this one's last index; everything
-      // before it can never be referenced again.
-      clock.DropBefore(seg.last_index);
     });
     return idx;
   }
 
   void FinishSlot(Slot& s, bool idle) {
     current_id_ = s.id;
-    current_state_ = s.state;
     baselines::StreamingSimplifier& state = *states_[s.state];
     state.Finish();
     state.Reset();
-    clocks_[s.state].Clear();
-    // The pooled state's next object restarts its clock at index 0, so
+    // The pooled state's next object restarts its point count at 0, so
     // an old summary could look current again: drop it here.
-    if (s.state < summaries_.size()) summaries_[s.state].end = kNoSummary;
+    if (s.state < summaries_.size()) summaries_[s.state].points = kNoSummary;
     free_states_.push_back(s.state);
     s.status = kTombstone;
     --live_;
@@ -661,54 +621,19 @@ class StreamEngine::Shard {
     if (idle) m.states_evicted->Increment();
   }
 
-  /// Timestamps of one object's points since its last emitted segment
-  /// boundary, addressed by absolute point index. `base` is the
-  /// absolute index of the window's first entry; DropBefore compacts
-  /// the backing vector lazily (offset first, erase when the dead
-  /// prefix dominates) so per-segment upkeep is amortized O(1).
-  struct TailClock {
-    std::uint64_t base = 0;
-    std::size_t off = 0;
-    std::vector<double> times;
-
-    void Append(double t) { times.push_back(t); }
-    std::size_t size() const { return times.size() - off; }
-    /// Absolute index of the next point; moves with every Append only.
-    std::uint64_t end() const { return base + size(); }
-    double At(std::uint64_t index) const {
-      OPERB_DCHECK(index >= base && index - base < size());
-      return times[off + static_cast<std::size_t>(index - base)];
-    }
-    void DropBefore(std::uint64_t index) {
-      OPERB_DCHECK(index >= base && index - base <= size());
-      off += static_cast<std::size_t>(index - base);
-      base = index;
-      if (off > times.size() / 2) {
-        times.erase(times.begin(),
-                    times.begin() + static_cast<std::ptrdiff_t>(off));
-        off = 0;
-      }
-    }
-    void Clear() {
-      base = 0;
-      off = 0;
-      times.clear();
-    }
-  };
-
   /// A state's summary of its last cloned tail (TailSummary), current
-  /// while `end` equals its tail clock's end(); kNoSummary otherwise.
+  /// while `points` equals its slot's point count; kNoSummary otherwise.
   static constexpr std::uint64_t kNoSummary =
       std::numeric_limits<std::uint64_t>::max();
   struct SummaryEntry {
     TailSummary summary;
-    std::uint64_t end = kNoSummary;
+    std::uint64_t points = kNoSummary;
   };
 
-  /// True when `state`'s summary is current and `may_match` rejects it.
-  bool RuledOut(std::uint32_t state, const TailSummaryFilter& may_match) const {
-    const SummaryEntry& e = summaries_[state];
-    return e.end == clocks_[state].end() && !may_match(e.summary);
+  /// True when `s`'s summary is current and `may_match` rejects it.
+  bool RuledOut(const Slot& s, const TailSummaryFilter& may_match) const {
+    const SummaryEntry& e = summaries_[s.state];
+    return e.points == s.points && !may_match(e.summary);
   }
 
   /// Creates the snapshot scratch state on first use: same spec, sink
@@ -722,8 +647,8 @@ class StreamEngine::Shard {
     });
   }
 
-  /// Clone-finishes `s`'s live state into snapshot_tail_ (timed by the
-  /// slot's tail clock) and refreshes the state's summary from it.
+  /// Clone-finishes `s`'s live state into snapshot_tail_ and refreshes
+  /// the state's summary from it.
   void CloneTail(const Slot& s) {
     snapshot_blob_.clear();
     states_[s.state]->Serialize(&snapshot_blob_);
@@ -738,15 +663,13 @@ class StreamEngine::Shard {
     scratch_->Reset();
     snapshot_tail_.clear();
     snapshot_tail_.reserve(snapshot_raw_.size());
-    const TailClock& clock = clocks_[s.state];
     TailSummary summary;
     summary.t_min = std::numeric_limits<double>::infinity();
     summary.t_max = -summary.t_min;
     bool finite = true;
     for (const traj::RepresentedSegment& seg : snapshot_raw_) {
       const traj::TimedSegment& t = snapshot_tail_.emplace_back(
-          traj::TimedSegment{s.id, seg, clock.At(seg.first_index),
-                             clock.At(seg.last_index)});
+          traj::TimedSegment{s.id, seg, seg.t_start, seg.t_end});
       finite = finite && std::isfinite(seg.start.x) &&
                std::isfinite(seg.start.y) && std::isfinite(seg.end.x) &&
                std::isfinite(seg.end.y) && std::isfinite(t.t_start) &&
@@ -760,7 +683,7 @@ class StreamEngine::Shard {
     // keeps no summary and is cloned by every window snapshot.
     SummaryEntry& entry = summaries_[s.state];
     entry.summary = summary;
-    entry.end = finite ? clock.end() : kNoSummary;
+    entry.points = finite ? s.points : kNoSummary;
   }
 
   const StreamEngineOptions& options_;
@@ -773,14 +696,11 @@ class StreamEngine::Shard {
   std::size_t live_ = 0;
   std::size_t used_ = 0;  ///< occupied + tombstone slots
   std::vector<std::unique_ptr<baselines::StreamingSimplifier>> states_;
-  /// Parallel to states_.
-  std::vector<TailClock> clocks_;
   std::vector<std::uint32_t> free_states_;
   /// Contiguous staging for ProcessBatch's same-id point runs (ring
   /// entries are strided Updates). Capacity-stable once warm.
   std::vector<geo::Point> run_points_;
   traj::ObjectId current_id_ = 0;
-  std::uint32_t current_state_ = 0;
 
   /// Parallel to states_ once a snapshot has run (grown there, so the
   /// table probe and the per-point path never touch it).

@@ -143,7 +143,7 @@ struct StreamEngineStats {
 ///   Push/Tick (producer thread)
 ///     └─ per-shard staging batch ──SPSC ring──► worker thread
 ///          └─ shard: open-addressing table object_id → pooled
-///             StreamingSimplifier state + tail clock ──► TimedSegmentSink
+///             StreamingSimplifier state ──► TimedSegmentSink
 ///
 /// Determinism contract: for every object, the emitted segment sequence
 /// is bit-identical to running the single-stream sink path over that
@@ -154,10 +154,11 @@ struct StreamEngineStats {
 /// is exactly the single-stream simplifier (see DESIGN.md "Sharded
 /// multi-object streaming engine").
 ///
-/// Each live object keeps a tail clock: the timestamps of its points
-/// since its last emitted segment boundary, O(open-tail length) doubles.
-/// The clock stamps t_start/t_end on every emitted segment and on the
-/// tails the snapshot seam clones, and it is part of the checkpoint.
+/// Each live object is its simplifier state and nothing else: every
+/// segment a state emits already carries the times of its end points
+/// (traj::RepresentedSegment::t_start/t_end), and the engine copies them
+/// into the TimedSegment it hands on, for emitted segments and cloned
+/// tails alike. For the one-pass algorithms the per-object state is O(1).
 ///
 /// Threading contract: Push/FinishObject/Tick/Flush/Checkpoint/Close
 /// must be called from one producer thread (or externally serialized).
@@ -167,8 +168,8 @@ struct StreamEngineStats {
 ///
 /// Steady-state cost: after warm-up (state pool and table grown to the
 /// live-object working set), a point update performs no heap allocation
-/// for the one-pass algorithms — the ring slots, the table, the pooled
-/// states and their tail clocks are all reused (allocation_test).
+/// for the one-pass algorithms — the ring slots, the table and the
+/// pooled states are all reused (allocation_test).
 class StreamEngine {
  public:
   /// Status-returning construction for untrusted configuration: validates
@@ -185,7 +186,8 @@ class StreamEngine {
   /// timeout may differ — they never affect per-object output, see the
   /// determinism contract). Corruption on a damaged, truncated or
   /// foreign file; InvalidArgument on an unsupported checkpoint
-  /// version (only version 2 is read). Worker threads start only after every per-object state is
+  /// version (only version 3 is read; the message names the version
+  /// found). Worker threads start only after every per-object state is
   /// rebuilt, so the first post-restore Push() continues each
   /// trajectory exactly where the checkpoint cut it: replaying the
   /// stream's remainder emits bit-identical segments to the

@@ -17,8 +17,13 @@ bool GetTimedSegment(std::span<const std::uint8_t> in, std::size_t* pos,
                      traj::TimedSegment* s) {
   if (!serial::GetU64(in, pos, &s->object_id)) return false;
   if (!traj::DeserializeSegment(in, pos, &s->segment).ok()) return false;
-  return serial::GetF64(in, pos, &s->t_start) &&
-         serial::GetF64(in, pos, &s->t_end);
+  if (!serial::GetF64(in, pos, &s->t_start) ||
+      !serial::GetF64(in, pos, &s->t_end)) {
+    return false;
+  }
+  s->segment.t_start = s->t_start;
+  s->segment.t_end = s->t_end;
+  return true;
 }
 
 void PutStatsBody(const StatsBody& s, std::vector<std::uint8_t>* out) {

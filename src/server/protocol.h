@@ -99,7 +99,8 @@ void PutTimedSegment(const traj::TimedSegment& s,
                      std::vector<std::uint8_t>* out);
 
 /// Inverse of PutTimedSegment, advancing `*pos`; false on truncation
-/// or a malformed segment encoding.
+/// or a malformed segment encoding. The record's times fill both
+/// `s->t_start`/`t_end` and `s->segment`'s.
 bool GetTimedSegment(std::span<const std::uint8_t> in, std::size_t* pos,
                      traj::TimedSegment* s);
 

@@ -205,7 +205,7 @@ void TrajectoryServer::OnSegment(const traj::TimedSegment& s) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.segments[s.object_id].push_back(s);
   }
-  segments_emitted_.fetch_add(1, std::memory_order_relaxed);
+  segments_out_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Result<bool> TrajectoryServer::Ingest(
@@ -365,7 +365,7 @@ StatsBody TrajectoryServer::Stats() {
   StatsBody b;
   b.live_objects = engine_->LiveObjectCount();
   b.ingest_points = ingest_points_.load(std::memory_order_relaxed);
-  b.segments_emitted = segments_emitted_.load(std::memory_order_relaxed);
+  b.segments_emitted = segments_out_.load(std::memory_order_relaxed);
   {
     std::shared_lock<std::shared_mutex> lock(seal_mu_);
     b.sealed_segments = reader_->segment_count();

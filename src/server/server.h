@@ -242,7 +242,7 @@ class TrajectoryServer {
   Status stop_status_;    ///< guarded by stop_mu_
 
   std::atomic<std::uint64_t> ingest_points_{0};
-  std::atomic<std::uint64_t> segments_emitted_{0};
+  std::atomic<std::uint64_t> segments_out_{0};
   std::atomic<std::uint64_t> backpressure_rejects_{0};
   std::atomic<std::uint64_t> seals_{0};
   std::atomic<std::uint64_t> connections_open_{0};

@@ -55,6 +55,23 @@ Status DeserializeSegment(std::span<const std::uint8_t> in, std::size_t* pos,
   return Status::OK();
 }
 
+void SerializeTimedSegment(const RepresentedSegment& s,
+                           std::vector<std::uint8_t>* out) {
+  SerializeSegment(s, out);
+  serial::PutF64(s.t_start, out);
+  serial::PutF64(s.t_end, out);
+}
+
+Status DeserializeTimedSegment(std::span<const std::uint8_t> in,
+                               std::size_t* pos, RepresentedSegment* s) {
+  OPERB_RETURN_IF_ERROR(DeserializeSegment(in, pos, s));
+  if (!serial::GetF64(in, pos, &s->t_start) ||
+      !serial::GetF64(in, pos, &s->t_end)) {
+    return Status::Corruption("truncated segment times");
+  }
+  return Status::OK();
+}
+
 std::string RepresentedSegment::ToString() const {
   char buf[200];
   std::snprintf(buf, sizeof(buf),
@@ -98,6 +115,13 @@ Status PiecewiseRepresentation::ValidateAgainst(
       return Status::InvalidArgument(
           "segment " + std::to_string(i) +
           " end does not match its last represented point");
+    }
+    // Times are copied from the points, never computed: compare exactly.
+    if (s.t_start != original[s.first_index].t ||
+        s.t_end != original[s.last_index].t) {
+      return Status::InvalidArgument(
+          "segment " + std::to_string(i) +
+          " times do not match its represented points");
     }
     if (i > 0) {
       const RepresentedSegment& prev = segments_[i - 1];

@@ -16,7 +16,8 @@
 namespace operb::traj {
 
 /// One directed line segment of a piecewise-line representation, together
-/// with the index range of original trajectory points it represents.
+/// with the index range of original trajectory points it represents and
+/// the timestamps of that range's two end points.
 ///
 /// `start`/`end` usually coincide with trajectory points, but OPERB-A may
 /// substitute interpolated *patch points*, so positions are stored
@@ -36,6 +37,11 @@ struct RepresentedSegment {
   /// range past its geometric endpoint).
   bool start_is_patch = false;
   bool end_is_patch = false;
+  /// Timestamps of the original points at `first_index` and `last_index`,
+  /// seconds. Whoever sets an index sets its time, so a patch endpoint
+  /// keeps the covered points' times.
+  double t_start = 0.0;
+  double t_end = 0.0;
 
   geo::DirectedSegment AsSegment() const { return {start, end}; }
 
@@ -47,17 +53,28 @@ struct RepresentedSegment {
   std::string ToString() const;
 };
 
-/// Appends the byte-stable encoding of `s` (4 doubles, 2 u64 indices,
-/// 2 patch-flag bytes — 50 bytes, little-endian, doubles as IEEE-754 bit
-/// patterns). Building block of the simplifier state blobs the engine
-/// checkpoints; see common/serial.h for the encoding discipline.
+/// Appends the byte-stable encoding of `s`'s geometry and index range (4
+/// doubles, 2 u64 indices, 2 patch-flag bytes — 50 bytes, little-endian,
+/// doubles as IEEE-754 bit patterns; the times are not written). The wire
+/// protocol's timed segment carries its times separately; see
+/// common/serial.h for the encoding discipline.
 void SerializeSegment(const RepresentedSegment& s,
                       std::vector<std::uint8_t>* out);
 
-/// Inverse of SerializeSegment, advancing `*pos`. Corruption on
-/// truncation or a patch-flag byte that is not 0/1.
+/// Inverse of SerializeSegment, advancing `*pos`; leaves the times as
+/// they were. Corruption on truncation or a patch-flag byte that is not
+/// 0/1.
 Status DeserializeSegment(std::span<const std::uint8_t> in, std::size_t* pos,
                           RepresentedSegment* s);
+
+/// SerializeSegment followed by `t_start` and `t_end` (66 bytes): the
+/// encoding the simplifier state blobs the engine checkpoints use.
+void SerializeTimedSegment(const RepresentedSegment& s,
+                           std::vector<std::uint8_t>* out);
+
+/// Inverse of SerializeTimedSegment, advancing `*pos`.
+Status DeserializeTimedSegment(std::span<const std::uint8_t> in,
+                               std::size_t* pos, RepresentedSegment* s);
 
 /// Consumer callback for streaming segment emission: the zero-allocation
 /// output path of the one-pass simplifiers. A stream with a sink installed
@@ -94,7 +111,8 @@ class PiecewiseRepresentation {
 
   /// Checks the representation is continuous (each segment starts where
   /// the previous one ended, index ranges chain and cover [0, n]) against
-  /// the original trajectory.
+  /// the original trajectory, and that each segment's times are those of
+  /// the original points at its two indices.
   Status ValidateAgainst(const Trajectory& original) const;
 
   std::string ToString() const;

@@ -28,6 +28,7 @@
 #include "obs/metrics.h"
 #include "store/reader.h"
 #include "store/writer.h"
+#include "test_util.h"
 #include "traj/io.h"
 #include "traj/multi_object.h"
 #include "traj/trajectory.h"
@@ -164,14 +165,17 @@ TEST(AllocationTest, OperbWarmBatchPushIsAllocationFree) {
 }
 
 /// The engine's sink path: each point goes through the ring, the shard
-/// table, the pooled state and its tail clock, and each segment to a
-/// TimedSegmentSink. Once the shard has served one object, a second of
-/// the same length allocates nothing, on the producer or the worker. The
-/// test waits for the worker after every producer batch, so both objects
-/// reach the state in the same runs and the second clock never outgrows
-/// the first.
+/// table and the pooled state, and each segment to a TimedSegmentSink.
+/// Once the shard has served one object, the next allocates nothing on
+/// the producer or the worker, even when its open segment grows far
+/// longer than any of the first object's: a state's segments carry their
+/// own times, so nothing per object grows with the open tail. Object 1
+/// is a short random walk (many short segments); object 2 reuses its
+/// pooled state for a 20k-point straight line, one segment open to the
+/// end.
 TEST(AllocationTest, EngineTimedSinkPathIsAllocationFreePerPoint) {
-  const traj::Trajectory t = TestTrajectory(20000);
+  const traj::Trajectory walk = testutil::RandomWalk(2000, 7);
+  const traj::Trajectory line = testutil::StraightLine(20000);
   engine::StreamEngineOptions options;
   options.spec.zeta = 40.0;  // default algorithm: OPERB
   options.num_shards = 1;
@@ -186,44 +190,37 @@ TEST(AllocationTest, EngineTimedSinkPathIsAllocationFreePerPoint) {
   const engine::TailSnapshotVisitor visit_nothing =
       [](traj::ObjectId, std::span<const traj::TimedSegment>) {};
   bool waits_ok = true;
-  const auto wait_for_worker = [&] {
+  const auto feed_and_finish = [&](traj::ObjectId id,
+                                   const traj::Trajectory& t) {
+    for (const geo::Point& p : t) eng.Push(id, p);
+    eng.FinishObject(id);
+    eng.Flush();
     waits_ok = eng.SnapshotObjectTail(kNeverPushed, visit_nothing).ok() &&
                waits_ok;
   };
-  const auto feed = [&](traj::ObjectId id) {
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      eng.Push(id, t[i]);  // hands off a batch every producer_batch points
-      if ((i + 1) % options.producer_batch == 0) wait_for_worker();
-    }
-    eng.Flush();
-    wait_for_worker();
-  };
-  feed(1);
-  eng.FinishObject(1);
-  eng.Flush();
-  wait_for_worker();
-  segments.store(0);
+  feed_and_finish(1, walk);
+  const std::size_t walk_segments = segments.exchange(0);
 
   std::size_t allocations = 0;
   {
     CountingScope scope;
-    feed(2);
+    feed_and_finish(2, line);
     allocations = scope.count();
   }
   eng.Close();
   EXPECT_TRUE(waits_ok);
   EXPECT_EQ(allocations, 0u);
-  EXPECT_GT(segments.load(), 10u);
+  EXPECT_GT(walk_segments, 10u);
+  EXPECT_GE(segments.load(), 1u);
+  EXPECT_EQ(eng.stats().objects_finished, 2u);
 }
 
 /// The engine's sink path when every consumer batch holds many objects:
 /// 1,000 objects fed round-robin put 256 distinct ids in each batch, so
 /// each point goes through the batch prefetch, a probe of a table of
 /// 1,000 live slots and a state of its own. Once one round has grown the
-/// table, the pool and the clocks, finishing every object and feeding
-/// the same ids again allocates nothing. Every object replays the same
-/// trajectory, so whichever pooled state an id gets, its clock history
-/// repeats the first round's.
+/// table and the pool, finishing every object and feeding the same ids
+/// again allocates nothing.
 TEST(AllocationTest, EngineInterleavedBatchesAreAllocationFree) {
   const traj::Trajectory t = TestTrajectory(200);
   constexpr traj::ObjectId kObjects = 1000;
@@ -577,22 +574,25 @@ TEST(AllocationTest, StoreQueriesAllocatePerQueryNotPerBlock) {
   std::filesystem::remove_all(path);
 }
 
-/// Contrast check: the buffered path must still work (and will allocate),
-/// confirming the counter actually observes the stream's allocations.
+/// Contrast check: a sink that buffers into a growing vector must
+/// allocate, confirming the counter actually observes allocations made
+/// on the stream's emission path.
 TEST(AllocationTest, BufferedPathAllocatesAndCounterSeesIt) {
   const traj::Trajectory t = TestTrajectory(20000);
   core::OperbStream stream(core::OperbOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> buffered;
+  stream.SetSink([&buffered](const traj::RepresentedSegment& s) {
+    buffered.push_back(s);
+  });
   std::size_t allocations = 0;
-  std::size_t segments = 0;
   {
     CountingScope scope;
     for (const geo::Point& p : t) stream.Push(p);
     stream.Finish();
     allocations = scope.count();
-    segments = stream.emitted().size();
   }
   EXPECT_GT(allocations, 0u);
-  EXPECT_GT(segments, 10u);
+  EXPECT_GT(buffered.size(), 10u);
 }
 
 }  // namespace

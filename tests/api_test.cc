@@ -237,7 +237,7 @@ TEST_P(RegistryGoldenTest, SpecStringConstructionMatchesGolden) {
       std::string(OPERB_GOLDEN_DIR) + "/golden_" + name + "_" +
       std::string(datagen::DatasetName(kind)) + ".csv";
   const std::vector<traj::RepresentedSegment> golden =
-      LoadGolden(golden_path);
+      LoadGolden(golden_path, t);
   if (HasFailure()) return;
 
   const std::string spec_string = name + ":zeta=40";
@@ -280,7 +280,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PipelineTest, SinglePathMatchesGoldenAndReportsStages) {
   const traj::Trajectory t = GoldenTrajectory(datagen::DatasetKind::kSerCar);
   const std::vector<traj::RepresentedSegment> golden = LoadGolden(
-      std::string(OPERB_GOLDEN_DIR) + "/golden_OPERB_SerCar.csv");
+      std::string(OPERB_GOLDEN_DIR) + "/golden_OPERB_SerCar.csv", t);
 
   Result<api::Pipeline> pipeline = api::Pipeline::Builder()
                                        .FromTrajectory(t)
@@ -376,11 +376,13 @@ TEST(PipelineTest, EnginePathMatchesGoldenPerObject) {
   }
   ExpectSegmentsEqual(first,
                       LoadGolden(std::string(OPERB_GOLDEN_DIR) +
-                                 "/golden_OPERB-A_SerCar.csv"),
+                                     "/golden_OPERB-A_SerCar.csv",
+                                 objects[0].trajectory),
                       "engine path object 11");
   ExpectSegmentsEqual(second,
                       LoadGolden(std::string(OPERB_GOLDEN_DIR) +
-                                 "/golden_OPERB-A_GeoLife.csv"),
+                                     "/golden_OPERB-A_GeoLife.csv",
+                                 objects[1].trajectory),
                       "engine path object 22");
 }
 
@@ -472,7 +474,8 @@ TEST(PipelineTest, SinkReceivesSegmentsInsteadOfReport) {
   EXPECT_TRUE(run->verified);  // verification works alongside a sink
   ExpectSegmentsEqual(sunk,
                       LoadGolden(std::string(OPERB_GOLDEN_DIR) +
-                                 "/golden_OPERB_Truck.csv"),
+                                     "/golden_OPERB_Truck.csv",
+                                 t),
                       "pipeline sink");
 }
 

@@ -172,7 +172,7 @@ TEST_P(EngineGoldenTest, ShuffledInterleaveMatchesGoldenPerObject) {
         std::string(baselines::AlgorithmName(algo)) + "_" +
         std::string(datagen::DatasetName(kinds[i])) + ".csv";
     const std::vector<traj::RepresentedSegment> golden =
-        LoadGolden(golden_path);
+        LoadGolden(golden_path, objects[i].trajectory);
     if (HasFailure()) return;
     ExpectSegmentsEqual(collector.ForObject(objects[i].object_id), golden,
                         std::string(datagen::DatasetName(kinds[i])) +
@@ -476,9 +476,10 @@ void Rechecksum(std::vector<std::uint8_t>* bytes) {
   }
 }
 
-/// An engine checkpoint cut at its record boundaries (DESIGN.md §9): the
-/// header up to the first shard section, then per shard the object
-/// records and the trailing counters.
+/// An engine checkpoint (version 3) cut at its record boundaries
+/// (DESIGN.md §9): the header up to the first shard section, then per
+/// shard the object records (id, last event time, length-prefixed state
+/// blob) and the trailing counters.
 struct CheckpointParts {
   struct Section {
     std::vector<std::vector<std::uint8_t>> records;
@@ -509,10 +510,7 @@ CheckpointParts SplitCheckpoint(const std::vector<std::uint8_t>& bytes,
       pos += 16;  // id, last event time
       std::uint32_t blob_len = 0;
       EXPECT_TRUE(serial::GetU32(body, &pos, &blob_len));
-      pos += blob_len + 8;  // state blob, clock base
-      std::uint64_t times = 0;
-      EXPECT_TRUE(serial::GetU64(body, &pos, &times));
-      pos += 8 * times;
+      pos += blob_len;
       section.records.emplace_back(at(start), at(pos));
     }
     section.counters.assign(at(pos), at(pos + 32));
@@ -651,7 +649,7 @@ TEST_P(EngineCheckpointTest, RestoreResumesBitIdenticallyAtEveryCut) {
           std::string(OPERB_GOLDEN_DIR) + "/golden_" +
           std::string(baselines::AlgorithmName(algo)) + "_" +
           std::string(datagen::DatasetName(kinds[i])) + ".csv";
-      ExpectSegmentsEqual(c, LoadGolden(golden_path),
+      ExpectSegmentsEqual(c, LoadGolden(golden_path, objects[i].trajectory),
                           std::string(datagen::DatasetName(kinds[i])) +
                               " golden across cut " + std::to_string(cut));
       if (HasFailure()) return;
@@ -1293,44 +1291,44 @@ TEST(EngineTest, LiveObjectCountAndRingAccessorsTrackTheCensus) {
   EXPECT_EQ(eng.LiveObjectCount(), 0u);
 }
 
-TEST(EngineTest, CheckpointRefusesVersion1AndResumesVersion2) {
+TEST(EngineTest, CheckpointRefusesVersion2AndResumesVersion3) {
   const traj::Trajectory t =
       testutil::Generated(datagen::DatasetKind::kGeoLife, 400, 13);
   const std::size_t cut = 250;
 
-  const std::string v2_path = TempPath("engine_v2.ckpt");
+  const std::string v3_path = TempPath("engine_v3.ckpt");
   TimedCollector full_sink;
   engine::StreamEngine full(OperbAOptions(4), full_sink.Sink());
   for (std::size_t i = 0; i < cut; ++i) full.Push(5, t[i]);
-  ASSERT_TRUE(full.Checkpoint(v2_path).ok());
+  ASSERT_TRUE(full.Checkpoint(v3_path).ok());
   // The checkpoint's drain barrier makes this exactly the prefix output.
   const std::vector<traj::TimedSegment> at_cut = full_sink.Snapshot(5);
-  const std::vector<std::uint8_t> v2 = ReadAllBytes(v2_path);
-  ASSERT_GT(v2.size(), 9u);
-  EXPECT_EQ(v2[8], 2u);
+  const std::vector<std::uint8_t> v3 = ReadAllBytes(v3_path);
+  ASSERT_GT(v3.size(), 9u);
+  EXPECT_EQ(v3[8], 3u);
 
-  // Version 1 had no tail clocks. Such a file is refused by its version
-  // byte, behind a valid checksum: InvalidArgument naming the version,
-  // not Corruption.
-  std::vector<std::uint8_t> v1 = v2;
-  v1[8] = 1;
-  Rechecksum(&v1);
-  const std::string v1_path = TempPath("engine_v1.ckpt");
-  WriteAllBytes(v1_path, v1);
+  // Version 2 followed each state blob with a tail clock. Such a file is
+  // refused by its version byte, behind a valid checksum: InvalidArgument
+  // naming the version, not Corruption.
+  std::vector<std::uint8_t> v2 = v3;
+  v2[8] = 2;
+  Rechecksum(&v2);
+  const std::string v2_path = TempPath("engine_v2.ckpt");
+  WriteAllBytes(v2_path, v2);
   const Status refused =
-      engine::StreamEngine::CreateFromCheckpoint(v1_path, OperbAOptions(4),
+      engine::StreamEngine::CreateFromCheckpoint(v2_path, OperbAOptions(4),
                                                  nullptr)
           .status();
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.message().find("version 1"), std::string::npos)
+  EXPECT_NE(refused.message().find("version 2"), std::string::npos)
       << refused.ToString();
 
-  // The v2 round trip restores the tail clocks: the resumed engine's
-  // remaining timed output is bit-identical to the uninterrupted run —
-  // t_start/t_end included, which only works if the clock survived.
+  // The v3 round trip restores each state's segment times: the resumed
+  // engine's remaining timed output is bit-identical to the
+  // uninterrupted run, t_start/t_end included.
   TimedCollector resumed_sink;
   auto resumed = engine::StreamEngine::CreateFromCheckpoint(
-      v2_path, OperbAOptions(4), resumed_sink.Sink());
+      v3_path, OperbAOptions(4), resumed_sink.Sink());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   for (std::size_t i = cut; i < t.size(); ++i) {
     full.Push(5, t[i]);
@@ -1342,8 +1340,102 @@ TEST(EngineTest, CheckpointRefusesVersion1AndResumesVersion2) {
   const std::vector<traj::TimedSegment> rest = resumed_sink.Snapshot(5);
   std::vector<traj::TimedSegment> got = at_cut;
   got.insert(got.end(), rest.begin(), rest.end());
-  ExpectTimedEqual(got, want, "v2 resumed timed output");
+  ExpectTimedEqual(got, want, "v3 resumed timed output");
   EXPECT_FALSE(rest.empty());
+}
+
+/// Deterministic damage to a small v3 checkpoint, each file behind a
+/// valid whole-file checksum so the restore reaches the record decoder:
+/// the file cut at every record boundary, and every byte of the header,
+/// of one object record and of one shard's counters flipped (two
+/// patterns each). Every restore must come back OK, Corruption or
+/// InvalidArgument, and a restored engine must close cleanly.
+TEST(EngineTest, CheckpointMutationsAlwaysReturnAStatus) {
+  engine::StreamEngineOptions opts = OperbAOptions(2);
+  opts.num_threads = 1;
+  const traj::Trajectory t =
+      testutil::Generated(datagen::DatasetKind::kSerCar, 60, 8);
+  const std::string path = TempPath("engine_ckpt_mutations.ckpt");
+  {
+    engine::StreamEngine eng(opts, nullptr);
+    for (const geo::Point& p : t) {
+      for (traj::ObjectId id = 1; id <= 3; ++id) eng.Push(id, p);
+    }
+    ASSERT_TRUE(eng.Checkpoint(path).ok());
+    eng.Close();
+  }
+  const std::vector<std::uint8_t> good = ReadAllBytes(path);
+  const CheckpointParts parts = SplitCheckpoint(good, opts.num_shards);
+  ASSERT_EQ(parts.shards[0].records.size() + parts.shards[1].records.size(),
+            3u);
+  ASSERT_EQ(JoinCheckpoint(parts), good);
+
+  std::size_t ok = 0;
+  std::size_t refused = 0;
+  const auto restore = [&](std::vector<std::uint8_t> body,
+                           const std::string& what) {
+    body.resize(body.size() + 8);
+    Rechecksum(&body);
+    WriteAllBytes(path, body);
+    auto eng = engine::StreamEngine::CreateFromCheckpoint(path, opts, nullptr);
+    const StatusCode code = eng.status().code();
+    EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kCorruption ||
+                code == StatusCode::kInvalidArgument)
+        << what << ": " << eng.status().ToString();
+    if (eng.ok()) {
+      eng.value()->Close();
+      ++ok;
+    } else {
+      ++refused;
+    }
+  };
+
+  // Record boundaries of the body (the file without its checksum).
+  const std::vector<std::uint8_t> body(good.begin(), good.end() - 8);
+  std::vector<std::size_t> boundaries = {parts.header.size()};
+  std::size_t pos = parts.header.size();
+  std::size_t first_record = 0;  // offset of the first object record
+  std::size_t first_counters = 0;
+  for (const CheckpointParts::Section& section : parts.shards) {
+    pos += 8;  // record count
+    boundaries.push_back(pos);
+    for (const std::vector<std::uint8_t>& r : section.records) {
+      if (first_record == 0) first_record = pos;
+      pos += r.size();
+      boundaries.push_back(pos);
+    }
+    if (first_counters == 0) first_counters = pos;
+    pos += section.counters.size();
+    boundaries.push_back(pos);
+  }
+  ASSERT_EQ(pos, body.size());
+  for (const std::size_t b : boundaries) {
+    restore(std::vector<std::uint8_t>(
+                body.begin(), body.begin() + static_cast<std::ptrdiff_t>(b)),
+            "cut at " + std::to_string(b));
+  }
+
+  const std::size_t record_size = parts.shards[0].records.empty()
+                                      ? parts.shards[1].records[0].size()
+                                      : parts.shards[0].records[0].size();
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, parts.header.size()},
+      {first_record, first_record + record_size},
+      {first_counters, first_counters + parts.shards[0].counters.size()},
+  };
+  for (const auto& [begin, end] : ranges) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const std::uint8_t pattern : {0x01, 0xFF}) {
+        std::vector<std::uint8_t> flipped = body;
+        flipped[i] ^= pattern;
+        restore(std::move(flipped), "byte " + std::to_string(i) + " ^ " +
+                                        std::to_string(pattern));
+      }
+    }
+  }
+  // Both outcomes occur: the damage is not all caught at one check.
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(EngineTest, CheckpointRestoreRefusesMisplacedObjects) {

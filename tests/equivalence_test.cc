@@ -2,12 +2,15 @@
 //
 // The fixtures under tests/golden/ were produced by the pre-optimization
 // scalar implementation (trig per point, buffered emission, per-point
-// Push). Every algorithm must keep emitting *bit-identical* segments
-// through every execution path:
+// Push). Every algorithm must keep emitting *bit-identical* segments,
+// times included, through every execution path:
 //   (a) the batch Simplify() entry point,
 //   (b) the streaming sink path (SimplifyToSink),
-//   (c) for the OPERB family: per-point Push + TakeEmitted polling,
+//   (c) for the OPERB family: per-point Push + sink,
 //   (d) for the OPERB family: batch Push(span) + sink.
+// The fixtures hold no times; LoadGolden stamps each segment with its
+// represented points' times, so every path's times are compared with
+// the original points' and so with each other's.
 // Regenerate the fixtures with tools/make_golden only for an intentional
 // output change, and re-review the diff.
 
@@ -50,7 +53,7 @@ TEST_P(EquivalenceTest, AllPathsMatchGolden) {
       std::string(baselines::AlgorithmName(algo)) + "_" +
       std::string(datagen::DatasetName(kind)) + ".csv";
   const std::vector<traj::RepresentedSegment> golden =
-      LoadGolden(golden_path);
+      LoadGolden(golden_path, t);
   if (HasFailure()) return;
 
   const auto simplifier = baselines::MakeSimplifier(algo, kGoldenZeta);
@@ -81,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-/// The OPERB-family streams additionally expose raw Push/TakeEmitted and
+/// The OPERB-family streams additionally expose point-wise Push and
 /// batch Push(span): both must match the golden output exactly.
 class OperbStreamPathsTest
     : public testing::TestWithParam<datagen::DatasetKind> {};
@@ -91,23 +94,20 @@ TEST_P(OperbStreamPathsTest, OperbPollingAndBatchPathsMatchGolden) {
   const traj::Trajectory t = GoldenTrajectory(kind);
   const std::vector<traj::RepresentedSegment> golden =
       LoadGolden(std::string(OPERB_GOLDEN_DIR) + "/golden_OPERB_" +
-                 std::string(datagen::DatasetName(kind)) + ".csv");
+                     std::string(datagen::DatasetName(kind)) + ".csv",
+                 t);
   if (HasFailure()) return;
   const core::OperbOptions opts = core::OperbOptions::Optimized(kGoldenZeta);
 
-  // (c) Per-point Push with TakeEmitted polling (capacity-reusing drain).
-  core::OperbStream polling(opts);
+  // (c) Per-point Push + sink.
+  core::OperbStream pointwise(opts);
   std::vector<traj::RepresentedSegment> collected;
-  std::vector<traj::RepresentedSegment> batch;
-  for (const geo::Point& p : t) {
-    polling.Push(p);
-    polling.TakeEmitted(&batch);
-    collected.insert(collected.end(), batch.begin(), batch.end());
-  }
-  polling.Finish();
-  polling.TakeEmitted(&batch);
-  collected.insert(collected.end(), batch.begin(), batch.end());
-  ExpectSegmentsEqual(collected, golden, "polling");
+  pointwise.SetSink([&collected](const traj::RepresentedSegment& s) {
+    collected.push_back(s);
+  });
+  for (const geo::Point& p : t) pointwise.Push(p);
+  pointwise.Finish();
+  ExpectSegmentsEqual(collected, golden, "point-wise");
 
   // (d) Batch Push(span) + sink.
   core::OperbStream spans(opts);
@@ -134,23 +134,20 @@ TEST_P(OperbStreamPathsTest, OperbAPollingAndBatchPathsMatchGolden) {
   const traj::Trajectory t = GoldenTrajectory(kind);
   const std::vector<traj::RepresentedSegment> golden =
       LoadGolden(std::string(OPERB_GOLDEN_DIR) + "/golden_OPERB-A_" +
-                 std::string(datagen::DatasetName(kind)) + ".csv");
+                     std::string(datagen::DatasetName(kind)) + ".csv",
+                 t);
   if (HasFailure()) return;
   const core::OperbAOptions opts =
       core::OperbAOptions::Optimized(kGoldenZeta);
 
-  core::OperbAStream polling(opts);
+  core::OperbAStream pointwise(opts);
   std::vector<traj::RepresentedSegment> collected;
-  std::vector<traj::RepresentedSegment> batch;
-  for (const geo::Point& p : t) {
-    polling.Push(p);
-    polling.TakeEmitted(&batch);
-    collected.insert(collected.end(), batch.begin(), batch.end());
-  }
-  polling.Finish();
-  polling.TakeEmitted(&batch);
-  collected.insert(collected.end(), batch.begin(), batch.end());
-  ExpectSegmentsEqual(collected, golden, "polling");
+  pointwise.SetSink([&collected](const traj::RepresentedSegment& s) {
+    collected.push_back(s);
+  });
+  for (const geo::Point& p : t) pointwise.Push(p);
+  pointwise.Finish();
+  ExpectSegmentsEqual(collected, golden, "point-wise");
 
   core::OperbAStream spans(opts);
   std::vector<traj::RepresentedSegment> via_sink;

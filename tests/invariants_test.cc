@@ -68,13 +68,12 @@ TEST(OnePassTest, SegmentsEmittedIncrementallyNotOnlyAtFinish) {
   // the end: most segments appear during Push.
   const auto t = Generated(datagen::DatasetKind::kSerCar, 4000, 9);
   core::OperbStream stream(core::OperbOptions::Optimized(20.0));
-  std::size_t during_push = 0;
-  for (const geo::Point& p : t) {
-    stream.Push(p);
-    during_push += stream.TakeEmitted().size();
-  }
+  std::size_t emitted = 0;
+  stream.SetSink([&emitted](const traj::RepresentedSegment&) { ++emitted; });
+  for (const geo::Point& p : t) stream.Push(p);
+  const std::size_t during_push = emitted;
   stream.Finish();
-  const std::size_t at_finish = stream.TakeEmitted().size();
+  const std::size_t at_finish = emitted - during_push;
   EXPECT_GT(during_push, 10u);
   EXPECT_LE(at_finish, 2u);
 }
@@ -85,11 +84,13 @@ TEST(OnePassTest, LazyPolicyDelaysByAtMostTwoSegments) {
   core::OperbAStream lazy(core::OperbAOptions::Optimized(20.0));
   std::size_t plain_total = 0;
   std::size_t lazy_total = 0;
+  plain.SetSink(
+      [&plain_total](const traj::RepresentedSegment&) { ++plain_total; });
+  lazy.SetSink(
+      [&lazy_total](const traj::RepresentedSegment&) { ++lazy_total; });
   for (const geo::Point& p : t) {
     plain.Push(p);
     lazy.Push(p);
-    plain_total += plain.TakeEmitted().size();
-    lazy_total += lazy.TakeEmitted().size();
     // The lazy buffer holds at most two determined segments; each applied
     // patch merges one determined segment away.
     EXPECT_LE(plain_total,
@@ -98,18 +99,11 @@ TEST(OnePassTest, LazyPolicyDelaysByAtMostTwoSegments) {
 }
 
 TEST(StateSizeTest, StreamObjectIsSmall) {
-  // O(1) space in a checkable form: the stream object carries no
-  // per-point storage (the emitted buffer is drained by the caller).
+  // O(1) space in a checkable form: the stream object has no growable
+  // member (every segment leaves through the sink), so its size is all
+  // the per-trajectory state there is.
   EXPECT_LT(sizeof(core::OperbStream), 600u);
   EXPECT_LT(sizeof(core::OperbAStream), 1200u);
-  core::OperbStream stream(core::OperbOptions::Optimized(10.0));
-  const auto t = RandomWalk(50000, 1);
-  for (const geo::Point& p : t) {
-    stream.Push(p);
-    // Draining keeps the only growable member bounded.
-    EXPECT_LE(stream.emitted().size(), 1u);
-    stream.TakeEmitted();
-  }
 }
 
 TEST(GuardTest, PaperModeCanViolateGuardedModeCannot) {
@@ -249,12 +243,9 @@ TEST(CrossAlgorithmTest, BatchAndStreamingAgreeForAllOperbConfigs) {
     const auto batch = core::SimplifyOperb(t, o);
     core::OperbStream stream(o);
     std::size_t n = 0;
-    for (const geo::Point& p : t) {
-      stream.Push(p);
-      n += stream.TakeEmitted().size();
-    }
+    stream.SetSink([&n](const traj::RepresentedSegment&) { ++n; });
+    for (const geo::Point& p : t) stream.Push(p);
     stream.Finish();
-    n += stream.TakeEmitted().size();
     EXPECT_EQ(n, batch.size());
   }
 }

@@ -23,7 +23,19 @@ traj::RepresentedSegment Seg(geo::Vec2 a, geo::Vec2 b, std::size_t f,
   s.end = b;
   s.first_index = f;
   s.last_index = l;
+  // Unit time steps: point i is stamped i seconds.
+  s.t_start = static_cast<double>(f);
+  s.t_end = static_cast<double>(l);
   return s;
+}
+
+/// A patcher whose emissions collect into `*out`.
+LazyPatcher CollectingPatcher(const OperbAOptions& options,
+                              std::vector<traj::RepresentedSegment>* out) {
+  LazyPatcher patcher(options);
+  patcher.SetSink(
+      [out](const traj::RepresentedSegment& s) { out->push_back(s); });
+  return patcher;
 }
 
 // ---------------------------------------------------------------------------
@@ -131,13 +143,15 @@ TEST(PatchPointTest, MaxExtensionGuardRejectsFarPatches) {
 // ---------------------------------------------------------------------------
 
 TEST(LazyPatcherTest, PassesThroughNonAnomalousSegments) {
-  LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> emitted;
+  LazyPatcher patcher =
+      CollectingPatcher(OperbAOptions::Optimized(40.0), &emitted);
   patcher.Accept(Seg({0, 0}, {50, 0}, 0, 5));
-  EXPECT_TRUE(patcher.emitted().empty());  // buffered as candidate X
+  EXPECT_TRUE(emitted.empty());  // buffered as candidate X
   patcher.Accept(Seg({50, 0}, {100, 0}, 5, 10));
-  EXPECT_EQ(patcher.emitted().size(), 1u);
+  EXPECT_EQ(emitted.size(), 1u);
   patcher.Finish();
-  EXPECT_EQ(patcher.emitted().size(), 2u);
+  EXPECT_EQ(emitted.size(), 2u);
   EXPECT_EQ(patcher.anomalous_segments(), 0u);
   EXPECT_EQ(patcher.patches_applied(), 0u);
 }
@@ -145,14 +159,16 @@ TEST(LazyPatcherTest, PassesThroughNonAnomalousSegments) {
 TEST(LazyPatcherTest, PatchesCrossroadAnomaly) {
   // X covers 0..10 along +x; anomalous Y jumps to the start of the
   // vertical street; S covers the vertical street.
-  LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> emitted;
+  LazyPatcher patcher =
+      CollectingPatcher(OperbAOptions::Optimized(40.0), &emitted);
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));  // anomalous (2 pts)
   patcher.Accept(Seg({110, 10}, {110, 100}, 11, 20));
   patcher.Finish();
   ASSERT_EQ(patcher.anomalous_segments(), 1u);
   ASSERT_EQ(patcher.patches_applied(), 1u);
-  const auto& out = patcher.emitted();
+  const auto& out = emitted;
   ASSERT_EQ(out.size(), 2u);
   // X extended to G = (110, 0) on its own line.
   EXPECT_NEAR(out[0].end.x, 110.0, 1e-9);
@@ -163,10 +179,17 @@ TEST(LazyPatcherTest, PatchesCrossroadAnomaly) {
   EXPECT_TRUE(out[1].start_is_patch);
   EXPECT_EQ(out[1].first_index, 11u);
   EXPECT_NEAR(out[1].start.x, 110.0, 1e-9);
+  // A patch moves endpoints, never indices, so the times ride along.
+  EXPECT_EQ(out[0].t_start, 0.0);
+  EXPECT_EQ(out[0].t_end, 10.0);
+  EXPECT_EQ(out[1].t_start, 11.0);
+  EXPECT_EQ(out[1].t_end, 20.0);
 }
 
 TEST(LazyPatcherTest, UnpatchableAnomalyEmittedInOrder) {
-  LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> emitted;
+  LazyPatcher patcher =
+      CollectingPatcher(OperbAOptions::Optimized(40.0), &emitted);
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   // U-turn: angle condition rejects the patch.
   patcher.Accept(Seg({100, 0}, {105, 5}, 10, 11));
@@ -174,7 +197,7 @@ TEST(LazyPatcherTest, UnpatchableAnomalyEmittedInOrder) {
   patcher.Finish();
   EXPECT_EQ(patcher.anomalous_segments(), 1u);
   EXPECT_EQ(patcher.patches_applied(), 0u);
-  const auto& out = patcher.emitted();
+  const auto& out = emitted;
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].last_index, 10u);
   EXPECT_EQ(out[1].first_index, 10u);
@@ -183,11 +206,13 @@ TEST(LazyPatcherTest, UnpatchableAnomalyEmittedInOrder) {
 }
 
 TEST(LazyPatcherTest, TrailingAnomalyFlushedOnFinish) {
-  LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> emitted;
+  LazyPatcher patcher =
+      CollectingPatcher(OperbAOptions::Optimized(40.0), &emitted);
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));
   patcher.Finish();
-  EXPECT_EQ(patcher.emitted().size(), 2u);
+  EXPECT_EQ(emitted.size(), 2u);
   EXPECT_EQ(patcher.anomalous_segments(), 1u);
   EXPECT_EQ(patcher.patches_applied(), 0u);
 }
@@ -195,20 +220,23 @@ TEST(LazyPatcherTest, TrailingAnomalyFlushedOnFinish) {
 TEST(LazyPatcherTest, PatchingDisabledCountsButNeverPatches) {
   OperbAOptions opts = OperbAOptions::Optimized(40.0);
   opts.enable_patching = false;
-  LazyPatcher patcher(opts);
+  std::vector<traj::RepresentedSegment> emitted;
+  LazyPatcher patcher = CollectingPatcher(opts, &emitted);
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));
   patcher.Accept(Seg({110, 10}, {110, 100}, 11, 20));
   patcher.Finish();
   EXPECT_EQ(patcher.anomalous_segments(), 1u);
   EXPECT_EQ(patcher.patches_applied(), 0u);
-  EXPECT_EQ(patcher.emitted().size(), 3u);
+  EXPECT_EQ(emitted.size(), 3u);
 }
 
 TEST(LazyPatcherTest, ChainedPatchesAcrossConsecutiveAnomalies) {
   // Staircase: every turn produces an anomalous connector; the patched
   // pending segment must remain eligible as the next predecessor.
-  LazyPatcher patcher(OperbAOptions::Optimized(40.0));
+  std::vector<traj::RepresentedSegment> emitted;
+  LazyPatcher patcher =
+      CollectingPatcher(OperbAOptions::Optimized(40.0), &emitted);
   patcher.Accept(Seg({0, 0}, {100, 0}, 0, 10));
   patcher.Accept(Seg({100, 0}, {110, 10}, 10, 11));    // anomalous
   patcher.Accept(Seg({110, 10}, {110, 100}, 11, 20));  // vertical street
@@ -217,7 +245,7 @@ TEST(LazyPatcherTest, ChainedPatchesAcrossConsecutiveAnomalies) {
   patcher.Finish();
   EXPECT_EQ(patcher.anomalous_segments(), 2u);
   EXPECT_EQ(patcher.patches_applied(), 2u);
-  EXPECT_EQ(patcher.emitted().size(), 3u);
+  EXPECT_EQ(emitted.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,16 +321,18 @@ TEST(OperbATest, StreamingMatchesBatch) {
   const auto batch = SimplifyOperbA(t, opts);
   OperbAStream stream(opts);
   traj::PiecewiseRepresentation incremental;
-  for (const geo::Point& p : t) {
-    stream.Push(p);
-    for (auto& s : stream.TakeEmitted()) incremental.Append(s);
-  }
+  stream.SetSink(
+      [&incremental](const traj::RepresentedSegment& s) {
+        incremental.Append(s);
+      });
+  for (const geo::Point& p : t) stream.Push(p);
   stream.Finish();
-  for (auto& s : stream.TakeEmitted()) incremental.Append(s);
   ASSERT_EQ(batch.size(), incremental.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].start, incremental[i].start);
     EXPECT_EQ(batch[i].end, incremental[i].end);
+    EXPECT_EQ(batch[i].t_start, incremental[i].t_start);
+    EXPECT_EQ(batch[i].t_end, incremental[i].t_end);
   }
 }
 

@@ -107,12 +107,12 @@ TEST(OperbTest, StreamingMatchesBatch) {
 
   OperbStream stream(opts);
   traj::PiecewiseRepresentation incremental;
-  for (const geo::Point& p : t) {
-    stream.Push(p);
-    for (auto& s : stream.TakeEmitted()) incremental.Append(s);
-  }
+  stream.SetSink(
+      [&incremental](const traj::RepresentedSegment& s) {
+        incremental.Append(s);
+      });
+  for (const geo::Point& p : t) stream.Push(p);
   stream.Finish();
-  for (auto& s : stream.TakeEmitted()) incremental.Append(s);
 
   ASSERT_EQ(batch.size(), incremental.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -120,6 +120,8 @@ TEST(OperbTest, StreamingMatchesBatch) {
     EXPECT_EQ(batch[i].last_index, incremental[i].last_index);
     EXPECT_EQ(batch[i].start, incremental[i].start);
     EXPECT_EQ(batch[i].end, incremental[i].end);
+    EXPECT_EQ(batch[i].t_start, incremental[i].t_start);
+    EXPECT_EQ(batch[i].t_end, incremental[i].t_end);
   }
 }
 

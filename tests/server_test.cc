@@ -141,6 +141,10 @@ void ExpectTimedSegmentsEqual(const std::vector<traj::TimedSegment>& got,
     EXPECT_EQ(got[i].segment.end.y, want[i].segment.end.y);
     EXPECT_EQ(got[i].t_start, want[i].t_start);
     EXPECT_EQ(got[i].t_end, want[i].t_end);
+    // One stamp per answer segment, whichever layer (wire, store, live
+    // tail) produced it.
+    EXPECT_EQ(got[i].segment.t_start, got[i].t_start);
+    EXPECT_EQ(got[i].segment.t_end, got[i].t_end);
   }
 }
 

@@ -145,6 +145,11 @@ void ExpectTimedEqual(const std::vector<traj::TimedSegment>& actual,
     EXPECT_EQ(actual[i].object_id, want[i].object_id) << label << " " << i;
     EXPECT_EQ(actual[i].t_start, want[i].t_start) << label << " " << i;
     EXPECT_EQ(actual[i].t_end, want[i].t_end) << label << " " << i;
+    // The decoder fills the segment's times from the record's, so a
+    // TimedSegment never holds two different stamps.
+    EXPECT_EQ(actual[i].segment.t_start, actual[i].t_start)
+        << label << " " << i;
+    EXPECT_EQ(actual[i].segment.t_end, actual[i].t_end) << label << " " << i;
   }
 }
 
@@ -261,7 +266,7 @@ TEST_P(StoreGoldenTest, AllAlgorithmsRoundTripBitIdentically) {
     const std::vector<traj::RepresentedSegment> golden = testutil::LoadGolden(
         std::string(OPERB_GOLDEN_DIR) + "/golden_" +
         std::string(baselines::AlgorithmName(algorithm)) + "_" +
-        std::string(datagen::DatasetName(kind)) + ".csv");
+        std::string(datagen::DatasetName(kind)) + ".csv", t);
     if (!HasFailure()) {
       testutil::ExpectSegmentsEqual(Untimed(*got), golden,
                                     label + " vs golden fixture");
@@ -1926,6 +1931,8 @@ std::vector<traj::TimedSegment> FleetFeed(std::size_t objects,
       s.t_start = t;
       t += rng.Uniform(10.0, 30.0);
       s.t_end = t;
+      s.segment.t_start = s.t_start;
+      s.segment.t_end = s.t_end;
       per_object[id].push_back(s);
     }
   }

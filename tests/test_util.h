@@ -31,9 +31,12 @@ inline traj::Trajectory GoldenTrajectory(datagen::DatasetKind kind) {
 }
 
 /// Loads a tests/golden/ fixture
-/// (`first,last,start_patch,end_patch,x0,y0,x1,y1` rows).
+/// (`first,last,start_patch,end_patch,x0,y0,x1,y1` rows). The fixtures
+/// hold no times: each segment is stamped with the times of `original`'s
+/// points at its two indices, `original` being the trajectory the
+/// fixture's output is compared for.
 inline std::vector<traj::RepresentedSegment> LoadGolden(
-    const std::string& path) {
+    const std::string& path, const traj::Trajectory& original) {
   std::ifstream in(path);
   EXPECT_TRUE(in.is_open()) << "missing golden file " << path
                             << " (regenerate with tools/make_golden)";
@@ -64,12 +67,17 @@ inline std::vector<traj::RepresentedSegment> LoadGolden(
     s.last_index = last;
     s.start_is_patch = sp != 0;
     s.end_is_patch = ep != 0;
+    EXPECT_LT(last, original.size()) << "golden row past the trajectory";
+    if (last < original.size()) {
+      s.t_start = original[s.first_index].t;
+      s.t_end = original[s.last_index].t;
+    }
     out.push_back(s);
   }
   return out;
 }
 
-/// Field-by-field bit-exact segment comparison.
+/// Field-by-field bit-exact segment comparison, times included.
 inline void ExpectSegmentsEqual(
     const std::vector<traj::RepresentedSegment>& actual,
     const std::vector<traj::RepresentedSegment>& want,
@@ -85,6 +93,8 @@ inline void ExpectSegmentsEqual(
     EXPECT_EQ(actual[i].start.y, want[i].start.y);
     EXPECT_EQ(actual[i].end.x, want[i].end.x);
     EXPECT_EQ(actual[i].end.y, want[i].end.y);
+    EXPECT_EQ(actual[i].t_start, want[i].t_start);
+    EXPECT_EQ(actual[i].t_end, want[i].t_end);
   }
 }
 

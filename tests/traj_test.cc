@@ -65,6 +65,8 @@ TEST(TrajectoryTest, SummaryStatistics) {
   EXPECT_DOUBLE_EQ(single.MeanSamplingIntervalSeconds(), 0.0);
 }
 
+/// A segment over points f..l of a trajectory whose point i is stamped
+/// i seconds (FivePoints).
 RepresentedSegment Seg(geo::Vec2 a, geo::Vec2 b, std::size_t f,
                        std::size_t l) {
   RepresentedSegment s;
@@ -72,6 +74,8 @@ RepresentedSegment Seg(geo::Vec2 a, geo::Vec2 b, std::size_t f,
   s.end = b;
   s.first_index = f;
   s.last_index = l;
+  s.t_start = static_cast<double>(f);
+  s.t_end = static_cast<double>(l);
   return s;
 }
 
@@ -141,6 +145,19 @@ TEST(PiecewiseTest, ValidateRejectsWrongEndpoints) {
   rep.Append(Seg({0, 0}, {19, 0}, 0, 2));  // end not at P2, unflagged
   rep.Append(Seg({19, 0}, {20, 20}, 2, 4));
   EXPECT_FALSE(rep.ValidateAgainst(t).ok());
+}
+
+TEST(PiecewiseTest, ValidateRejectsWrongTimes) {
+  const Trajectory t = FivePoints();
+  PiecewiseRepresentation rep;
+  rep.Append(Seg({0, 0}, {20, 0}, 0, 2));
+  auto b = Seg({20, 0}, {20, 20}, 2, 4);
+  b.t_end = 3.0;  // the time of point 3, not of its last point 4
+  rep.Append(b);
+  const Status status = rep.ValidateAgainst(t);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("times"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(PiecewiseTest, ValidateRejectsNotCoveringWholeTrajectory) {
